@@ -24,6 +24,17 @@ exact *incrementally* at the only four structural mutation points of
     A rejoining node is fully disconnected, so its entry is already the
     fragment-root identity ``(itself, 0)``; only the version advances.
 
+The same four points keep the **delay roster** current: a list of
+Python ints used as bitsets over node ids, bit ``i`` of ``roster[d]``
+set iff consumer ``i`` is online with ``DelayAt(i) == d``.  It is the
+gradient ordering of the overlay (nodes sorted by distance from the
+source) used as an index: the omniscient oracles' ``DelayAt(j) < l_i``
+filter is the OR of a prefix of buckets, where it used to be a scan of
+the whole online population per query.  The roster is built by its
+first reader (:meth:`ChainIndex.delay_roster`), so runs whose oracle
+never asks — the sharded, DHT and random-walk realizations — pay one
+``is not None`` test per shifted node and nothing else.
+
 Reads are amortized O(1); a mutation pays at most the size of the moved
 subtree — the same asymptotic cost the mutation itself already pays for
 re-linking and event emission.
@@ -36,6 +47,8 @@ in-tree as ``Overlay.walk_*``):
   ``entry.depth`` its hop count to that root;
 * a parentless node (including every offline node and the source) is its
   own root at depth 0;
+* once built, the delay roster equals a from-scratch scan of the entries
+  and liveness flags;
 * :attr:`ChainIndex.version` strictly increases on every structural or
   liveness mutation, so any value derived from chain metadata can be
   cached per version (see ``repro.core.convergence``'s shared forest
@@ -44,7 +57,8 @@ in-tree as ``Overlay.walk_*``):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from itertools import zip_longest
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.core.errors import TopologyError
 from repro.core.node import SOURCE_ID, Node
@@ -52,6 +66,44 @@ from repro.core.node import SOURCE_ID, Node
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import ColumnarState
     from repro.core.tree import Overlay
+
+
+def _set_bit(roster: List[int], node_id: int, delay: int) -> None:
+    """Set bit ``node_id`` of ``roster[delay]``, growing the list to it."""
+    if delay >= len(roster):
+        roster.extend([0] * (delay + 1 - len(roster)))
+    roster[delay] |= 1 << node_id
+
+
+def _move_bit(roster: List[int], node_id: int, old: int, new: int) -> None:
+    """Move bit ``node_id`` from ``roster[old]`` to ``roster[new]``."""
+    roster[old] ^= 1 << node_id
+    _set_bit(roster, node_id, new)
+
+
+def kth_set_bit(mask: int, k: int) -> int:
+    """Position of the ``k``-th lowest set bit of ``mask`` (``k`` from 0).
+
+    Requires ``0 <= k < mask.bit_count()``.  Halves the window each
+    step and keeps only the half that holds the answer, so the ints
+    shrink as it goes: O(bits) word operations in all, against one
+    Python-level step per candidate for a list.
+    """
+    base = 0
+    width = mask.bit_length()
+    while width > 1:
+        half = width >> 1
+        low = mask & ((1 << half) - 1)
+        below = low.bit_count()
+        if k < below:
+            mask = low
+            width = half
+        else:
+            k -= below
+            mask >>= half
+            base += half
+            width -= half
+    return base
 
 
 class _Entry:
@@ -82,10 +134,18 @@ class ChainIndex:
     links are updated.  ``DelayAt`` is derived on read: ``depth`` for
     nodes whose root is the source, ``depth + 1`` (the potential delay of
     §2.1.3) otherwise — the source itself is its own root at depth 0.
+
+    Besides the per-node entries the index serves the *delay roster*
+    (:meth:`delay_roster`): online consumers bucketed by ``DelayAt`` as
+    bitsets over node ids, built on first read and from then on moved
+    bit by bit in the same subtree shifts that update the entries.
     """
 
     def __init__(self, overlay: "Overlay") -> None:
         self._overlay = overlay
+        #: Delay-bucketed bitsets of the online consumers, or ``None``
+        #: until :meth:`delay_roster` is first read.
+        self._roster: Optional[List[int]] = None
         #: node_id -> entry.  Public for the overlay's inlined hot-path
         #: reads; treat as read-only outside this class.
         self.entries: Dict[int, _Entry] = {}
@@ -116,11 +176,14 @@ class ChainIndex:
                 self._overlay.walk_fragment_root(node),
                 self._overlay.walk_depth(node),
             )
+        if self._roster is not None:
+            self._roster = self._scan_roster()
         self.version += 1
 
     def register(self, node: Node) -> None:
         """Index a newly added node (always parentless: its own root)."""
         self.entries[node.node_id] = _Entry(node, 0)
+        self._sync_roster(node)
         if self.dirty is not None:
             self.dirty.add(node.node_id)
         self.version += 1
@@ -149,14 +212,17 @@ class ChainIndex:
         self._shift_subtree(child, child, -entry.depth)
         self.version += 1
 
-    def touch(self) -> None:
-        """Record a liveness-only mutation (``go_offline``/``go_online``).
+    def touch(self, node: Node) -> None:
+        """Record a liveness-only mutation of ``node``
+        (``go_offline``/``go_online``).
 
         The departing/rejoining node's own entry is already the
         fragment-root identity — every structural consequence went
         through :meth:`on_detach` — but liveness changes what the
-        per-round quality scan sees, so the version must advance.
+        per-round quality scan and the delay roster see, so the roster
+        bit follows ``node.online`` and the version advances.
         """
+        self._sync_roster(node)
         self.version += 1
 
     def mark(self, node: Node) -> None:
@@ -174,6 +240,7 @@ class ChainIndex:
         """
         entries = self.entries
         dirty = self.dirty
+        roster = self._roster
         limit = len(entries)
         seen = 0
         rooted = root.is_source
@@ -188,10 +255,53 @@ class ChainIndex:
             entry.root = root
             entry.rooted = rooted
             entry.depth += delta
+            if roster is not None:
+                _move_bit(roster, node.node_id, entry.delay, entry.depth + bias)
             entry.delay = entry.depth + bias
             if dirty is not None:
                 dirty.add(node.node_id)
             stack.extend(node.children)
+
+    # ------------------------------------------------------------------
+    # delay roster
+    # ------------------------------------------------------------------
+
+    def delay_roster(self) -> List[int]:
+        """Online consumers bucketed by ``DelayAt``, as bitsets over ids.
+
+        Bit ``i`` of ``roster[d]`` is set iff consumer ``i`` is online
+        with ``DelayAt(i) == d`` (the source is in no bucket; buckets
+        past the deepest delay ever seen are absent, not zero-padded to
+        any fixed length).  The first call scans the population once;
+        afterwards the hooks above keep the list current and this
+        returns it as is — callers read it and never write.
+        """
+        if self._roster is None:
+            self._roster = self._scan_roster()
+        return self._roster
+
+    def _scan_roster(self) -> List[int]:
+        """The roster from scratch, off the entries and liveness flags."""
+        roster: List[int] = []
+        for node in self._overlay:
+            if node.online and not node.is_source:
+                _set_bit(roster, node.node_id, self.delay_of(node))
+        return roster
+
+    def _sync_roster(self, node: Node) -> None:
+        """Make the roster bit of ``node`` agree with ``node.online``.
+
+        For registration and churn transitions, where the node's delay
+        stands still and only its membership changes.
+        """
+        roster = self._roster
+        if roster is None:
+            return
+        delay = self.delay_of(node)
+        if node.online:
+            _set_bit(roster, node.node_id, delay)
+        else:
+            roster[delay] &= ~(1 << node.node_id)
 
     # ------------------------------------------------------------------
     # O(1) reads
@@ -256,6 +366,15 @@ class ChainIndex:
                 )
         if len(self.entries) != len(overlay):
             raise TopologyError("chain index tracks nodes not in the overlay")
+        if self._roster is not None and any(
+            kept != scanned
+            for kept, scanned in zip_longest(
+                self._roster, self._scan_roster(), fillvalue=0
+            )
+        ):
+            raise TopologyError(
+                "delay roster diverged from the entries and liveness flags"
+            )
 
 
 class _ColumnEntry:
@@ -348,6 +467,8 @@ class ColumnarChainIndex(ChainIndex):
             store.rooted[i] = 1 if rooted else 0
             store.delay[i] = depth if rooted else depth + 1
             self.entries[i] = _ColumnEntry(store, i)
+        if self._roster is not None:
+            self._roster = self._scan_roster()
         self.version += 1
 
     def register(self, node: Node) -> None:
@@ -360,6 +481,7 @@ class ColumnarChainIndex(ChainIndex):
         store.rooted[i] = 1 if rooted else 0
         store.delay[i] = 0 if rooted else 1
         self._enter(i)
+        self._sync_roster(node)
         if self.dirty is not None:
             self.dirty.add(i)
         self.version += 1
@@ -384,6 +506,7 @@ class ColumnarChainIndex(ChainIndex):
         rooted_col = store.rooted
         delay_col = store.delay
         dirty = self.dirty
+        roster = self._roster
         limit = len(self.entries)
         seen = 0
         root_id = root.node_id
@@ -400,6 +523,8 @@ class ColumnarChainIndex(ChainIndex):
             rooted_col[i] = rooted
             depth = depth_col[i] + delta
             depth_col[i] = depth
+            if roster is not None:
+                _move_bit(roster, i, delay_col[i], depth + bias)
             delay_col[i] = depth + bias
             if dirty is not None:
                 dirty.add(i)

@@ -35,7 +35,7 @@ cross-checks the index against them.  See ``docs/ARCHITECTURE.md``.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -53,6 +53,13 @@ from repro.core.store import NO_PARENT, ColumnarState
 from repro.obs.probe import NULL_PROBE, Probe
 
 _BY_NODE_ID = attrgetter("node_id")
+
+
+def _remove_sorted(roster: List[Node], node: Node) -> None:
+    """Delete ``node`` from an id-sorted roster by position: a bisect and
+    one memmove, where ``list.remove`` compares its way up from index 0."""
+    del roster[bisect_left(roster, node.node_id, key=_BY_NODE_ID)]
+
 
 #: Node-state backend used when :class:`Overlay` is built without an
 #: explicit ``backend``.  ``"columnar"`` (the production default) stores
@@ -173,7 +180,7 @@ class Overlay:
         if node.parent is not None or node.children:
             raise TopologyError(f"offline {node!r} still has links")
         del self._nodes[node.node_id]
-        self._consumers.remove(node)
+        _remove_sorted(self._consumers, node)
         self.chain_index.unregister(node)
         if self.store is not None:
             self.store.release(node.node_id)
@@ -533,8 +540,8 @@ class Overlay:
         node.online = False
         if self.store is not None:
             self.store.online[node.node_id] = 0
-        self._online.remove(node)
-        self.chain_index.touch()
+        _remove_sorted(self._online, node)
+        self.chain_index.touch(node)
         self.chain_index.mark(node)  # liveness + fanout slack changed
         node.reset_protocol_state()
         return orphans
@@ -547,7 +554,7 @@ class Overlay:
         if self.store is not None:
             self.store.online[node.node_id] = 1
         insort(self._online, node, key=_BY_NODE_ID)
-        self.chain_index.touch()
+        self.chain_index.touch(node)
         self.chain_index.mark(node)
         node.reset_protocol_state()
 

@@ -21,13 +21,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.node import Node
 from repro.core.tree import Overlay
-from repro.oracles.base import Oracle
+from repro.oracles.base import RandomDelayOracle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.multifeed.system import MultiFeedSystem
 
 
-class ReuseDelayOracle(Oracle):
+class ReuseDelayOracle(RandomDelayOracle):
     """Oracle Random-Delay with cross-feed partnership preference."""
 
     name = "reuse-delay"
@@ -58,27 +58,25 @@ class ReuseDelayOracle(Oracle):
         #: How many samples were served from the cross-feed partner set.
         self.reuse_hits = 0
 
-    def _admits(self, enquirer: Node, candidate: Node) -> bool:
-        return self.overlay.delay_at(candidate) < enquirer.latency
-
     def sample(self, enquirer: Node) -> Optional[Node]:
-        # Delay filter via O(1) chain-index reads (see Oracle.sample).
-        admits = self._admits
-        candidates = [
-            node
-            for node in self.overlay.online_consumers
-            if node is not enquirer and admits(enquirer, node)
-        ]
-        if not candidates:
+        candidates = self._candidates(enquirer)
+        count = candidates.bit_count()
+        if not count:
             self.misses += 1
             return None
         self.hits += 1
-        known = self.system.partners_elsewhere(enquirer.name, self.feed_id)
-        familiar = [node for node in candidates if node.name in known]
+        # The familiar candidates, found from the few known names and
+        # not by looking at every candidate; drawn from in id order, the
+        # order in which a pass over the candidate list would meet them.
+        familiar = []
+        for name in self.system.partners_elsewhere(enquirer.name, self.feed_id):
+            node = self.system.participation(name, self.feed_id)
+            if node is not None and candidates >> node.node_id & 1:
+                familiar.append(node.node_id)
         if familiar and self.bias_rng.random() < self.reuse_bias:
             self.reuse_hits += 1
-            return self.bias_rng.choice(familiar)
-        return self.rng.choice(candidates)
+            return self.overlay.node(self.bias_rng.choice(sorted(familiar)))
+        return self._draw(candidates, count)
 
 
 def reuse_oracle_factory(reuse_bias: float = 0.8):

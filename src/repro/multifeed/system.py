@@ -267,7 +267,7 @@ class MultiFeedSystem:
         serving any other feeds it participates in.  Returns whether the
         consumer was online there (``False`` is a no-op).
         """
-        node = self._nodes.get(feed_id, {}).get(name)
+        node = self.participation(name, feed_id)
         if node is None or not node.online:
             return False
         self.overlays[feed_id].go_offline(
@@ -278,15 +278,20 @@ class MultiFeedSystem:
     def rejoin_feed(self, name: str, feed_id: str) -> bool:
         """Bring an offline participation back (rejoin after an exodus
         or crash burst).  Returns whether anything changed."""
-        node = self._nodes.get(feed_id, {}).get(name)
+        node = self.participation(name, feed_id)
         if node is None or node.online:
             return False
         self.overlays[feed_id].go_online(node)
         return True
 
+    def participation(self, name: str, feed_id: str) -> Optional[Node]:
+        """``name``'s node in one feed's overlay, online or not; ``None``
+        if it does not subscribe to the feed."""
+        return self._nodes.get(feed_id, {}).get(name)
+
     def online_in(self, name: str, feed_id: str) -> bool:
         """Whether ``name`` currently participates online in the feed."""
-        node = self._nodes.get(feed_id, {}).get(name)
+        node = self.participation(name, feed_id)
         return node is not None and node.online
 
     def subscriber_names(self, feed_id: str, online_only: bool = False) -> List[str]:

@@ -58,10 +58,11 @@ class PhaseTimings:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
 
-    def add(self, phase: str, seconds: float) -> None:
-        """Record one span of ``phase`` (explicit form for hot loops)."""
+    def add(self, phase: str, seconds: float, calls: int = 1) -> None:
+        """Record ``calls`` spans of ``phase`` totalling ``seconds``
+        (explicit form for hot loops, which sum a round's spans locally)."""
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
-        self.calls[phase] = self.calls.get(phase, 0) + 1
+        self.calls[phase] = self.calls.get(phase, 0) + calls
 
     def measure(self, phase: str) -> _PhaseSpan:
         """Context manager recording the wrapped block's duration."""

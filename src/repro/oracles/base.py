@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import abc
 import random
+from functools import reduce
+from operator import or_
 from typing import List, Optional
 
+from repro.core.index import kth_set_bit
 from repro.core.node import Node
 from repro.core.tree import Overlay
 
@@ -69,28 +72,53 @@ class Oracle(abc.ABC):
         currently passes this oracle's filter (the enquirer then waits and
         retries — Alg. 2's explicit exception).
 
-        The candidate pass is the hot loop of a simulation round: the
-        roster comes from the overlay's incrementally maintained online
-        list, and the delay/rootedness filters behind ``_admits`` are
-        O(1) chain-index reads (they used to re-walk the parent chain
-        per candidate).
+        The candidates are a bitset over node ids (:meth:`_eligible`
+        minus the enquirer), never a list: their number is a popcount,
+        and the draw — the same ``_randbelow(count)`` that
+        ``rng.choice(candidates)`` made over the id-ordered list of the
+        former O(N) scan — picks the k-th lowest set bit, which is the
+        k-th candidate of that list.  Every seeded run is therefore
+        draw for draw what it was with the scan.
         """
-        admits = self._admits
-        candidates = [
-            node
-            for node in self.overlay.online_consumers
-            if node is not enquirer and admits(enquirer, node)
-        ]
-        if not candidates:
+        candidates = self._candidates(enquirer)
+        count = candidates.bit_count()
+        if not count:
             self.misses += 1
             self.probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
-        partner = self.rng.choice(candidates)
+        partner = self._draw(candidates, count)
         self.probe.oracle_query(
-            enquirer.node_id, self.name, len(candidates), partner.node_id
+            enquirer.node_id, self.name, count, partner.node_id
         )
         return partner
+
+    def _candidates(self, enquirer: Node) -> int:
+        """Ids of everyone :meth:`sample` may return, as a bitset."""
+        return self._eligible(enquirer) & ~(1 << enquirer.node_id)
+
+    def _draw(self, candidates: int, count: int) -> Node:
+        """One uniform draw from a non-empty candidate bitset."""
+        return self.overlay.node(
+            kth_set_bit(candidates, self.rng.choice(range(count)))
+        )
+
+    def _eligible(self, enquirer: Node) -> int:
+        """Bitset of the online consumers that pass this oracle's filter.
+
+        The default folds the per-candidate ``_admits`` over the online
+        roster — what the capacity, rooted and multipath-disjoint
+        filters use, and the reference the indexed overrides are tested
+        against.  Oracles whose filter is a function of ``DelayAt``
+        alone override it with a read of the chain index's delay roster
+        (:meth:`~repro.core.index.ChainIndex.delay_roster`).
+        """
+        admits = self._admits
+        eligible = 0
+        for node in self.overlay.online_consumers:
+            if admits(enquirer, node):
+                eligible |= 1 << node.node_id
+        return eligible
 
     def admits(self, enquirer: Node, candidate: Node) -> bool:
         """Whether ``candidate`` passes this oracle's filter — the public
@@ -117,6 +145,9 @@ class RandomOracle(Oracle):
 
     def _admits(self, enquirer: Node, candidate: Node) -> bool:
         return True
+
+    def _eligible(self, enquirer: Node) -> int:
+        return reduce(or_, self.overlay.chain_index.delay_roster(), 0)
 
 
 class RandomCapacityOracle(Oracle):
@@ -164,6 +195,11 @@ class RandomDelayOracle(Oracle):
 
     def _admits(self, enquirer: Node, candidate: Node) -> bool:
         return self.overlay.delay_at(candidate) < enquirer.latency
+
+    def _eligible(self, enquirer: Node) -> int:
+        # ``DelayAt(j) < l_i`` is a prefix of the delay buckets.
+        roster = self.overlay.chain_index.delay_roster()
+        return reduce(or_, roster[: enquirer.latency], 0)
 
 
 class RandomDelayRootedOracle(Oracle):

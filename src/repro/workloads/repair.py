@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import List, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Tuple
 
 from repro.core.constraints import NodeSpec
 from repro.core.errors import ConfigurationError
-from repro.core.sufficiency import first_violating_latency
 from repro.workloads.base import NamedSpec
 
 
@@ -51,9 +51,9 @@ def repair_population(
     # Fail fast on populations no amount of relaxation can fix: latency
     # relaxation never creates capacity, so unless the source's slots
     # plus every member's fanout can seat everyone, the loop below would
-    # push latencies up until max_relaxations with each pass re-scanning
-    # an ever-taller class ladder (a quadratic grind the service soak's
-    # property tests caught on starved per-feed fanout splits).
+    # relax its way down an ever-taller class ladder before running out
+    # of seats (the service soak's property tests caught this on starved
+    # per-feed fanout splits).
     seats = source_fanout + sum(spec.fanout for _, spec in repaired)
     if seats < len(repaired):
         raise ConfigurationError(
@@ -61,29 +61,55 @@ def repair_population(
             f"{seats} seats (source fanout {source_fanout} + member "
             "fanouts); no latency relaxation can create capacity"
         )
+    # The N_l classes as member indices in population order, with their
+    # fanout sums.  One relaxation moves one index from class l to l+1,
+    # so both are kept current and never regrouped; and since classes
+    # stricter than l are untouched by it, the level pass of §3.3
+    # resumes at l with the seats it had there.
+    members: Dict[int, List[int]] = {}
+    fanout: Dict[int, int] = {}
+    for index, (_, spec) in enumerate(repaired):
+        members.setdefault(spec.latency, []).append(index)
+        fanout[spec.latency] = fanout.get(spec.latency, 0) + spec.fanout
+    ladder = sorted(members)
     relaxations = 0
-    while True:
-        specs = [spec for _, spec in repaired]
-        violated = first_violating_latency(source_fanout, specs)
-        if violated is None:
-            break
-        members = [
-            index
-            for index, (_, spec) in enumerate(repaired)
-            if spec.latency == violated
-        ]
-        index = rng.choice(members)
-        name, spec = repaired[index]
-        repaired[index] = (
-            name,
-            NodeSpec(latency=spec.latency + 1, fanout=spec.fanout),
-        )
-        relaxations += 1
-        if relaxations > max_relaxations:
-            raise ConfigurationError(
-                "sufficiency repair did not terminate; population has "
-                "pathological capacity (all fanouts zero?)"
+    available = source_fanout
+    rung = 0
+    while rung < len(ladder):
+        latency = ladder[rung]
+        group = members[latency]
+        while len(group) > available:
+            if available == 0:
+                # Everyone here must move on, leaving no fanout behind:
+                # every deeper class starts from zero seats as well.
+                raise ConfigurationError(
+                    f"sufficiency repair cannot terminate: no seat is left "
+                    f"for the {len(group)} members of latency class "
+                    f"{latency}, nor for any laxer class (the stricter "
+                    "classes are full and offer no spare fanout)"
+                )
+            index = rng.choice(group)
+            name, spec = repaired[index]
+            repaired[index] = (
+                name,
+                NodeSpec(latency=latency + 1, fanout=spec.fanout),
             )
+            del group[bisect_left(group, index)]
+            if latency + 1 not in members:
+                members[latency + 1] = []
+                fanout[latency + 1] = 0
+                ladder.insert(rung + 1, latency + 1)
+            insort(members[latency + 1], index)
+            fanout[latency] -= spec.fanout
+            fanout[latency + 1] += spec.fanout
+            relaxations += 1
+            if relaxations > max_relaxations:
+                raise ConfigurationError(
+                    "sufficiency repair did not terminate; population has "
+                    "pathological capacity (all fanouts zero?)"
+                )
+        available += fanout[latency] - len(group)
+        rung += 1
     max_latency = max((spec.latency for _, spec in repaired), default=0)
     return repaired, RepairReport(
         relaxations=relaxations, max_latency_after=max_latency

@@ -156,6 +156,66 @@ class TestRepair:
         with pytest.raises(ConfigurationError):
             repair_population(1, population, random.Random(1), max_relaxations=50)
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_incremental_repair_equals_regrouping_loop(self, seed):
+        """The per-class bookkeeping must relax exactly the members, in
+        exactly the order, that regrouping the whole population before
+        every relaxation did (the loop this replaced, written out)."""
+        draw = random.Random(seed)
+        size = draw.choice((8, 40, 150, 400))
+        source_fanout = draw.randint(1, 5)
+        population = [
+            (f"n{i}", spec(draw.randint(1, draw.choice((2, 6, 12))), draw.randint(0, 4)))
+            for i in range(size)
+        ]
+        if source_fanout + sum(s.fanout for _, s in population) < size:
+            population[0] = ("n0", spec(1, size))  # make it repairable
+        reference = list(population)
+        rng = random.Random(seed + 1)
+        relaxations = 0
+        dead_end = False
+        while not dead_end:
+            classes = {}
+            for index, (_, member) in enumerate(reference):
+                classes.setdefault(member.latency, []).append(index)
+            available = source_fanout
+            violated = None
+            for latency in range(1, max(classes) + 1):
+                members = classes.get(latency, [])
+                if len(members) > available:
+                    violated = latency
+                    break
+                available += sum(reference[i][1].fanout for i in members)
+                available -= len(members)
+            if violated is None:
+                break
+            if available == 0:
+                dead_end = True  # the regrouping loop would grind on forever
+                break
+            index = rng.choice(classes[violated])
+            name, member = reference[index]
+            reference[index] = (name, spec(member.latency + 1, member.fanout))
+            relaxations += 1
+        if dead_end:
+            with pytest.raises(ConfigurationError, match="cannot terminate"):
+                repair_population(source_fanout, population, random.Random(seed + 1))
+            return
+        repaired, report = repair_population(
+            source_fanout, population, random.Random(seed + 1)
+        )
+        assert repaired == reference
+        assert report.relaxations == relaxations
+        assert report.max_latency_after == max(s.latency for _, s in reference)
+        assert sufficiency_holds(source_fanout, [s for _, s in repaired])
+
+    def test_repair_dead_end_raises_at_once(self):
+        # Seats suffice in total (1 + 5 >= 3), but not where they are
+        # needed: whoever stays in class 1 has no fanout, so class 2
+        # starts from zero seats, and so does every class after it.
+        population = [("a", spec(1, 0)), ("b", spec(1, 0)), ("c", spec(3, 5))]
+        with pytest.raises(ConfigurationError, match="cannot terminate"):
+            repair_population(1, population, random.Random(1))
+
 
 class TestAdversarial:
     def test_repaired_population_specs(self):
