@@ -1,12 +1,18 @@
-"""Continuous-time engine benchmark: event throughput + ms staleness.
+"""Continuous-time engine benchmark: events fired, ticks/sec, ms staleness.
 
-``time.continuous`` tracks the two things the continuous clock adds on
-top of the rounds engine (:mod:`repro.sim.continuous`):
+``time.continuous`` tracks what the continuous clock adds on top of the
+rounds engine (:mod:`repro.sim.continuous`) for a build over the
+``geo-3region`` profile:
 
-* **events/sec** — raw discrete-event throughput of a build over the
-  ``geo-3region`` profile: every oracle contact, attach handshake and
-  maintenance probe is a timestamped event, so this is the price of the
-  wall-clock realism relative to the synchronous loop;
+* **events fired** — how many timestamped actions the build took: every
+  oracle contact and attach handshake, and the maintenance self-checks
+  of nodes that are not settled (settled ones sleep until the chain
+  index wakes them).  Seeded and exact, lower is better: it is the
+  engine's work counter, and a jump means nodes are being polled again;
+* **rounds/sec** — boundary ticks simulated per wall-clock second, the
+  price of the wall-clock realism relative to the synchronous loop.
+  (Events per second is not tracked: the events that remain are the
+  ones that do work, so firing fewer of them *lowers* that rate);
 * **ms-staleness percentiles** — the seeded, deterministic p50/p99 of
   wall-clock staleness over the built overlay, exact-gated like every
   other simulation output: a change here means the latency substrate or
@@ -55,11 +61,18 @@ def run_continuous(population: int, rounds: int, seed: int):
     "time.continuous",
     tags=("core", "perf", "time"),
     metrics={
-        "events_per_sec": Metric(
-            unit="events/s",
+        "events_fired": Metric(
+            unit="events",
+            higher_is_better=False,
+            tolerance=0.0,
+            deterministic=True,
+            description="timestamped actions the build took (seeded, exact)",
+        ),
+        "rounds_per_sec": Metric(
+            unit="rounds/s",
             higher_is_better=True,
             tolerance=0.35,
-            description="continuous-engine discrete-event throughput",
+            description="boundary ticks simulated per wall-clock second",
         ),
         "staleness_ms_p50": Metric(
             unit="ms",
@@ -82,8 +95,8 @@ def run_continuous(population: int, rounds: int, seed: int):
             description="end-state constraint satisfaction (seeded, exact)",
         ),
     },
-    description="continuous-time engine over geo-3region: events/sec + "
-    "deterministic ms-staleness",
+    description="continuous-time engine over geo-3region: events fired, "
+    "ticks/sec + deterministic ms-staleness",
 )
 def time_continuous(ctx: BenchContext) -> BenchResult:
     """Timed continuous build, repeated to pin run-to-run determinism."""
@@ -93,7 +106,8 @@ def time_continuous(ctx: BenchContext) -> BenchResult:
 
     failures: List[str] = []
     first, elapsed = run_continuous(population, rounds, seed)
-    second, _ = run_continuous(population, rounds, seed)
+    second, again = run_continuous(population, rounds, seed)
+    elapsed = min(elapsed, again)  # identical work twice: keep the quieter
     for field in (
         "staleness_ms_p50",
         "staleness_ms_p99",
@@ -110,7 +124,8 @@ def time_continuous(ctx: BenchContext) -> BenchResult:
             )
 
     metrics: Dict[str, float] = {
-        "events_per_sec": first.events_fired / elapsed,
+        "events_fired": float(first.events_fired),
+        "rounds_per_sec": first.rounds_run / elapsed,
         "staleness_ms_p50": first.staleness_ms_p50 or 0.0,
         "staleness_ms_p99": first.staleness_ms_p99 or 0.0,
         "satisfied_fraction": first.final_quality.satisfied_fraction,

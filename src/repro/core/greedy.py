@@ -45,7 +45,7 @@ from repro.core.interactions import (
     try_displace_child,
     try_insert_between,
 )
-from repro.core.maintenance import greedy_maintenance
+from repro.core.maintenance import greedy_maintenance, greedy_settled
 from repro.core.node import Node
 from repro.core.protocol import ConstructionAlgorithm
 
@@ -128,3 +128,6 @@ class GreedyConstruction(ConstructionAlgorithm):
 
     def maintain(self, node: Node) -> bool:
         return greedy_maintenance(self.overlay, node)
+
+    def settled(self, node: Node) -> bool:
+        return greedy_settled(self.overlay, node)

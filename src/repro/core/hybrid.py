@@ -35,7 +35,7 @@ from repro.core.interactions import (
     try_displace_child,
     try_insert_between,
 )
-from repro.core.maintenance import hybrid_maintenance
+from repro.core.maintenance import hybrid_maintenance, hybrid_settled
 from repro.core.node import Node
 from repro.core.protocol import ConstructionAlgorithm
 
@@ -164,3 +164,6 @@ class HybridConstruction(ConstructionAlgorithm):
         return hybrid_maintenance(
             self.overlay, node, self.config.maintenance_timeout
         )
+
+    def settled(self, node: Node) -> bool:
+        return hybrid_settled(self.overlay, node)

@@ -35,6 +35,16 @@ first reader (:meth:`ChainIndex.delay_roster`), so runs whose oracle
 never asks — the sharded, DHT and random-walk realizations — pay one
 ``is not None`` test per shifted node and nothing else.
 
+They also feed the **watch sets** (:meth:`ChainIndex.watch`): every
+consumer that wants to know *which* nodes a mutation moved — the health
+recorder folding them into its aggregates, the continuous engine waking
+dormant nodes whose rule is no longer settled — asks for a set of its
+own, and every hook (``rebuild()`` included) adds the ids it visits to
+each of them.  The index never interprets them: which touched node has
+something to do is protocol knowledge
+(:meth:`~repro.core.protocol.ConstructionAlgorithm.settled`), kept out
+of here.
+
 Reads are amortized O(1); a mutation pays at most the size of the moved
 subtree — the same asymptotic cost the mutation itself already pays for
 re-linking and event emission.
@@ -152,48 +162,70 @@ class ChainIndex:
         #: Monotonic mutation counter; bumped by every hook.  Derived
         #: per-round quantities are cached against it.
         self.version = 0
-        #: Optional dirty set: when armed (a recorder assigns a ``set``),
-        #: every node id whose entry or liveness changed is added — one
-        #: ``set.add`` per node the index traversal already visits, so
-        #: arming it does not change the asymptotics.  Consumers
-        #: (:class:`repro.obs.health.HealthRecorder`) drain and clear it.
-        self.dirty: Optional[Set[int]] = None
+        #: Watch sets handed out by :meth:`watch`, one per consumer.
+        self._watchers: List[Set[int]] = []
         self.rebuild()
 
     # ------------------------------------------------------------------
     # construction / registration
     # ------------------------------------------------------------------
 
+    def watch(self) -> Set[int]:
+        """A new *watch set*: from now on every node id whose entry or
+        liveness changes is added to it.
+
+        Each consumer (:class:`repro.obs.health.HealthRecorder`, the
+        continuous engine's wake-on-violation) asks for its own set and
+        drains and clears it at its own pace; the ids are the ones the
+        index traversal visits anyway, so watching does not change the
+        asymptotics, and with no watcher a mutation pays one test per
+        shifted node.
+        """
+        watcher: Set[int] = set()
+        self._watchers.append(watcher)
+        return watcher
+
+    def _notify(self, node_ids) -> None:
+        """Add ``node_ids`` to every watch set."""
+        for watcher in self._watchers:
+            watcher.update(node_ids)
+
     def rebuild(self) -> None:
         """Recompute every entry from the reference walk (O(N·D)).
 
         Used at construction time and available as a recovery hatch; in
         normal operation the incremental hooks keep the index exact.
+        Whatever bypassed the hooks may have moved any node, so every
+        id, dropped or kept, goes to the watch sets.
         """
+        self._notify(self.entries)
         self.entries = {}
         for node in self._overlay:
-            self.entries[node.node_id] = _Entry(
-                self._overlay.walk_fragment_root(node),
-                self._overlay.walk_depth(node),
-            )
+            self.entries[node.node_id] = self._walked_entry(node)
+        self._notify(self.entries)
         if self._roster is not None:
             self._roster = self._scan_roster()
         self.version += 1
+
+    def _walked_entry(self, node: Node):
+        """The entry of ``node`` as the reference walk derives it."""
+        return _Entry(
+            self._overlay.walk_fragment_root(node),
+            self._overlay.walk_depth(node),
+        )
 
     def register(self, node: Node) -> None:
         """Index a newly added node (always parentless: its own root)."""
         self.entries[node.node_id] = _Entry(node, 0)
         self._sync_roster(node)
-        if self.dirty is not None:
-            self.dirty.add(node.node_id)
+        self._notify((node.node_id,))
         self.version += 1
 
     def unregister(self, node: Node) -> None:
         """Drop a permanently removed node from the index
         (:meth:`~repro.core.tree.Overlay.remove_consumer`)."""
         del self.entries[node.node_id]
-        if self.dirty is not None:
-            self.dirty.add(node.node_id)
+        self._notify((node.node_id,))
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -223,13 +255,13 @@ class ChainIndex:
         bit follows ``node.online`` and the version advances.
         """
         self._sync_roster(node)
+        self._notify((node.node_id,))
         self.version += 1
 
     def mark(self, node: Node) -> None:
         """Note a non-chain change that health aggregates care about
-        (liveness flips, fanout-slack shifts on a parent)."""
-        if self.dirty is not None:
-            self.dirty.add(node.node_id)
+        (fanout-slack shifts on a parent)."""
+        self._notify((node.node_id,))
 
     def _shift_subtree(self, top: Node, root: Node, delta: int) -> None:
         """Re-root ``top``'s subtree at ``root``, shifting depths by ``delta``.
@@ -239,7 +271,7 @@ class ChainIndex:
         "mutations pay at most the size of the moved subtree" cost.
         """
         entries = self.entries
-        dirty = self.dirty
+        shifted: Optional[List[int]] = [] if self._watchers else None
         roster = self._roster
         limit = len(entries)
         seen = 0
@@ -258,9 +290,11 @@ class ChainIndex:
             if roster is not None:
                 _move_bit(roster, node.node_id, entry.delay, entry.depth + bias)
             entry.delay = entry.depth + bias
-            if dirty is not None:
-                dirty.add(node.node_id)
+            if shifted is not None:
+                shifted.append(node.node_id)
             stack.extend(node.children)
+        if shifted:
+            self._notify(shifted)
 
     # ------------------------------------------------------------------
     # delay roster
@@ -452,24 +486,19 @@ class ColumnarChainIndex(ChainIndex):
         if node_id not in self.entries:
             self.entries[node_id] = _ColumnEntry(self._store, node_id)
 
-    def rebuild(self) -> None:
-        """Recompute every chain column from the reference walk (O(N·D))."""
+    def _walked_entry(self, node: Node) -> _ColumnEntry:
+        """Write the walked chain facts of ``node`` into its columns."""
         store = self._store
         overlay = self._overlay
-        self.entries = {}
-        for node in overlay:
-            i = node.node_id
-            root = overlay.walk_fragment_root(node)
-            depth = overlay.walk_depth(node)
-            rooted = root.is_source
-            store.root[i] = root.node_id
-            store.depth[i] = depth
-            store.rooted[i] = 1 if rooted else 0
-            store.delay[i] = depth if rooted else depth + 1
-            self.entries[i] = _ColumnEntry(store, i)
-        if self._roster is not None:
-            self._roster = self._scan_roster()
-        self.version += 1
+        i = node.node_id
+        root = overlay.walk_fragment_root(node)
+        depth = overlay.walk_depth(node)
+        rooted = root.is_source
+        store.root[i] = root.node_id
+        store.depth[i] = depth
+        store.rooted[i] = 1 if rooted else 0
+        store.delay[i] = depth if rooted else depth + 1
+        return _ColumnEntry(store, i)
 
     def register(self, node: Node) -> None:
         """Index a newly added node: its own root at depth 0, in columns."""
@@ -482,8 +511,7 @@ class ColumnarChainIndex(ChainIndex):
         store.delay[i] = 0 if rooted else 1
         self._enter(i)
         self._sync_roster(node)
-        if self.dirty is not None:
-            self.dirty.add(i)
+        self._notify((i,))
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -505,7 +533,7 @@ class ColumnarChainIndex(ChainIndex):
         depth_col = store.depth
         rooted_col = store.rooted
         delay_col = store.delay
-        dirty = self.dirty
+        shifted: Optional[List[int]] = [] if self._watchers else None
         roster = self._roster
         limit = len(self.entries)
         seen = 0
@@ -526,6 +554,8 @@ class ColumnarChainIndex(ChainIndex):
             if roster is not None:
                 _move_bit(roster, i, delay_col[i], depth + bias)
             delay_col[i] = depth + bias
-            if dirty is not None:
-                dirty.add(i)
+            if shifted is not None:
+                shifted.append(i)
             stack.extend(node.children)
+        if shifted:
+            self._notify(shifted)

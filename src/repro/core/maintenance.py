@@ -20,12 +20,41 @@ Hybrid (§3.4)
 Both rules fire only for nodes rooted at the source: an unrooted fragment
 reports only *potential* delay, and tearing it down would destroy reusable
 structure (the ``j <- i`` example of §3.2).
+
+Settled nodes
+    Laziness has a second reading the simulator's clocks rely on: a node
+    whose rule has nothing to do *now* has nothing to do until its parent
+    link or its chain metadata (``Root``, ``DelayAt``) next changes,
+    because the rules read nothing else.  Each rule therefore comes with
+    a ``*_settled`` predicate, defined beside it here, that is true only
+    in that case: the rule would return ``False`` and write no state.
+    The round sweeps skip settled nodes and the continuous clock
+    lets them sleep until the chain index reports a change
+    (:meth:`repro.core.protocol.ConstructionAlgorithm.settled`).
 """
 
 from __future__ import annotations
 
 from repro.core.node import Node
 from repro.core.tree import Overlay
+
+
+def _rooted_delay(overlay: Overlay, node: Node) -> int:
+    """``DelayAt(i)`` when ``Root(i) == 0``, else 0 (a rooted consumer's
+    delay is at least 1): the one chain read the lazy predicates need,
+    taken straight off the columns where there are any, because the
+    round sweeps make it once per parented node per round."""
+    store = overlay.store
+    if store is not None:
+        node_id = node.node_id
+        return store.delay[node_id] if store.rooted[node_id] else 0
+    return overlay.delay_at(node) if overlay.is_rooted(node) else 0
+
+
+def greedy_settled(overlay: Overlay, node: Node) -> bool:
+    """Whether :func:`greedy_maintenance` has nothing to do at ``node``
+    until its chain changes: anything but rooted at ``DelayAt == l + 1``."""
+    return _rooted_delay(overlay, node) != node.latency + 1
 
 
 def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
@@ -53,6 +82,17 @@ def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
             node.node_id, former_parent.parent.node_id, "maintenance"
         )
     return True
+
+
+def hybrid_settled(overlay: Overlay, node: Node) -> bool:
+    """Whether :func:`hybrid_maintenance` has nothing to do at ``node``
+    until its chain changes: not rooted beyond its constraint, and no
+    damping count left to clear (the visit that resets
+    ``violation_rounds`` after a violation went away is still owed)."""
+    return (
+        node.violation_rounds == 0
+        and _rooted_delay(overlay, node) <= node.latency
+    )
 
 
 def hybrid_maintenance(
@@ -104,6 +144,12 @@ def hybrid_maintenance(
         node.referral = ancestor
         overlay.probe.referral(node.node_id, ancestor.node_id, "maintenance")
     return True
+
+
+def eager_settled(overlay: Overlay, node: Node) -> bool:
+    """Whether :func:`eager_maintenance` has nothing to do at ``node``
+    until its chain changes: ``DelayAt <= l``, rooted or not."""
+    return overlay.delay_at(node) <= node.latency
 
 
 def eager_maintenance(overlay: Overlay, node: Node) -> bool:

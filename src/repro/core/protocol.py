@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.core.interactions import (
@@ -125,6 +125,14 @@ class ConstructionAlgorithm(abc.ABC):
     #: ``None``), set post-construction by the runner.  Only drawn from
     #: when ``config.source_backoff`` is enabled with nonzero jitter.
     backoff_rng = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The predicate belongs to the rule: a subclass that swaps
+        # ``maintain`` without restating ``settled`` must not inherit
+        # the replaced rule's, so it falls back to "never settled".
+        if "maintain" in vars(cls) and "settled" not in vars(cls):
+            cls.settled = ConstructionAlgorithm.settled
 
     def __init__(
         self,
@@ -289,3 +297,31 @@ class ConstructionAlgorithm(abc.ABC):
     def maintain(self, node: Node) -> bool:
         """Run the maintenance rule at a *parented* node; returns ``True``
         if the node discarded its parent this round."""
+
+    def settled(self, node: Node) -> bool:
+        """Whether :meth:`maintain` has nothing to do at ``node`` — it
+        would return ``False`` and write no state — now *and until the
+        node's parent link or chain metadata* (``Root``, ``DelayAt``)
+        *next changes*.
+
+        Both clocks leave a settled node alone: the round sweeps skip it
+        (:meth:`due`) and the continuous engine lets it sleep until the
+        chain index reports a change.  An algorithm defines the
+        predicate beside its rule (:mod:`repro.core.maintenance`); this
+        default, "never", has every parented node visited every tick.
+        """
+        return False
+
+    def due(self, roster: Iterable[Node]) -> Iterator[Node]:
+        """The nodes of ``roster`` with something to do this round, in
+        roster order: the parentless ones (they :meth:`step`) and the
+        parented ones that are not :meth:`settled`.
+
+        Lazy on purpose: each node is tested as the walk reaches it, on
+        the state the round's earlier actors left behind — one of them
+        may have pushed it into violation.
+        """
+        settled = self.settled
+        for node in roster:
+            if node.parent is None or not settled(node):
+                yield node

@@ -115,6 +115,13 @@ class Overlay:
         # refiltered O(N) on every access.
         self._consumers: List[Node] = []
         self._online: List[Node] = []
+        #: Bumped by every change of membership or liveness
+        #: (``add_consumer`` / ``remove_consumer`` / ``go_offline`` /
+        #: ``go_online``), so per-round upkeep that only follows the
+        #: rosters (the sharded directory's membership sync, the
+        #: continuous engine's idle-actor scan) can skip rounds in which
+        #: it has not moved.
+        self.liveness_version = 0
         #: Chain-metadata index: amortized O(1) ``Root``/``DelayAt`` reads,
         #: kept exact by the four checked mutators below.  The columnar
         #: backend keeps the same metadata in column arrays behind the
@@ -156,6 +163,7 @@ class Overlay:
         else:
             self._consumers.append(node)
             self._online.append(node)  # new consumers start online
+        self.liveness_version += 1
         self.chain_index.register(node)
         return node
 
@@ -181,6 +189,7 @@ class Overlay:
             raise TopologyError(f"offline {node!r} still has links")
         del self._nodes[node.node_id]
         _remove_sorted(self._consumers, node)
+        self.liveness_version += 1
         self.chain_index.unregister(node)
         if self.store is not None:
             self.store.release(node.node_id)
@@ -461,8 +470,8 @@ class Overlay:
             self.store.parent[child.node_id] = parent.node_id
         parent.children.append(child)
         self.chain_index.on_attach(child, parent)
-        # The subtree shift marked the moved nodes; the parent's fanout
-        # slack changed too, which only the dirty set cares about.
+        # The subtree shift noted the moved nodes; the parent's fanout
+        # slack changed too, which only the watch sets care about.
         self.chain_index.mark(parent)
         self.attach_count += 1
         # Any successful attach ends a source-contact backoff episode
@@ -541,8 +550,8 @@ class Overlay:
         if self.store is not None:
             self.store.online[node.node_id] = 0
         _remove_sorted(self._online, node)
+        self.liveness_version += 1
         self.chain_index.touch(node)
-        self.chain_index.mark(node)  # liveness + fanout slack changed
         node.reset_protocol_state()
         return orphans
 
@@ -554,8 +563,8 @@ class Overlay:
         if self.store is not None:
             self.store.online[node.node_id] = 1
         insort(self._online, node, key=_BY_NODE_ID)
+        self.liveness_version += 1
         self.chain_index.touch(node)
-        self.chain_index.mark(node)
         node.reset_protocol_state()
 
     # ------------------------------------------------------------------

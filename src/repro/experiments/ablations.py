@@ -30,7 +30,7 @@ from repro.analysis.reporting import ascii_table, banner
 from repro.analysis.stats import MedianOfRuns
 from repro.core.greedy import GreedyConstruction
 from repro.core.hybrid import HybridConstruction
-from repro.core.maintenance import eager_maintenance
+from repro.core.maintenance import eager_maintenance, eager_settled
 from repro.core.protocol import ProtocolConfig
 from repro.experiments.config import PAPER, ExperimentProfile
 from repro.experiments.runner import resolve_executor
@@ -55,6 +55,9 @@ class EagerGreedyConstruction(GreedyConstruction):
     def maintain(self, node):
         return eager_maintenance(self.overlay, node)
 
+    def settled(self, node):
+        return eager_settled(self.overlay, node)
+
 
 class EagerHybridConstruction(HybridConstruction):
     """Hybrid construction with knee-jerk maintenance."""
@@ -63,6 +66,9 @@ class EagerHybridConstruction(HybridConstruction):
 
     def maintain(self, node):
         return eager_maintenance(self.overlay, node)
+
+    def settled(self, node):
+        return eager_settled(self.overlay, node)
 
 
 register_algorithm(EagerGreedyConstruction)

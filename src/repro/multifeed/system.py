@@ -183,7 +183,7 @@ class MultiFeedSystem:
         algorithm = self.algorithms[feed]
         nodes = overlay.online_consumers
         self._order_rng.shuffle(nodes)
-        for node in nodes:
+        for node in algorithm.due(nodes):
             if node.parent is not None:
                 algorithm.maintain(node)
             else:
@@ -215,7 +215,7 @@ class MultiFeedSystem:
                 self.oracles[feed].on_round(self.now)
                 nodes = overlay.online_consumers
                 self._order_rng.shuffle(nodes)
-                for node in nodes:
+                for node in algorithm.due(nodes):
                     if node.parent is not None:
                         algorithm.maintain(node)
                     else:

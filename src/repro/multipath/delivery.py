@@ -499,7 +499,7 @@ class MultipathSystem:
         self.injector.inject(now)
         for path in range(self.paths):
             algorithm = self.algorithms[path]
-            for node in rosters[path]:
+            for node in algorithm.due(rosters[path]):
                 if not node.online:  # crashed by this round's faults
                     continue
                 if node.parent is not None:

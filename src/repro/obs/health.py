@@ -10,10 +10,10 @@ hitting — cheap enough to leave on for an N=100k run.
 The trick is that almost nothing changes between two rounds: the
 :class:`~repro.core.index.ChainIndex` already visits exactly the nodes
 whose chain metadata moved, so a :class:`HealthRecorder` taps that
-traversal (the index's *dirty set*) and maintains its aggregates
-incrementally — remove the node's old contribution, add its new one.  A
-capture therefore costs O(|dirty|), not O(N); a quiet round costs
-nearly nothing.  Samples land in a bounded
+traversal (a *watch set* of the index: the recorder's dirty set) and
+maintains its aggregates incrementally — remove the node's old
+contribution, add its new one.  A capture therefore costs O(|dirty|),
+not O(N); a quiet round costs nearly nothing.  Samples land in a bounded
 :class:`~repro.obs.rings.RingBuffer` (the flight recorder), so memory
 stays flat no matter how long the run is.
 
@@ -116,11 +116,14 @@ _Contribution = Tuple[bool, bool, bool, bool, int, int]
 class HealthRecorder:
     """Incremental structural aggregates plus the flight-recorder ring.
 
-    Installing the recorder arms the overlay's chain index with a dirty
-    set (one ``set.add`` per re-indexed node — nodes the index traversal
-    already visits); :meth:`capture` drains it, updates the aggregates
-    by removing each dirty node's previous contribution and adding its
-    current one, and appends a :class:`HealthSample` on sampled rounds.
+    Installing the recorder asks the overlay's chain index for a watch
+    set of its own (:meth:`~repro.core.index.ChainIndex.watch`: the ids
+    of re-indexed nodes — nodes the index traversal already visits — so
+    any number of recorders and the continuous engine can follow one
+    overlay side by side); :meth:`capture` drains it, updates the
+    aggregates by removing each dirty node's previous contribution and
+    adding its current one, and appends a :class:`HealthSample` on
+    sampled rounds.
     """
 
     def __init__(self, overlay, config: Optional[HealthConfig] = None) -> None:
@@ -138,8 +141,8 @@ class HealthRecorder:
         self._slack_hist: Dict[int, int] = {}
         self._last_attaches = overlay.attach_count
         self._last_detaches = overlay.detach_count
-        # Arm the index: from here on every re-indexed node id is noted.
-        overlay.chain_index.dirty = set()
+        # From here on every re-indexed node id is noted.
+        self._dirty = overlay.chain_index.watch()
         for node in overlay.consumers:
             self._apply(node.node_id, self._contribution(node), +1)
 
@@ -186,7 +189,7 @@ class HealthRecorder:
 
     def _drain(self) -> int:
         """Fold the dirty set into the aggregates; returns its size."""
-        dirty = self.overlay.chain_index.dirty
+        dirty = self._dirty
         if not dirty:
             return 0
         count = len(dirty)

@@ -4,8 +4,9 @@ One simulation round decomposes into phases — ``churn`` (membership
 step), ``oracle`` (directory/gossip upkeep), ``faults`` (fault-plan
 injection, present only when a plan is installed), ``step``
 (construction steps of parentless nodes), ``maintain`` (maintenance
-rule at parented nodes) and ``measure`` (quality snapshot + trace
-capture).
+rule at the parented nodes that are not settled; its call count is the
+number of times the rule ran, not the number of parented nodes) and
+``measure`` (quality snapshot + trace capture).
 :class:`PhaseTimings` accumulates wall-clock per phase so "where does
 the time go" is answerable per run, which is the precondition for every
 perf PR the ROADMAP asks for.

@@ -135,6 +135,8 @@ class ShardedDirectory:
         #: Per-shard registration-stream length (Algorithm R state).
         self._seen: List[int] = [0] * shards
         self._known_online: Set[int] = set()
+        #: ``overlay.liveness_version`` as of the last membership sync.
+        self._synced_liveness: Optional[int] = None
         self._batches: List[List[ShardRecord]] = [[] for _ in range(shards)]
         self._cursors: List[int] = [0] * shards
         #: Round counter driving the serve-order rotation (see ``serve``).
@@ -176,6 +178,19 @@ class ShardedDirectory:
     def on_round(self, now: int) -> None:
         """Round upkeep: membership sync, rebalance, one draw per shard."""
         self._round = now
+        membership_changed = self._sync_membership(now)
+        if now % self.rebalance_interval == 0:
+            self._rebalance()
+        self._draw_batches(now, prune=membership_changed)
+
+    def _sync_membership(self, now: int) -> bool:
+        """Register who came online and forget who left since the last
+        round; returns whether anybody did.  A round in which the
+        overlay's liveness counter stood still has nobody to diff."""
+        liveness = self.overlay.liveness_version
+        if liveness == self._synced_liveness:
+            return False
+        self._synced_liveness = liveness
         online_now = {n.node_id for n in self.overlay._online}
         joined = online_now - self._known_online
         departed = self._known_online - online_now
@@ -186,26 +201,27 @@ class ShardedDirectory:
             overlay_nodes = self.overlay._nodes
             for node_id in sorted(joined):
                 self._register(overlay_nodes[node_id], now)
-        if now % self.rebalance_interval == 0:
-            self._rebalance()
-        self._draw_batches(now)
+        return bool(joined or departed)
 
-    def _draw_batches(self, now: int) -> None:
+    def _draw_batches(self, now: int, prune: bool) -> None:
         """One RNG draw per shard: this round's candidate batches.
 
-        Dead reservoir entries (departed members) are pruned here — one
-        O(capacity) sweep per shard per round — and drawn records older
-        than ``refresh_interval`` are refreshed from live overlay state,
-        bounding the staleness of every *served* candidate.
+        Dead reservoir entries (departed or re-registered members) are
+        pruned here when ``prune`` says the records changed this round —
+        one O(capacity) sweep per shard, after the rebalance as ever —
+        and drawn records older than ``refresh_interval`` are refreshed
+        from live overlay state, bounding the staleness of every
+        *served* candidate.
         """
         overlay = self.overlay
         records = self._records
         refresh_before = now - self.refresh_interval
         for shard in range(self.n_shards):
             reservoir = self._reservoirs[shard]
-            live = [r for r in reservoir if records.get(r.node_id) is r]
-            if len(live) != len(reservoir):
-                self._reservoirs[shard] = reservoir = live
+            if prune:
+                live = [r for r in reservoir if records.get(r.node_id) is r]
+                if len(live) != len(reservoir):
+                    self._reservoirs[shard] = reservoir = live
             size = min(self.batch_size, len(reservoir))
             batch = self.rng.sample(reservoir, size) if size else []
             for record in batch:

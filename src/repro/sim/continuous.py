@@ -12,9 +12,27 @@ it exercised —
   round trip (node ↔ the directory's PoP) plus, when the step ended in
   an attach, the attach-handshake round trip to the chosen parent;
 * a **maintenance check** is local and free (observing one's own delay
-  needs no network), so parented nodes self-check once per round tick;
-  a check that ends in a detach (or a move) pays the handshake round
-  trip to the forsaken parent before the node can act again.
+  needs no network), so a parented node's self-checks fall on *virtual
+  ticks*, one round tick apart from its first; a check that ends in a
+  detach (or a move) pays the handshake round trip to the forsaken
+  parent before the node can act again.
+
+**Settled nodes sleep.**  Only the ticks at which the rule could act are
+events.  A parented node whose self-check left it where it was and
+:meth:`~repro.core.protocol.ConstructionAlgorithm.settled` goes
+*dormant*: it holds no queue entry, and the engine remembers when that
+last check ran.  The chain index reports every node whose chain
+metadata, parent or liveness changes (a watch set,
+:meth:`~repro.core.index.ChainIndex.watch`); the engine drains it after
+every fired action and after the boundary's churn and fault phases, and
+a dormant node found parentless or no longer settled is woken at its
+next virtual tick — the timestamp the once-per-tick poll would have
+reached, by the same repeated float addition.  Events with distinct
+timestamps order by time alone, so every action that does anything
+fires when and in the order it did under polling; what is gone are the
+checks that found nothing (nine in ten of all events on a large build).
+Only a tie between two *different* nodes' timestamps could tell the two
+apart (``docs/TIMING.md`` §4).
 
 Per-edge latencies come from a seeded :class:`~repro.locality.geo.\
 GeoLatencyModel` — region/PoP matrix, last-mile terms, all in wall-clock
@@ -46,7 +64,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional
+from array import array
+from typing import List, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.core.node import Node
@@ -62,6 +81,9 @@ from repro.workloads.base import Workload
 #: Floor on any action duration, so a zero-latency profile can never
 #: produce a same-timestamp self-rescheduling loop.
 MIN_ACTION_MS = 0.05
+
+#: ``_last_check`` value of a node that is not dormant.
+_AWAKE = -1.0
 
 
 class ContinuousSimulation:
@@ -100,8 +122,15 @@ class ContinuousSimulation:
         )
         self.scheduler = EventScheduler()
         self.round_ms = self.profile.round_ms
-        #: Node ids with a queued (not yet fired) action event.
+        #: Nodes with a queued (not yet fired) action event.
         self._queued: set = set()
+        #: Per node id, the time of the self-check that sent the node
+        #: dormant (:data:`_AWAKE` for everybody else).
+        self._last_check = array("d")
+        #: Ids the chain index touched since the last drain.
+        self._touched = self.sim.overlay.chain_index.watch()
+        #: ``overlay.liveness_version`` as of the last idle-actor scan.
+        self._scanned_liveness: Optional[int] = None
 
     def __getattr__(self, name: str):
         # Fallback for everything Simulation owns (overlay, metrics,
@@ -111,7 +140,7 @@ class ContinuousSimulation:
     # -- scheduling -----------------------------------------------------
 
     def _schedule_action(self, node: Node, delay_ms: float) -> None:
-        self._queued.add(node.node_id)
+        self._queued.add(node)
         self.scheduler.schedule(max(MIN_ACTION_MS, delay_ms), self._act, node)
 
     def _schedule_idle_actors(self) -> None:
@@ -123,22 +152,103 @@ class ContinuousSimulation:
         directory, folded into one round tick — so a fresh cohort does
         not act in one synchronized stampede, and nearby nodes get
         going sooner than far ones.
+
+        Only membership and liveness changes make idle actors, so a
+        boundary at which the overlay's liveness counter stood still
+        (every boundary of a static build after the first) has none.
         """
-        for node in self.sim.overlay.online_consumers:
-            if node.node_id in self._queued:
+        overlay = self.sim.overlay
+        if overlay.liveness_version == self._scanned_liveness:
+            return
+        self._scanned_liveness = overlay.liveness_version
+        last_check = self._last_check
+        # One cell per id ever handed out (a negative count extends by
+        # nothing).
+        last_check.extend([_AWAKE] * (overlay._next_id - len(last_check)))
+        for node in overlay.online_consumers:
+            if node in self._queued or last_check[node.node_id] >= 0:
                 continue
             offset = self.geo.one_way_ms(node.node_id, -1) % self.round_ms
             self._schedule_action(node, offset)
+
+    def _wake_touched(self) -> None:
+        """Wake every dormant node the chain index touched that now has
+        something to do: it lost its parent (displaced, orphaned, gone
+        offline) or its rule is no longer settled.
+
+        Called between actions, never from inside the index hooks, so a
+        node displaced and re-attached within one action is judged on
+        where it ended up.  The wake lands on the node's next virtual
+        tick after now: ``<=`` because the tick that coincides with a
+        boundary fired (as a no-op) before the boundary's churn ran.
+        A node that departed is woken too — into the event that
+        dissolves at the timestamp it always did, so a rejoin before
+        then still finds it queued.
+        """
+        touched = self._touched
+        if not touched:
+            return
+        last_check = self._last_check
+        known = len(last_check)
+        nodes = self.sim.overlay._nodes
+        settled = self.sim.algorithm.settled
+        now = self.scheduler.now
+        round_ms = self.round_ms
+        for node_id in sorted(touched):
+            if node_id >= known or last_check[node_id] < 0:
+                continue  # not dormant: it has its own event coming
+            node = nodes.get(node_id)
+            if node is None:
+                # Taken offline and removed for good since the last drain.
+                last_check[node_id] = _AWAKE
+                continue
+            if node.parent is not None and settled(node):
+                continue
+            # Repeated addition, not a multiplication: these are the
+            # floats the chain of ``now + round_ms`` reschedules made.
+            tick = last_check[node_id] + round_ms
+            while tick <= now:
+                tick += round_ms
+            last_check[node_id] = _AWAKE
+            self._queued.add(node)
+            self.scheduler.schedule_at(tick, self._act, node)
+        touched.clear()
+
+    def check_schedule(self) -> None:
+        """Cross-check the queue bookkeeping; raises ``RuntimeError``.
+
+        Test/debug hook, meaningful right after a boundary: every online
+        consumer either holds exactly one queued action or is dormant,
+        parented and settled.
+        """
+        if self.scheduler.pending != len(self._queued):
+            raise RuntimeError(
+                f"{self.scheduler.pending} pending events for "
+                f"{len(self._queued)} queued nodes"
+            )
+        settled = self.sim.algorithm.settled
+        last_check = self._last_check
+        for node in self.sim.overlay.online_consumers:
+            node_id = node.node_id
+            dormant = node_id < len(last_check) and last_check[node_id] >= 0
+            if dormant == (node in self._queued):
+                raise RuntimeError(
+                    f"{node!r} is "
+                    + ("queued and dormant" if dormant else "neither queued nor dormant")
+                )
+            if dormant and (node.parent is None or not settled(node)):
+                raise RuntimeError(f"dormant {node!r} has something to do")
 
     # -- the per-node action event --------------------------------------
 
     def _act(self, node: Node) -> None:
         """One node acts at the current scheduler time."""
-        self._queued.discard(node.node_id)
+        self._queued.discard(node)
         overlay = self.sim.overlay
         if node not in overlay or not node.online:
             # Departed (churn/crash) mid-flight: the action dissolves.
-            # A rejoin is re-queued by the next boundary's roster scan.
+            # A rejoin is re-queued by the boundary's roster scan that
+            # its ``go_online`` triggers.
             return
         algorithm = self.sim.algorithm
         timings_add = self.sim.timings.add
@@ -148,16 +258,19 @@ class ContinuousSimulation:
         if old_parent is not None:
             algorithm.maintain(node)
             timings_add("maintain", time.perf_counter() - started)
-            if node.parent is old_parent:
-                # Still happy: the self-check is local; next one in a
-                # round tick.
-                delay = self.round_ms
-            else:
+            if node.parent is not old_parent:
                 # Detached or moved: pay the handshake to the forsaken
                 # parent (plus the new one's, if the move re-attached).
                 delay = geo.rtt_ms(node.node_id, old_parent.node_id)
                 if node.parent is not None:
                     delay += geo.rtt_ms(node.node_id, node.parent.node_id)
+            elif algorithm.settled(node):
+                # Nothing to do until the chain changes: sleep, and let
+                # the index wake us (:meth:`_wake_touched`).
+                delay = None
+            else:
+                # The self-check is local; next one in a round tick.
+                delay = self.round_ms
         else:
             algorithm.step(node)
             timings_add("step", time.perf_counter() - started)
@@ -167,7 +280,11 @@ class ContinuousSimulation:
             delay = geo.oracle_rtt_ms(node.node_id)
             if node.parent is not None:
                 delay += geo.rtt_ms(node.node_id, node.parent.node_id)
-        self._schedule_action(node, delay)
+        if delay is None:
+            self._last_check[node.node_id] = self.scheduler.now
+        else:
+            self._schedule_action(node, delay)
+        self._wake_touched()
 
     # -- the boundary tick ----------------------------------------------
 
@@ -201,7 +318,9 @@ class ContinuousSimulation:
                 )
             if sim.attributor is not None:
                 sim.attributor.observe_round(sim.now)
-        # Rejoined / newly admitted consumers enter the event loop here.
+        # Whoever the boundary's churn and faults unsettled wakes here;
+        # rejoined / newly admitted consumers enter the event loop.
+        self._wake_touched()
         self._schedule_idle_actors()
         sim.probe.end_round(sim.now, time.perf_counter() - round_start)
 

@@ -67,19 +67,26 @@ class EventScheduler:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to fire ``delay`` from now."""
-        if delay < 0:
-            raise ConfigurationError(f"cannot schedule into the past ({delay})")
-        bound = (lambda: callback(*args)) if args else callback
-        handle = EventHandle(self.now + delay, next(self._sequence), bound, self)
-        heapq.heappush(self._queue, (handle.time, handle.sequence, handle))
-        self._pending += 1
-        return handle
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
-        """Schedule at an absolute time (must not be in the past)."""
-        return self.schedule(time - self.now, callback, *args)
+        """Schedule at an absolute time (must not be in the past).
+
+        The event carries exactly ``time``, not ``now + (time - now)``:
+        a caller that derives a timestamp by its own arithmetic (the
+        continuous engine's virtual ticks) gets that float back.
+        """
+        if time < self.now:
+            raise ConfigurationError(
+                f"cannot schedule into the past ({time} < {self.now})"
+            )
+        bound = (lambda: callback(*args)) if args else callback
+        handle = EventHandle(time, next(self._sequence), bound, self)
+        heapq.heappush(self._queue, (handle.time, handle.sequence, handle))
+        self._pending += 1
+        return handle
 
     @property
     def pending(self) -> int:

@@ -6,7 +6,10 @@ until every online consumer meets its latency constraint (or a round
 budget runs out).  Per round, in randomized order, every free online
 consumer acts once — parentless nodes execute a construction step
 (timeout / referral / oracle interaction), parented nodes run their
-maintenance rule — after which the churn process (if any) fires.
+maintenance rule unless it is *settled*, i.e. has nothing to do until
+the node's chain next changes
+(:meth:`~repro.core.protocol.ConstructionAlgorithm.due`) — after which
+the churn process (if any) fires.
 
 Time here is the *construction* clock of §2.1.1's decoupled-time model;
 the feed-staleness clock lives in :mod:`repro.feeds` and is measured in
@@ -264,7 +267,8 @@ class SimulationResult:
     time_model: str = "rounds"
     #: Simulated wall-clock milliseconds elapsed at the end of the run.
     sim_time_ms: Optional[float] = None
-    #: Timestamped events the continuous engine fired.
+    #: Timestamped events the continuous engine fired: its work counter
+    #: (settled nodes sleep and fire none), not a simulated outcome.
     events_fired: int = 0
     #: Wall-clock staleness percentiles over rooted online consumers
     #: (pull wait + summed transit legs, in milliseconds; see
@@ -408,7 +412,7 @@ class Simulation:
         perf_counter = time.perf_counter
         maintain_seconds = step_seconds = 0.0
         maintain_calls = step_calls = 0
-        for node in nodes:
+        for node in self.algorithm.due(nodes):
             if not node.online:
                 # Load-bearing: a node crashed by the fault plan after the
                 # shuffle is still on the roster and must not act this

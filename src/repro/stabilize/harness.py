@@ -88,6 +88,7 @@ def sanitize(overlay: Overlay, algorithm: str = "hybrid") -> SanitizeReport:
     fixed_roster = [n for n in consumers if n.online]
     roster_fixes = 0 if overlay._online == fixed_roster else 1
     overlay._online = fixed_roster
+    overlay.liveness_version += 1
     # 2. Sever every edge with an offline endpoint: an offline node
     #    neither serves nor receives the stream.
     offline_severed = 0
@@ -207,7 +208,7 @@ def converge(
         oracle_obj.on_round(now)
         roster = overlay.online_consumers
         order.shuffle(roster)
-        for node in roster:
+        for node in construction.due(roster):
             if not node.online:
                 continue
             if node.parent is not None:

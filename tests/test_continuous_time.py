@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.constraints import NodeSpec
 from repro.core.errors import ConfigurationError
 from repro.faults.plan import parse_fault_plan
 from repro.locality.geo import (
@@ -39,7 +40,7 @@ from repro.locality.geo import (
     get_profile,
     profile_names,
 )
-from repro.sim.churn import ChurnConfig
+from repro.sim.churn import ChurnConfig, ChurnEvents
 from repro.sim.continuous import ContinuousSimulation
 from repro.sim.runner import SimulationConfig, make_simulation, run_simulation
 from repro.sim.timemodel import TimeModel, parse_time_model
@@ -334,6 +335,190 @@ class TestContinuousEngine:
         second = run_simulation(workload, config)
         assert first == second
         assert first.rounds_run == 80
+
+
+# ----------------------------------------------------------------------
+# wake-on-violation: dormant nodes, virtual ticks, the idle-actor scan
+# ----------------------------------------------------------------------
+
+
+class _Bounce:
+    """A churn stand-in: at boundary ``when`` the node crashes and is
+    back online before the boundary is over."""
+
+    total_departures = total_rejoins = 0
+
+    def __init__(self, overlay, node, when):
+        self.overlay, self.node, self.when = overlay, node, when
+
+    def step(self, now):
+        events = ChurnEvents(left=[], rejoined=[], orphaned=[])
+        if now == self.when:
+            events.orphaned = self.overlay.go_offline(self.node, graceful=False)
+            self.overlay.go_online(self.node)
+            events.left.append(self.node)
+            events.rejoined.append(self.node)
+        return events
+
+
+def _record_actions(engine):
+    """Log ``(time, node id)`` of every action the engine fires."""
+    log = []
+    act = engine._act
+
+    def recording(node):
+        log.append((engine.scheduler.now, node.node_id))
+        act(node)
+
+    engine._act = recording  # looked up at schedule time
+    return log
+
+
+def _static_engine():
+    config = dataclasses.replace(
+        CONTINUOUS, stop_at_convergence=False, max_rounds=40
+    )
+    return make_simulation(make_workload("Rand", size=40, seed=2), config)
+
+
+def _drive(engine, boundaries):
+    """``run()``'s loop, stoppable: the first cohort, then the ticks."""
+    engine._schedule_idle_actors()
+    for _ in range(boundaries):
+        engine._run_boundary()
+
+
+class TestWakeOnViolation:
+    def test_schedule_invariant_holds_at_every_boundary(self):
+        """Every online consumer holds exactly one queued action or is
+        dormant, parented and settled — under churn and a fault plan."""
+        config = dataclasses.replace(
+            CONTINUOUS,
+            algorithm="hybrid",
+            churn=ChurnConfig(),
+            faults=parse_fault_plan("crash@20:0.2:rejoin=10,source-outage@35:4"),
+            stop_at_convergence=False,
+        )
+        engine = make_simulation(make_workload("Rand", size=150, seed=4), config)
+        engine._schedule_idle_actors()  # what run() does before its loop
+        dormant_seen = 0
+        for _ in range(60):
+            engine._run_boundary()
+            engine.check_schedule()
+            dormant_seen += sum(1 for t in engine._last_check if t >= 0)
+        assert dormant_seen  # the invariant was not vacuous
+        engine.overlay.check_integrity()
+
+    def test_check_schedule_catches_a_lost_wake(self):
+        engine = make_simulation(make_workload("Rand", size=40, seed=2), CONTINUOUS)
+        engine.run()
+        engine.check_schedule()
+        sleeper = next(
+            n for n in engine.overlay.online_consumers
+            if engine._last_check[n.node_id] >= 0
+        )
+        engine.overlay.detach(sleeper)
+        engine._touched.clear()  # the wake signal goes missing
+        with pytest.raises(RuntimeError, match="has something to do"):
+            engine.check_schedule()
+
+    def test_settled_nodes_hold_no_queue_entry(self):
+        config = dataclasses.replace(CONTINUOUS, stop_at_convergence=False)
+        engine = make_simulation(make_workload("Rand", size=60, seed=2), config)
+        result = engine.run()
+        assert result.converged
+        # Converged and static: everybody sleeps, nothing is pending.
+        assert engine.scheduler.pending == 0
+        assert all(
+            engine._last_check[n.node_id] >= 0
+            for n in engine.overlay.online_consumers
+        )
+        assert result.events_fired < 60 * result.rounds_run
+
+    @pytest.mark.parametrize("on_the_boundary", (False, True))
+    def test_crash_and_rejoin_within_one_tick_acts_once_at_the_virtual_tick(
+        self, on_the_boundary
+    ):
+        engine = _static_engine()
+        log = _record_actions(engine)
+        _drive(engine, 30)
+        sleeper = next(
+            n for n in engine.overlay.online_consumers
+            if engine._last_check[n.node_id] >= 0 and not n.children
+        )
+        bounce_at = engine.sim.now + 1
+        boundary_ms = bounce_at * engine.round_ms
+        if on_the_boundary:
+            # A tick that coincides with the boundary fired (as a no-op)
+            # before the boundary's churn: the next one is a tick later.
+            engine._last_check[sleeper.node_id] = boundary_ms - engine.round_ms
+        tick = engine._last_check[sleeper.node_id]
+        while tick <= boundary_ms:
+            tick += engine.round_ms
+        engine.sim.churn = _Bounce(engine.overlay, sleeper, bounce_at)
+        engine._run_boundary()
+        # Woken by its own detach: queued once, the rejoin scan skips it.
+        assert sleeper in engine._queued
+        assert engine._last_check[sleeper.node_id] < 0
+        engine.check_schedule()
+        engine._run_boundary()
+        acted = [t for t, node_id in log if node_id == sleeper.node_id]
+        assert [t for t in acted if boundary_ms - engine.round_ms < t <= tick] == [
+            tick
+        ]
+        assert boundary_ms < tick <= boundary_ms + engine.round_ms
+
+    def test_a_sleeper_removed_for_good_just_stops_being_tracked(self):
+        engine = _static_engine()
+        _drive(engine, 30)
+        sleeper = next(
+            n for n in engine.overlay.online_consumers
+            if engine._last_check[n.node_id] >= 0
+        )
+        engine.overlay.go_offline(sleeper)
+        engine.overlay.remove_consumer(sleeper)
+        engine._run_boundary()
+        assert engine._last_check[sleeper.node_id] < 0
+        assert sleeper not in engine._queued
+        engine.check_schedule()
+        engine.overlay.check_integrity()
+
+    def test_virtual_ticks_are_the_floats_polling_would_have_made(self):
+        """A woken node's timestamp comes from repeated addition, and the
+        scheduler hands an absolute timestamp back untouched."""
+        from repro.sim.engine import EventScheduler
+
+        scheduler = EventScheduler()
+        scheduler.run_until(0.7)
+        tick = 0.1
+        for _ in range(9):
+            tick += 0.1  # 0.1 + 9 * 0.1 is not this float
+        assert tick != 0.1 + 9 * 0.1
+        assert scheduler.schedule_at(tick, lambda: None).time == tick
+        with pytest.raises(ConfigurationError):
+            scheduler.schedule_at(0.5, lambda: None)
+
+    def test_a_newcomer_is_queued_at_the_next_boundary(self):
+        engine = _static_engine()
+        _drive(engine, 10)
+        newcomer = engine.overlay.add_consumer(NodeSpec(latency=9, fanout=1))
+        assert newcomer not in engine._queued
+        engine._run_boundary()
+        assert newcomer in engine._queued
+        engine.check_schedule()
+
+    def test_a_rejoin_after_its_action_dissolved_is_queued_again(self):
+        engine = _static_engine()
+        _drive(engine, 10)
+        victim = engine.overlay.online_consumers[5]
+        engine.overlay.go_offline(victim)
+        engine._run_boundary()
+        engine._run_boundary()  # its pending action has dissolved by now
+        assert victim not in engine._queued
+        engine.overlay.go_online(victim)
+        engine._run_boundary()
+        assert victim in engine._queued
+        engine.check_schedule()
 
 
 class TestSerialVsPooledSweeps:

@@ -8,11 +8,14 @@ health merge — and the layer's central invariant: recording a run must
 not change it.
 """
 
+import dataclasses
 import pickle
 import random
 
 import pytest
 
+from repro.core.constraints import NodeSpec
+from repro.core.tree import Overlay
 from repro.feeds.dissemination import LagOverDissemination
 from repro.feeds.source import FeedSource
 from repro.obs import (
@@ -44,6 +47,7 @@ from repro.par import (
 from repro.core.greedy import GreedyConstruction
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig, register_algorithm
+from repro.stabilize import corrupt_overlay, sanitize
 from repro.workloads import make
 
 
@@ -194,6 +198,76 @@ class TestHealthRecorder:
         plain = Simulation(make("Rand", size=120, seed=7), churned_config())
         instrumented, _ = self.run_with_health(attribution=True)
         assert plain.run() == instrumented.result()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rebuild_feeds_the_recorder(self, seed):
+        """``ChainIndex.rebuild()`` used to note no ids, so a recorder
+        armed before a corruption + sanitize kept counting the nodes the
+        corruption had taken offline."""
+        simulation = Simulation(
+            make("Rand", size=60, seed=seed),
+            SimulationConfig(seed=seed, max_rounds=40, health=HealthConfig()),
+        )
+        simulation.run()
+        corrupt_overlay(simulation.overlay, random.Random(seed))
+        sanitize(simulation.overlay)
+        simulation.health.verify()
+
+    def test_two_recorders_share_one_overlay(self):
+        """Each recorder drains a watch set of its own; a second one
+        used to replace the first one's and starve it."""
+        simulation = Simulation(
+            make("Rand", size=60, seed=2),
+            churned_config(health=HealthConfig()),
+        )
+        second = HealthRecorder(simulation.overlay)
+        for _ in range(30):
+            simulation.run_round()
+            second.capture(simulation.now)
+        simulation.health.verify()
+        second.verify()
+        first = simulation.health.samples.latest(1)[0]
+        assert dataclasses.replace(
+            second.samples.latest(1)[0],
+            churn_out=first.churn_out,
+            churn_in=first.churn_in,
+        ) == first
+
+
+class TestWatchSets:
+    def test_every_watcher_sees_every_touched_id(self):
+        for backend in ("columnar", "objects"):
+            overlay = Overlay(source_fanout=2, backend=backend)
+            a, b, c = (
+                overlay.add_consumer(NodeSpec(latency=5, fanout=2))
+                for _ in range(3)
+            )
+            first = overlay.chain_index.watch()
+            second = overlay.chain_index.watch()
+            overlay.attach(b, a)
+            overlay.attach(c, b)
+            assert first == second == {a.node_id, b.node_id, c.node_id}
+            first.clear()  # one consumer drains; the other keeps its ids
+            overlay.attach(a, overlay.source)  # shifts the whole chain
+            assert first == {0, a.node_id, b.node_id, c.node_id}
+            assert second == first
+            first.clear()
+            second.clear()
+            overlay.go_offline(b)
+            assert first == second == {a.node_id, b.node_id, c.node_id}
+            first.clear()
+            overlay.go_online(b)
+            assert first == {b.node_id}
+            newcomer = overlay.add_consumer(NodeSpec(latency=5, fanout=0))
+            assert newcomer.node_id in first
+            first.clear()
+            overlay.go_offline(newcomer)
+            overlay.remove_consumer(newcomer)
+            assert first == {newcomer.node_id}
+            first.clear()
+            overlay.chain_index.rebuild()
+            assert first == {n.node_id for n in overlay}
+            overlay.check_integrity()
 
 
 class TestFeedSpans:
