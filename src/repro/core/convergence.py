@@ -78,26 +78,45 @@ def _forest_scan(overlay: Overlay) -> Tuple[OverlayQuality, Dict[int, int]]:
     version = overlay.chain_index.version
     if cache is not None and cache[0] == version:
         return cache[1], cache[2]
-    online = rooted = satisfied = 0
+    rooted = satisfied = 0
     slack_sum = 0
     max_depth = 0
     fragments = 1  # the source's own tree
     histogram: Dict[int, int] = {}
-    for node in overlay.online_consumers:
-        online += 1
+    # Every node of the roster is scored every round, so the chain
+    # metadata is read where the index keeps it — the columns, or the
+    # entries on the objects backend — not through a reader call per
+    # node.
+    store = overlay.store
+    if store is not None:
+        rooted_column, delay_column = store.rooted, store.delay
+        entries = None
+    else:
+        entries = overlay.chain_index.entries
+    roster = overlay._online
+    for node in roster:
         if node.parent is None:
             fragments += 1
-        if overlay.is_rooted(node):
-            rooted += 1
-            delay = overlay.delay_at(node)
-            if delay > max_depth:
-                max_depth = delay
-            histogram[delay] = histogram.get(delay, 0) + 1
-            if delay <= node.latency:
-                satisfied += 1
-                slack_sum += node.latency - delay
+        if entries is None:
+            node_id = node.node_id
+            if not rooted_column[node_id]:
+                continue
+            delay = delay_column[node_id]
+        else:
+            entry = entries[node.node_id]
+            if not entry.rooted:
+                continue
+            delay = entry.delay
+        rooted += 1
+        if delay > max_depth:
+            max_depth = delay
+        histogram[delay] = histogram.get(delay, 0) + 1
+        slack = node.latency - delay
+        if slack >= 0:
+            satisfied += 1
+            slack_sum += slack
     quality = OverlayQuality(
-        online=online,
+        online=len(roster),
         rooted=rooted,
         satisfied=satisfied,
         fragments=fragments,

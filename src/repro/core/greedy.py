@@ -129,5 +129,4 @@ class GreedyConstruction(ConstructionAlgorithm):
     def maintain(self, node: Node) -> bool:
         return greedy_maintenance(self.overlay, node)
 
-    def settled(self, node: Node) -> bool:
-        return greedy_settled(self.overlay, node)
+    settled = greedy_settled

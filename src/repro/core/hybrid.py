@@ -165,5 +165,4 @@ class HybridConstruction(ConstructionAlgorithm):
             self.overlay, node, self.config.maintenance_timeout
         )
 
-    def settled(self, node: Node) -> bool:
-        return hybrid_settled(self.overlay, node)
+    settled = hybrid_settled

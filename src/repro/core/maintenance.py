@@ -31,6 +31,13 @@ Settled nodes
     The round sweeps skip settled nodes and the continuous clock
     lets them sleep until the chain index reports a change
     (:meth:`repro.core.protocol.ConstructionAlgorithm.settled`).
+    The sweeps test every parented node every round, so a predicate
+    costs one Python frame: it takes the algorithm as its first
+    argument and *is* the algorithm's ``settled`` method
+    (``settled = greedy_settled`` in the class body), and it reads
+    ``rooted`` / ``delay`` where the chain index keeps them — the
+    store's columns, or the entries on the objects backend — not
+    through the overlay's reader methods.
 """
 
 from __future__ import annotations
@@ -39,22 +46,19 @@ from repro.core.node import Node
 from repro.core.tree import Overlay
 
 
-def _rooted_delay(overlay: Overlay, node: Node) -> int:
-    """``DelayAt(i)`` when ``Root(i) == 0``, else 0 (a rooted consumer's
-    delay is at least 1): the one chain read the lazy predicates need,
-    taken straight off the columns where there are any, because the
-    round sweeps make it once per parented node per round."""
+def greedy_settled(algorithm, node: Node) -> bool:
+    """Whether :func:`greedy_maintenance` has nothing to do at ``node``
+    until its chain changes: anything but rooted at ``DelayAt == l + 1``."""
+    overlay = algorithm.overlay
     store = overlay.store
     if store is not None:
         node_id = node.node_id
-        return store.delay[node_id] if store.rooted[node_id] else 0
-    return overlay.delay_at(node) if overlay.is_rooted(node) else 0
-
-
-def greedy_settled(overlay: Overlay, node: Node) -> bool:
-    """Whether :func:`greedy_maintenance` has nothing to do at ``node``
-    until its chain changes: anything but rooted at ``DelayAt == l + 1``."""
-    return _rooted_delay(overlay, node) != node.latency + 1
+        delay = store.delay[node_id] if store.rooted[node_id] else 0
+    else:
+        entry = overlay.chain_index.entries[node.node_id]
+        delay = entry.delay if entry.rooted else 0
+    # A rooted consumer's delay is at least 1, so 0 stands for unrooted.
+    return delay != node.latency + 1
 
 
 def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
@@ -84,15 +88,22 @@ def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
     return True
 
 
-def hybrid_settled(overlay: Overlay, node: Node) -> bool:
+def hybrid_settled(algorithm, node: Node) -> bool:
     """Whether :func:`hybrid_maintenance` has nothing to do at ``node``
     until its chain changes: not rooted beyond its constraint, and no
     damping count left to clear (the visit that resets
     ``violation_rounds`` after a violation went away is still owed)."""
-    return (
-        node.violation_rounds == 0
-        and _rooted_delay(overlay, node) <= node.latency
-    )
+    if node.violation_rounds:
+        return False
+    overlay = algorithm.overlay
+    store = overlay.store
+    if store is not None:
+        node_id = node.node_id
+        delay = store.delay[node_id] if store.rooted[node_id] else 0
+    else:
+        entry = overlay.chain_index.entries[node.node_id]
+        delay = entry.delay if entry.rooted else 0
+    return delay <= node.latency
 
 
 def hybrid_maintenance(
@@ -146,10 +157,16 @@ def hybrid_maintenance(
     return True
 
 
-def eager_settled(overlay: Overlay, node: Node) -> bool:
+def eager_settled(algorithm, node: Node) -> bool:
     """Whether :func:`eager_maintenance` has nothing to do at ``node``
     until its chain changes: ``DelayAt <= l``, rooted or not."""
-    return overlay.delay_at(node) <= node.latency
+    overlay = algorithm.overlay
+    store = overlay.store
+    if store is not None:
+        delay = store.delay[node.node_id]
+    else:
+        delay = overlay.chain_index.entries[node.node_id].delay
+    return delay <= node.latency
 
 
 def eager_maintenance(overlay: Overlay, node: Node) -> bool:

@@ -307,8 +307,10 @@ class ConstructionAlgorithm(abc.ABC):
         Both clocks leave a settled node alone: the round sweeps skip it
         (:meth:`due`) and the continuous engine lets it sleep until the
         chain index reports a change.  An algorithm defines the
-        predicate beside its rule (:mod:`repro.core.maintenance`); this
-        default, "never", has every parented node visited every tick.
+        predicate beside its rule (:mod:`repro.core.maintenance`) and
+        installs that function as this method in its class body, so a
+        test costs one frame; this default, "never", has every parented
+        node visited every tick.
         """
         return False
 

@@ -55,8 +55,7 @@ class EagerGreedyConstruction(GreedyConstruction):
     def maintain(self, node):
         return eager_maintenance(self.overlay, node)
 
-    def settled(self, node):
-        return eager_settled(self.overlay, node)
+    settled = eager_settled
 
 
 class EagerHybridConstruction(HybridConstruction):
@@ -67,8 +66,7 @@ class EagerHybridConstruction(HybridConstruction):
     def maintain(self, node):
         return eager_maintenance(self.overlay, node)
 
-    def settled(self, node):
-        return eager_settled(self.overlay, node)
+    settled = eager_settled
 
 
 register_algorithm(EagerGreedyConstruction)

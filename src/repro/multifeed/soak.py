@@ -41,6 +41,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.constraints import NodeSpec
+from repro.core.convergence import measure
 from repro.core.errors import ConfigurationError
 from repro.faults.oracle import FaultGatedOracle
 from repro.faults.plan import (
@@ -684,8 +685,10 @@ class ServiceSoak:
         emit = self.probe.enabled and now % self.config.health_every == 0
         all_recovered = True
         for feed in self.config.feed_ids:
-            overlay = self.system.overlays[feed]
-            satisfied_fraction = overlay.satisfied_fraction()
+            # One shared forest scan per overlay state serves everything
+            # sampled below.
+            quality = measure(self.system.overlays[feed])
+            satisfied_fraction = quality.satisfied_fraction
             if in_service:
                 self._satisfied_series[feed].append(satisfied_fraction)
             if satisfied_fraction < self.config.recover_threshold:
@@ -699,17 +702,16 @@ class ServiceSoak:
             ):
                 self._hot_reconverged_round = now
             if emit:
-                online = overlay.online_consumers
-                rooted = sum(1 for node in online if overlay.is_rooted(node))
-                satisfied = sum(
-                    1 for node in online if overlay.meets_latency(node)
-                )
                 deliveries = sum(
                     len(c.arrivals)
                     for c in self.engines[feed].consumers.values()
                 )
                 self.probe.feed_health(
-                    feed, len(online), rooted, satisfied, deliveries
+                    feed,
+                    quality.online,
+                    quality.rooted,
+                    quality.satisfied,
+                    deliveries,
                 )
         disrupted_now = (
             bool(self._disruption_rounds)

@@ -30,7 +30,7 @@ from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
 from repro.core.tree import Overlay
 from repro.oracles.base import Oracle, RandomDelayOracle
-from repro.sim.rng import StreamFactory
+from repro.sim.rng import StreamFactory, shuffle
 from repro.workloads.repair import repair_population
 
 #: Factory signature for per-feed oracles: (system, feed_id, overlay, rng).
@@ -182,7 +182,7 @@ class MultiFeedSystem:
         self.oracles[feed].on_round(self.now)
         algorithm = self.algorithms[feed]
         nodes = overlay.online_consumers
-        self._order_rng.shuffle(nodes)
+        shuffle(self._order_rng, nodes)
         for node in algorithm.due(nodes):
             if node.parent is not None:
                 algorithm.maintain(node)
@@ -214,7 +214,7 @@ class MultiFeedSystem:
                 rounds += 1
                 self.oracles[feed].on_round(self.now)
                 nodes = overlay.online_consumers
-                self._order_rng.shuffle(nodes)
+                shuffle(self._order_rng, nodes)
                 for node in algorithm.due(nodes):
                     if node.parent is not None:
                         algorithm.maintain(node)

@@ -97,7 +97,7 @@ from repro.multipath.faults import MultipathFaultInjector
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.oracles.base import Oracle
 from repro.sim.metrics import MetricsCollector
-from repro.sim.rng import StreamFactory
+from repro.sim.rng import StreamFactory, shuffle
 from repro.sim.runner import ALGORITHMS, SimulationResult
 from repro.workloads.base import Workload
 from repro.workloads.repair import repair_population
@@ -494,7 +494,7 @@ class MultipathSystem:
         rosters = []
         for overlay in self.overlays:
             roster = overlay.online_consumers
-            self._order_rng.shuffle(roster)
+            shuffle(self._order_rng, roster)
             rosters.append(roster)
         self.injector.inject(now)
         for path in range(self.paths):

@@ -86,18 +86,21 @@ class ChurnProcess:
         # copy today, but this loop's correctness must not hinge on that
         # implementation detail — pinned by tests/test_churn.py.)
         consumers = list(self.overlay.consumers)
+        overlay = self.overlay
+        draw = self.rng.random
+        leave_probability = self.config.leave_probability
+        rejoin_probability = self.config.rejoin_probability
         for node in consumers:
             if node.online:
-                if self.rng.random() < self.config.leave_probability:
-                    orphans = self.overlay.go_offline(node)
+                if draw() < leave_probability:
+                    orphans = overlay.go_offline(node)
                     events.orphaned.extend(orphans)
                     events.left.append(node)
                     self.total_departures += 1
-                    self.overlay.probe.churn_leave(node.node_id, len(orphans))
-            else:
-                if self.rng.random() < self.config.rejoin_probability:
-                    self.overlay.go_online(node)
-                    events.rejoined.append(node)
-                    self.total_rejoins += 1
-                    self.overlay.probe.churn_rejoin(node.node_id)
+                    overlay.probe.churn_leave(node.node_id, len(orphans))
+            elif draw() < rejoin_probability:
+                overlay.go_online(node)
+                events.rejoined.append(node)
+                self.total_rejoins += 1
+                overlay.probe.churn_rejoin(node.node_id)
         return events

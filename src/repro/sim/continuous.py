@@ -135,7 +135,14 @@ class ContinuousSimulation:
     def __getattr__(self, name: str):
         # Fallback for everything Simulation owns (overlay, metrics,
         # timings, health, attributor, oracle, algorithm, config, ...).
-        return getattr(self.sim, name)
+        # ``sim`` itself is read off ``__dict__``: copy and pickle probe
+        # an instance ``__init__`` never ran on, and ``self.sim`` there
+        # would come straight back here.
+        try:
+            sim = self.__dict__["sim"]
+        except KeyError:
+            raise AttributeError(name) from None
+        return getattr(sim, name)
 
     # -- scheduling -----------------------------------------------------
 

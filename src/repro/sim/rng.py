@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import MutableSequence
 
 
 def derive_seed(root_seed: int, stream: str) -> int:
@@ -27,6 +28,46 @@ def derive_seed(root_seed: int, stream: str) -> int:
 def make_stream(root_seed: int, stream: str) -> random.Random:
     """A :class:`random.Random` seeded for the named stream."""
     return random.Random(derive_seed(root_seed, stream))
+
+
+#: ``_BIT_LENGTHS[i - 1] == (i + 1).bit_length()``: the width of the draw
+#: that picks the exchange partner of position ``i``.  One table for the
+#: whole process, as long as the largest roster shuffled so far needs and
+#: sliced per call — a churned roster has a new length almost every
+#: round, so anything kept *per length* grows without bound.  Immutable
+#: and replaced when it grows, so a caller never sees it half-built.
+_BIT_LENGTHS = b""
+
+
+def shuffle(rng: random.Random, items: MutableSequence) -> None:
+    """Shuffle ``items`` in place, draw for draw as ``rng.shuffle(items)``.
+
+    The round sweeps order their roster with this once per round, which
+    makes it a per-node cost of every round.  It is the Fisher-Yates
+    walk of :meth:`random.Random.shuffle` with the partner draw of
+    ``_randbelow_with_getrandbits`` inlined — ``getrandbits(k)``,
+    redrawn while it overshoots — so the permutation and the generator
+    state afterwards are the stdlib's, minus two Python frames per item.
+    Owning the kernel also pins the order stream to ``getrandbits``
+    alone, not to how a given stdlib release happens to consume it.
+    """
+    global _BIT_LENGTHS
+    last = len(items) - 1
+    if last < 1:
+        return
+    widths = _BIT_LENGTHS
+    if len(widths) < last:
+        widths = _BIT_LENGTHS = widths + bytes(
+            (i + 1).bit_length() for i in range(len(widths) + 1, last + 1)
+        )
+    getrandbits = rng.getrandbits
+    i = last + 1
+    for width in widths[last - 1::-1]:
+        i -= 1
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
+        items[i], items[j] = items[j], items[i]
 
 
 class StreamFactory:

@@ -40,7 +40,7 @@ from repro.oracles.distributed import realize_oracle
 from repro.sim.asynchrony import AsynchronyConfig, AsynchronyModel
 from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.metrics import MetricsCollector
-from repro.sim.rng import StreamFactory
+from repro.sim.rng import StreamFactory, shuffle
 from repro.sim.trace import OverlayTrace
 from repro.workloads.base import Workload
 
@@ -400,7 +400,7 @@ class Simulation:
         with self.timings.measure("oracle"):
             self.oracle.on_round(self.now)
         nodes = self.overlay.online_consumers
-        self._order_rng.shuffle(nodes)
+        shuffle(self._order_rng, nodes)
         # Faults fire *after* the roster shuffle, so crash victims can sit
         # anywhere in this round's schedule — the liveness guard below is
         # what keeps them from acting posthumously.

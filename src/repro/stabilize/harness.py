@@ -34,7 +34,7 @@ from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
 from repro.core.tree import Overlay
 from repro.oracles.distributed import realize_oracle
-from repro.sim.rng import StreamFactory
+from repro.sim.rng import StreamFactory, shuffle
 from repro.sim.runner import ALGORITHMS
 from repro.stabilize.corrupt import _raw_set_parent
 
@@ -207,7 +207,7 @@ def converge(
         now += 1
         oracle_obj.on_round(now)
         roster = overlay.online_consumers
-        order.shuffle(roster)
+        shuffle(order, roster)
         for node in construction.due(roster):
             if not node.online:
                 continue

@@ -20,9 +20,11 @@ Four layers of guarantees, ordered by blast radius:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,32 @@ class TestContinuousEngine:
         second = run_simulation(workload, config)
         assert first == second
         assert first.rounds_run == 80
+
+    def test_attribute_forwarding_needs_no_initialised_engine(self):
+        """``__getattr__`` forwards to ``self.sim``; looking ``sim`` up
+        through itself recursed without bound on any instance
+        ``__init__`` had not run on — which is how ``copy`` and
+        ``pickle`` rebuild one."""
+        blank = object.__new__(ContinuousSimulation)
+        assert not hasattr(blank, "overlay")
+        assert not hasattr(blank, "sim")
+        with pytest.raises(AttributeError, match="overlay"):
+            blank.overlay
+
+        workload = make_workload("Rand", size=40, seed=2)
+        engine = make_simulation(workload, CONTINUOUS)
+        shallow = copy.copy(engine)
+        assert isinstance(shallow, ContinuousSimulation)
+        assert shallow.sim is engine.sim
+        assert shallow.overlay is engine.overlay  # still forwarded
+        with pytest.raises(AttributeError):
+            shallow.no_such_attribute
+
+        # A pickled engine is a whole, independent run, like the
+        # rounds-mode Simulation's.
+        restored = pickle.loads(pickle.dumps(engine))
+        assert restored.overlay is not engine.overlay
+        assert restored.run() == engine.run()
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,24 @@
 """Unit tests for repro.core.convergence (quality measures)."""
 
+import random
+
+import pytest
+
+from repro.core import tree as tree_module
 from repro.core.convergence import (
+    OverlayQuality,
     depth_histogram,
     latency_gradation_violations,
     measure,
     violated_nodes,
 )
 from repro.core.tree import Overlay
+from repro.faults.plan import parse_fault_plan
+from repro.sim.churn import ChurnConfig
+from repro.sim.runner import Simulation, SimulationConfig
+from repro.stabilize import corrupt_overlay
+from repro.stabilize.harness import converge, sanitize
+from repro.workloads import make, rand_workload
 
 from tests.conftest import build_chain, spec
 
@@ -74,3 +86,117 @@ class TestHistogramsAndViolations:
         lax = overlay.add_consumer(spec(9, 1), name="lax")
         overlay.attach(lax, overlay.source)
         assert latency_gradation_violations(overlay) == []
+
+
+# ----------------------------------------------------------------------
+# the column-read scan against the per-node-call scan it replaced
+# ----------------------------------------------------------------------
+
+
+def _reference_scan(overlay):
+    """``_forest_scan`` as it was before it read the chain columns: one
+    ``is_rooted`` / ``delay_at`` reader call per online consumer.  Kept
+    here as the reference the shipped scan must equal."""
+    online = rooted = satisfied = 0
+    slack_sum = 0
+    max_depth = 0
+    fragments = 1
+    histogram = {}
+    for node in overlay.online_consumers:
+        online += 1
+        if node.parent is None:
+            fragments += 1
+        if overlay.is_rooted(node):
+            rooted += 1
+            delay = overlay.delay_at(node)
+            if delay > max_depth:
+                max_depth = delay
+            histogram[delay] = histogram.get(delay, 0) + 1
+            if delay <= node.latency:
+                satisfied += 1
+                slack_sum += node.latency - delay
+    quality = OverlayQuality(
+        online=online,
+        rooted=rooted,
+        satisfied=satisfied,
+        fragments=fragments,
+        max_depth=max_depth,
+        mean_slack=(slack_sum / satisfied) if satisfied else 0.0,
+        used_source_fanout=len(overlay.source.children),
+    )
+    return quality, dict(sorted(histogram.items()))
+
+
+def _assert_scan_matches_reference(overlay):
+    quality, histogram = _reference_scan(overlay)
+    assert measure(overlay) == quality
+    shipped = depth_histogram(overlay)
+    assert shipped == histogram
+    assert list(shipped) == list(histogram)  # same (sorted) key order
+    assert measure(overlay).satisfied_fraction == overlay.satisfied_fraction()
+    assert measure(overlay).converged == overlay.is_converged()
+    return quality
+
+
+@pytest.fixture(params=("columnar", "objects"))
+def backend(request, monkeypatch):
+    monkeypatch.setattr(tree_module, "DEFAULT_BACKEND", request.param)
+    return request.param
+
+
+class TestColumnReadScanEqualsTheReaderScan:
+    def test_small_tree(self, backend):
+        overlay = small_tree()
+        assert overlay.backend == backend
+        _assert_scan_matches_reference(overlay)
+
+    @pytest.mark.parametrize("algorithm", ("greedy", "hybrid"))
+    @pytest.mark.parametrize(
+        "scenario",
+        (
+            dict(churn=ChurnConfig()),
+            dict(faults=parse_fault_plan("crash@10:0.3:rejoin=8,leave@25:0.2")),
+            dict(
+                churn=ChurnConfig(),
+                faults=parse_fault_plan("crash@15:0.25:rejoin=10"),
+                oracle_realization="sharded",
+            ),
+        ),
+        ids=("churned", "faulted", "churned+faulted"),
+    )
+    def test_every_round_of_a_disturbed_run(self, backend, algorithm, scenario):
+        workload, _ = rand_workload(size=60, seed=4, source_fanout=3)
+        sim = Simulation(
+            workload,
+            SimulationConfig(
+                algorithm=algorithm,
+                oracle="random-delay",
+                seed=4,
+                max_rounds=45,
+                stop_at_convergence=False,
+                **scenario,
+            ),
+        )
+        assert sim.overlay.backend == backend
+        seen = set()
+        for _ in range(45):
+            sim.run_round()
+            quality = _assert_scan_matches_reference(sim.overlay)
+            # What the round recorded is the same scan, served cached.
+            assert sim.metrics.records[-1].quality == quality
+            seen.add(quality.online)
+        assert len(seen) > 1  # the roster did move
+
+    @pytest.mark.parametrize("algorithm", ("greedy", "hybrid"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupted_then_sanitized(self, backend, algorithm, seed):
+        overlay = make("Rand", size=50, seed=seed).build_overlay()
+        assert overlay.backend == backend
+        converge(overlay, algorithm=algorithm, seed=seed, max_rounds=400)
+        _assert_scan_matches_reference(overlay)
+        corrupt_overlay(overlay, random.Random(seed))
+        sanitize(overlay, algorithm=algorithm)  # swaps the online roster
+        _assert_scan_matches_reference(overlay)
+        converge(overlay, algorithm=algorithm, seed=seed + 1, max_rounds=25)
+        _assert_scan_matches_reference(overlay)
+        overlay.check_integrity()
