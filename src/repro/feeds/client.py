@@ -15,7 +15,7 @@ from typing import Dict, List
 from repro.feeds.items import FeedItem
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Arrival:
     """One item's delivery at one consumer."""
 
@@ -37,7 +37,21 @@ class FeedConsumer:
         self.arrivals: Dict[int, Arrival] = {}
 
     def deliver(self, items: List[FeedItem], now: float) -> List[FeedItem]:
-        """Record newly arriving items; returns those actually new here."""
+        """Record newly arriving items; returns those actually new here.
+
+        ``items`` is one batch in strictly ascending ``seq`` order — what
+        :meth:`~repro.feeds.source.FeedSource.pull` serves and every push
+        forwards — so ``last_seen_seq`` is the largest ``seq`` delivered
+        here.  A batch that starts past it is new from end to end and is
+        stored without a membership test per item, and the batch itself
+        is returned (batches are never mutated once served).
+        """
+        if items and items[0].seq > self.last_seen_seq:
+            arrivals = self.arrivals
+            for item in items:
+                arrivals[item.seq] = Arrival(item, now)
+            self.last_seen_seq = items[-1].seq
+            return items
         fresh = []
         for item in items:
             if item.seq in self.arrivals:
@@ -48,17 +62,12 @@ class FeedConsumer:
             self.last_seen_seq = max(self.last_seen_seq, fresh[-1].seq)
         return fresh
 
-    def staleness_values(self) -> List[float]:
-        """Staleness of every delivered item, in arrival order."""
-        return [
-            arrival.staleness
-            for _, arrival in sorted(self.arrivals.items())
-        ]
-
     def worst_staleness(self) -> float:
         """Worst item age on arrival (0.0 if nothing arrived)."""
-        values = self.staleness_values()
-        return max(values) if values else 0.0
+        return max(
+            (arrival.staleness for arrival in self.arrivals.values()),
+            default=0.0,
+        )
 
     def received_count(self) -> int:
         return len(self.arrivals)

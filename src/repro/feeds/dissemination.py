@@ -122,14 +122,19 @@ class LagOverDissemination:
         self.scheduler.schedule(self.pull_period, self._pull_loop, node)
 
     def _push_downstream(self, node: Node, items: List[FeedItem]) -> None:
-        for child in list(node.children):
-            self.scheduler.schedule(
-                self._hop_delay(node, child),
+        # Scheduling never touches the overlay, so the child list is
+        # read in place.
+        scheduler = self.scheduler
+        now = scheduler.now
+        parent_id = node.node_id
+        for child in node.children:
+            scheduler.schedule_at(
+                now + self._hop_delay(node, child),
                 self._deliver_push,
                 child,
                 items,
-                node.node_id,
-                self.scheduler.now,
+                parent_id,
+                now,
             )
 
     def _deliver_push(

@@ -29,11 +29,15 @@ def percentile(values: Sequence[float], q: float) -> float:
     (what lets the service-soak benchmark gate on exact p999 values).
     Empty input reports 0.0: no delivery has no measured staleness.
     """
+    return _nearest_rank(sorted(values), q)
+
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` over values already in ascending order."""
     if not 0.0 < q <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
-    if not values:
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
 
@@ -44,12 +48,14 @@ def staleness_percentiles(
     """``{"p50": ..., "p99": ..., "p999": ...}`` over measured stalenesses.
 
     Keys drop the decimal point (``99.9`` -> ``"p999"``) so they can be
-    used directly as benchmark metric names.
+    used directly as benchmark metric names.  The values are sorted once
+    for every quantile.
     """
+    ordered = sorted(values)
     report = {}
     for q in qs:
         label = f"{q:g}".replace(".", "")
-        report[f"p{label}"] = percentile(values, q)
+        report[f"p{label}"] = _nearest_rank(ordered, q)
     return report
 
 

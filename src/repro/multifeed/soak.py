@@ -526,9 +526,18 @@ class ServiceSoak:
             )
             period_ms = self.geo_profile.pull_period_ms
             geo = self.geo
+            # The geo model is pure and keyed by name, so each edge's
+            # units are computed once and served from this cache after.
+            units_by_edge: Dict[Tuple[str, str], float] = {}
 
-            def hop_delay_model(parent, child, _geo=geo, _ms=period_ms):
-                return _geo.one_way_ms(parent.name, child.name) / _ms
+            def hop_delay_model(parent, child):
+                edge = (parent.name, child.name)
+                units = units_by_edge.get(edge)
+                if units is None:
+                    units = units_by_edge[edge] = (
+                        geo.one_way_ms(parent.name, child.name) / period_ms
+                    )
+                return units
 
         # Live dissemination: one bursty source + engine per feed.
         self.sources: Dict[str, FeedSource] = {}
@@ -745,14 +754,16 @@ class ServiceSoak:
 
     def result(self) -> SoakSummary:
         config = self.config
-        service_start = config.warmup_rounds * config.pull_period
+        hot_feed = config.hot_feed
+        pull_period = config.pull_period
+        service_start = config.warmup_rounds * pull_period
         flash_time = (
-            self._flash_round * config.pull_period
+            self._flash_round * pull_period
             if self._flash_round is not None
             else None
         )
         recover_time = (
-            self._hot_reconverged_round * config.pull_period
+            self._hot_reconverged_round * pull_period
             if self._hot_reconverged_round is not None
             else None
         )
@@ -766,33 +777,35 @@ class ServiceSoak:
             # Service-phase arrivals only: items published before the
             # warmup ended sat as backlog and would pollute the tail.
             values: List[float] = []
-            delivered = 0
+            split_hot = feed == hot_feed and flash_time is not None
             for consumer in engine.consumers.values():
                 for arrival in consumer.arrivals.values():
                     published = arrival.item.published_at
                     if published < service_start:
                         continue
-                    delivered += 1
-                    staleness = arrival.staleness / config.pull_period
+                    arrived_at = arrival.arrived_at
+                    staleness = (arrived_at - published) / pull_period
                     values.append(staleness)
                     # The before/after windows cut on *arrival* time —
                     # the operator's view: p99 of deliveries as they
                     # happened, pre-flash vs. post-recovery (a pre-flash
                     # item pulled as backlog by a newcomer belongs to
                     # the disruption, not the calm before it).
-                    if feed == config.hot_feed and flash_time is not None:
-                        if arrival.arrived_at < flash_time:
+                    if split_hot:
+                        if arrived_at < flash_time:
                             hot_before.append(staleness)
                         elif (
                             recover_time is not None
-                            and arrival.arrived_at >= recover_time
+                            and arrived_at >= recover_time
                         ):
                             hot_after.append(staleness)
             percentiles = staleness_percentiles(values)
             series = self._satisfied_series[feed]
             availability = sum(series) / len(series) if series else 1.0
             availabilities.append(availability)
-            online = overlay.online_consumers
+            # Final rooted/satisfied counts come from the shared forest
+            # scan; is_converged() stays the live reference.
+            quality = measure(overlay)
             # Continuous clock: one pull period is pull_period_ms of
             # wall time, so the pull-period percentiles convert to ms
             # by a straight scale (the hop delays themselves already
@@ -805,19 +818,15 @@ class ServiceSoak:
             feeds.append(
                 FeedSoakStats(
                     feed=feed,
-                    delivered=delivered,
+                    delivered=len(values),
                     p50=percentiles["p50"],
                     p99=percentiles["p99"],
                     p999=percentiles["p999"],
-                    worst=max(values) if values else 0.0,
+                    worst=max(values, default=0.0),
                     availability=availability,
-                    online=len(online),
-                    rooted=sum(
-                        1 for node in online if overlay.is_rooted(node)
-                    ),
-                    satisfied=sum(
-                        1 for node in online if overlay.meets_latency(node)
-                    ),
+                    online=quality.online,
+                    rooted=quality.rooted,
+                    satisfied=quality.satisfied,
                     converged=overlay.is_converged(),
                     p50_ms=(
                         percentiles["p50"] * ms_scale if ms_scale else None
@@ -853,7 +862,7 @@ class ServiceSoak:
             ),
             last_disruption_round=last_disruption,
             time_to_recover=time_to_recover,
-            hot_feed=config.hot_feed,
+            hot_feed=hot_feed,
             hot_reconverge_rounds=hot_reconverge,
             hot_p99_before=staleness_percentiles(hot_before)["p99"],
             hot_p99_after=staleness_percentiles(hot_after)["p99"],

@@ -21,20 +21,28 @@ from repro.core.errors import ConfigurationError
 
 
 class EventHandle:
-    """Returned by :meth:`EventScheduler.schedule`; allows cancellation."""
+    """Returned by :meth:`EventScheduler.schedule`; allows cancellation.
 
-    __slots__ = ("time", "sequence", "callback", "cancelled", "fired", "_scheduler")
+    The event carries its callback's arguments, so firing it is
+    ``callback(*args)`` with no closure allocated per scheduled event.
+    """
+
+    __slots__ = (
+        "time", "sequence", "callback", "args", "cancelled", "fired", "_scheduler"
+    )
 
     def __init__(
         self,
         time: float,
         sequence: int,
-        callback: Callable[[], None],
+        callback: Callable[..., None],
+        args: Tuple[Any, ...] = (),
         scheduler: Optional["EventScheduler"] = None,
     ):
         self.time = time
         self.sequence = sequence
         self.callback = callback
+        self.args = args
         self.cancelled = False
         self.fired = False
         self._scheduler = scheduler
@@ -82,9 +90,9 @@ class EventScheduler:
             raise ConfigurationError(
                 f"cannot schedule into the past ({time} < {self.now})"
             )
-        bound = (lambda: callback(*args)) if args else callback
-        handle = EventHandle(time, next(self._sequence), bound, self)
-        heapq.heappush(self._queue, (handle.time, handle.sequence, handle))
+        sequence = next(self._sequence)
+        handle = EventHandle(time, sequence, callback, args, self)
+        heapq.heappush(self._queue, (time, sequence, handle))
         self._pending += 1
         return handle
 
@@ -118,18 +126,33 @@ class EventScheduler:
             handle.fired = True
             self._pending -= 1
             self._fired += 1
-            handle.callback()
+            handle.callback(*handle.args)
             return True
         return False
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> None:
-        """Fire every event with timestamp <= ``time``; advance now to it."""
+        """Fire every event with timestamp <= ``time``; advance now to it.
+
+        One pass over the heap with :meth:`peek_time`'s cancelled-skip,
+        the time test and :meth:`step`'s fire inlined: the same events
+        fire in the same order as a ``peek_time()``/``step()`` loop.
+        """
+        queue = self._queue
+        pop = heapq.heappop
         fired = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or next_time > time:
+        while queue:
+            at, _, handle = queue[0]
+            if handle.cancelled:
+                pop(queue)
+                continue
+            if at > time:
                 break
-            self.step()
+            pop(queue)
+            self.now = at
+            handle.fired = True
+            self._pending -= 1
+            self._fired += 1
+            handle.callback(*handle.args)
             fired += 1
             if fired > max_events:
                 raise ConfigurationError(

@@ -1,6 +1,7 @@
 """Tests for the multi-feed service soak (``repro serve-soak``)."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -244,6 +245,63 @@ class TestDeterminism:
         observed = ServiceSoak(config, RecordingProbe()).run()
         unobserved = ServiceSoak(config, NULL_PROBE).run()
         assert observed == unobserved
+
+
+def geo_smoke_config(seed: int) -> SoakConfig:
+    """The smoke-scale geo soak: flash joiners, an exodus, a rejoin, a
+    crash wave that rejoins and a source outage on the continuous clock."""
+    return SoakConfig(
+        feed_ids=("news", "sports", "tech"),
+        consumer_count=40,
+        seed=seed,
+        rounds=90,
+        warmup_rounds=24,
+        timeline=parse_timeline(
+            "flash@36:news:x10:ramp=3,exodus@60:news:0.4,rejoin@70:news"
+        ),
+        faults=parse_fault_plan("crash@50:0.15:rejoin=8,source-outage@76:4"),
+        time_model="continuous:geo-3region",
+    )
+
+
+class TestGeoSoakPins:
+    """Seeded outcomes of the geo soak, recorded before the delivery
+    path (argument-carrying events, the in-order batch fast path, the
+    per-edge hop-delay cache, the one-pass summary) was made cheaper:
+    a mismatch means that work changed what the soak measures."""
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [(0, "b83715c83aab4a3b"), (1, "2b075388f6feeb57"), (2, "05af570b8ca05af6")],
+    )
+    def test_summary_digest(self, seed, digest):
+        summary = ServiceSoak(geo_smoke_config(seed)).run()
+        text = json.dumps(dataclasses.asdict(summary), sort_keys=True, default=repr)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    def test_cached_hop_delay_equals_the_geo_model(self):
+        soak = ServiceSoak(geo_smoke_config(0))
+        period_ms = soak.geo_profile.pull_period_ms
+        calls, edges = [], set()
+
+        def checked(model):
+            def hop_delay_model(parent, child):
+                units = model(parent, child)
+                expected = soak.geo.one_way_ms(parent.name, child.name) / period_ms
+                assert units == expected
+                calls.append(units)
+                edges.add((parent.name, child.name))
+                return units
+
+            return hop_delay_model
+
+        for engine in soak.engines.values():
+            engine.hop_delay_model = checked(engine.hop_delay_model)
+        summary = soak.run()
+        assert summary.flash_joined > 0 and summary.exodus_departures > 0
+        # Edges are pushed over again and again, so the cache serves most
+        # lookups.
+        assert len(calls) > 2 * len(edges) > 0
 
 
 class TestObservability:
