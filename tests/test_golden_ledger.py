@@ -1,0 +1,74 @@
+"""The golden ledger (``tests/golden/ledger.json``) still holds.
+
+Every entry is recomputed here from its scenario in
+``tools/golden_ledger.py`` (imported by path, like the link checker), so
+a change that moves a pinned seeded outcome fails tier-1.  The last test
+checks the pin is sharp: one perturbed draw of the round-order kernel
+moves a churned scenario's digest.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.sim.rng
+import repro.sim.runner  # noqa: F401 - binds the kernel the round sweep calls
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "golden_ledger", REPO_ROOT / "tools" / "golden_ledger.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ledger_tool = _load_tool()
+SCENARIOS = ledger_tool.scenarios()
+RECORDED = ledger_tool.load()
+
+
+def test_ledger_lists_exactly_the_scenarios():
+    expected = {}
+    for name, seed, _ in SCENARIOS:
+        expected.setdefault(name, set()).add(str(seed))
+    assert {name: set(seeds) for name, seeds in RECORDED.items()} == expected
+
+
+def test_ledger_file_is_canonical():
+    text = ledger_tool.LEDGER_PATH.read_text(encoding="utf-8")
+    assert text == ledger_tool.render(RECORDED)
+
+
+@pytest.mark.parametrize(
+    "name,seed,run",
+    SCENARIOS,
+    ids=[f"{name}@{seed}" for name, seed, _ in SCENARIOS],
+)
+def test_entry(name, seed, run):
+    assert ledger_tool.digest(run(seed)) == RECORDED[name][str(seed)]
+
+
+def test_a_perturbed_draw_moves_a_digest(monkeypatch):
+    """Swap the first two outputs of every round-order shuffle: the
+    churned scenario must hash differently."""
+    shuffle = repro.sim.rng.shuffle
+
+    def perturbed(rng, items):
+        shuffle(rng, items)
+        if len(items) > 1:
+            items[0], items[1] = items[1], items[0]
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "shuffle", None) is shuffle:
+            monkeypatch.setattr(module, "shuffle", perturbed)
+    name = "construction/churn/hybrid/random"
+    (seed, run), = [(s, r) for n, s, r in SCENARIOS if n == name]
+    assert ledger_tool.digest(run(seed)) != RECORDED[name][str(seed)]
