@@ -340,13 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="satisfied fraction at which a feed counts as recovered",
     )
     soak.add_argument(
-        "--backend",
-        default=None,
-        choices=("objects", "columnar"),
-        help="overlay state backend (default: the build default; "
-        "summaries are bit-identical either way)",
-    )
-    soak.add_argument(
         "--repeats",
         type=int,
         default=1,
@@ -983,7 +976,6 @@ def _cmd_serve_soak(args: argparse.Namespace) -> int:
             burst_size=args.burst_size,
             reuse_bias=args.reuse_bias,
             recover_threshold=args.recover_threshold,
-            backend=args.backend,
             time_model=args.time_model,
         )
     except ConfigurationError as error:

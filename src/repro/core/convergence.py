@@ -84,29 +84,18 @@ def _forest_scan(overlay: Overlay) -> Tuple[OverlayQuality, Dict[int, int]]:
     fragments = 1  # the source's own tree
     histogram: Dict[int, int] = {}
     # Every node of the roster is scored every round, so the chain
-    # metadata is read where the index keeps it — the columns, or the
-    # entries on the objects backend — not through a reader call per
-    # node.
+    # metadata is read where the index keeps it — the store's columns —
+    # not through a reader call per node.
     store = overlay.store
-    if store is not None:
-        rooted_column, delay_column = store.rooted, store.delay
-        entries = None
-    else:
-        entries = overlay.chain_index.entries
+    rooted_column, delay_column = store.rooted, store.delay
     roster = overlay._online
     for node in roster:
         if node.parent is None:
             fragments += 1
-        if entries is None:
-            node_id = node.node_id
-            if not rooted_column[node_id]:
-                continue
-            delay = delay_column[node_id]
-        else:
-            entry = entries[node.node_id]
-            if not entry.rooted:
-                continue
-            delay = entry.delay
+        node_id = node.node_id
+        if not rooted_column[node_id]:
+            continue
+        delay = delay_column[node_id]
         rooted += 1
         if delay > max_depth:
             max_depth = delay

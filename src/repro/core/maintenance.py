@@ -36,8 +36,7 @@ Settled nodes
     argument and *is* the algorithm's ``settled`` method
     (``settled = greedy_settled`` in the class body), and it reads
     ``rooted`` / ``delay`` where the chain index keeps them — the
-    store's columns, or the entries on the objects backend — not
-    through the overlay's reader methods.
+    store's columns — not through the overlay's reader methods.
 """
 
 from __future__ import annotations
@@ -49,15 +48,10 @@ from repro.core.tree import Overlay
 def greedy_settled(algorithm, node: Node) -> bool:
     """Whether :func:`greedy_maintenance` has nothing to do at ``node``
     until its chain changes: anything but rooted at ``DelayAt == l + 1``."""
-    overlay = algorithm.overlay
-    store = overlay.store
-    if store is not None:
-        node_id = node.node_id
-        delay = store.delay[node_id] if store.rooted[node_id] else 0
-    else:
-        entry = overlay.chain_index.entries[node.node_id]
-        delay = entry.delay if entry.rooted else 0
+    store = algorithm.overlay.store
+    node_id = node.node_id
     # A rooted consumer's delay is at least 1, so 0 stands for unrooted.
+    delay = store.delay[node_id] if store.rooted[node_id] else 0
     return delay != node.latency + 1
 
 
@@ -95,14 +89,9 @@ def hybrid_settled(algorithm, node: Node) -> bool:
     ``violation_rounds`` after a violation went away is still owed)."""
     if node.violation_rounds:
         return False
-    overlay = algorithm.overlay
-    store = overlay.store
-    if store is not None:
-        node_id = node.node_id
-        delay = store.delay[node_id] if store.rooted[node_id] else 0
-    else:
-        entry = overlay.chain_index.entries[node.node_id]
-        delay = entry.delay if entry.rooted else 0
+    store = algorithm.overlay.store
+    node_id = node.node_id
+    delay = store.delay[node_id] if store.rooted[node_id] else 0
     return delay <= node.latency
 
 
@@ -160,13 +149,7 @@ def hybrid_maintenance(
 def eager_settled(algorithm, node: Node) -> bool:
     """Whether :func:`eager_maintenance` has nothing to do at ``node``
     until its chain changes: ``DelayAt <= l``, rooted or not."""
-    overlay = algorithm.overlay
-    store = overlay.store
-    if store is not None:
-        delay = store.delay[node.node_id]
-    else:
-        delay = overlay.chain_index.entries[node.node_id].delay
-    return delay <= node.latency
+    return algorithm.overlay.store.delay[node.node_id] <= node.latency
 
 
 def eager_maintenance(overlay: Overlay, node: Node) -> bool:

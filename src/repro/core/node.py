@@ -24,18 +24,25 @@ violation timer, the referral received during the last interaction).  All
 chain-level quantities (``Root``, ``DelayAt``) belong to
 :class:`repro.core.tree.Overlay` — this mirrors the paper's assumption
 (§2.1.3) that chain metadata is piggy-backed along the chain rather than
-owned by the node.  The overlay serves those reads from an incrementally
-maintained :class:`~repro.core.index.ChainIndex` (the piggy-backing made
-fast); the defining parent-chain walk survives as the ``Overlay.walk_*``
-reference implementations.
+owned by the node.  The overlay keeps them in the chain columns of its
+:class:`~repro.core.store.ColumnarState`, maintained incrementally by the
+:class:`~repro.core.index.ChainIndex` (the piggy-backing made fast); the
+defining parent-chain walk survives as the ``Overlay.walk_*`` reference
+implementations.
+
+A node is the per-id *view* of that store: the store hands out exactly
+one per allocated id, so identity is by object and every ``is``
+comparison in the construction code keeps working.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.core.constraints import NodeSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.store import ColumnarState
 
 #: NodeId type alias; the source is always id 0.
 NodeId = int
@@ -43,50 +50,125 @@ NodeId = int
 SOURCE_ID: NodeId = 0
 
 
-@dataclasses.dataclass(eq=False)
+class _Children:
+    """Write-through child list of one node.
+
+    Behaves like a plain ``list`` (append / remove / clear / iteration /
+    containment, identity semantics), and additionally maintains the
+    owner's ``n_children`` column so columnar scans can read fanout
+    slack without touching the node objects.
+    """
+
+    __slots__ = ("_store", "_owner", "_items")
+
+    def __init__(self, store: "ColumnarState", owner: NodeId) -> None:
+        self._store = store
+        self._owner = owner
+        self._items: List["Node"] = []
+
+    def append(self, node: "Node") -> None:
+        self._items.append(node)
+        self._store.n_children[self._owner] += 1
+
+    def remove(self, node: "Node") -> None:
+        self._items.remove(node)
+        self._store.n_children[self._owner] -= 1
+
+    def clear(self) -> None:
+        self._items.clear()
+        self._store.n_children[self._owner] = 0
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __iter__(self) -> Iterator["Node"]:
+        return iter(self._items)
+
+    def __reversed__(self) -> Iterator["Node"]:
+        return reversed(self._items)
+
+    def __contains__(self, node: object) -> bool:
+        for item in self._items:
+            if item is node:
+                return True
+        return False
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return repr(self._items)
+
+
 class Node:
     """One participant of the overlay (the source or a consumer).
 
-    Identity is by object (``eq=False``): two nodes are the same node only
-    if they are the same Python object.  ``node_id`` is unique within one
-    :class:`~repro.core.tree.Overlay`.
+    Created only by :meth:`ColumnarState.allocate
+    <repro.core.store.ColumnarState.allocate>`.  Identity is by object:
+    two nodes are the same node only if they are the same Python object,
+    and ``node_id`` is unique within one
+    :class:`~repro.core.tree.Overlay`.  All node state is plain slots
+    (the fastest attribute read CPython has).  The mutable hot state
+    (``parent``, ``online``) is mirrored into the store's columns by the
+    four :class:`~repro.core.tree.Overlay` mutators — the only code that
+    assigns either — so the arrays stay the exact scan surface
+    (:meth:`ColumnarState.verify <repro.core.store.ColumnarState.verify>`
+    cross-checks slot against column).  The per-node protocol timers are
+    slots only — strictly node-local scratch the scans never aggregate
+    over.
     """
 
-    node_id: NodeId
-    spec: NodeSpec
-    name: str = ""
+    __slots__ = (
+        "_store",
+        "node_id",
+        "spec",
+        "name",
+        "latency",
+        "fanout",
+        "children",
+        "parent",
+        "online",
+        "rounds_without_parent",
+        "violation_rounds",
+        "referral",
+        "busy_until",
+        "source_failures",
+        "source_retry_timeout",
+    )
 
-    # --- tree links -------------------------------------------------------
-    parent: Optional["Node"] = None
-    children: List["Node"] = dataclasses.field(default_factory=list)
-
-    # --- liveness ---------------------------------------------------------
-    online: bool = True
-
-    # --- protocol timers (reset on rejoin) --------------------------------
-    #: Rounds spent parentless since the last timeout reset; drives the
-    #: "contact the source on Timeout" branch of both algorithms.
-    rounds_without_parent: int = 0
-    #: Consecutive rounds the node has observed its latency constraint
-    #: violated while rooted at the source (hybrid maintenance timer).
-    violation_rounds: int = 0
-    #: Partner referred during the last interaction ("use k as next
-    #: reference"); consumed by the next construction step.
-    referral: Optional["Node"] = None
-    #: First round at which the node may act again (asynchronous mode);
-    #: 0 means "free now".
-    busy_until: int = 0
-    #: Consecutive failed direct source contacts (rejections/outages);
-    #: drives the exponential backoff when ``ProtocolConfig.source_backoff``
-    #: is enabled.  Reset on any successful attach.
-    source_failures: int = 0
-    #: Backed-off replacement for ``ProtocolConfig.timeout`` while source
-    #: contacts keep failing; 0 means "no backoff, use the config timeout".
-    source_retry_timeout: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = str(self.node_id)
+    def __init__(self, store: "ColumnarState", node_id: NodeId, spec: NodeSpec, name: str) -> None:
+        self._store = store
+        self.node_id = node_id
+        self.spec = spec
+        self.name = name if name else str(node_id)
+        #: ``l_i`` and ``f_i``, copied out of :attr:`spec` for the hot reads.
+        self.latency = spec.latency
+        self.fanout = spec.fanout
+        self.children = _Children(store, node_id)
+        self.parent: Optional["Node"] = None
+        self.online = True
+        #: Rounds spent parentless since the last timeout reset; drives the
+        #: "contact the source on Timeout" branch of both algorithms.
+        self.rounds_without_parent = 0
+        #: Consecutive rounds the node has observed its latency constraint
+        #: violated while rooted at the source (hybrid maintenance timer).
+        self.violation_rounds = 0
+        #: Partner referred during the last interaction ("use k as next
+        #: reference"); consumed by the next construction step.
+        self.referral: Optional["Node"] = None
+        #: First round at which the node may act again (asynchronous mode);
+        #: 0 means "free now".
+        self.busy_until = 0
+        #: Consecutive failed direct source contacts (rejections/outages);
+        #: drives the exponential backoff when ``ProtocolConfig.source_backoff``
+        #: is enabled.  Reset on any successful attach.
+        self.source_failures = 0
+        #: Backed-off replacement for ``ProtocolConfig.timeout`` while source
+        #: contacts keep failing; 0 means "no backoff, use the config timeout".
+        self.source_retry_timeout = 0
 
     # --- read-only convenience --------------------------------------------
 
@@ -94,16 +176,6 @@ class Node:
     def is_source(self) -> bool:
         """Whether this node is the feed source (node 0)."""
         return self.node_id == SOURCE_ID
-
-    @property
-    def latency(self) -> int:
-        """``l_i`` — shorthand for ``self.spec.latency``."""
-        return self.spec.latency
-
-    @property
-    def fanout(self) -> int:
-        """``f_i`` — shorthand for ``self.spec.fanout``."""
-        return self.spec.fanout
 
     @property
     def free_fanout(self) -> int:
@@ -118,7 +190,7 @@ class Node:
     @property
     def is_parentless(self) -> bool:
         """The paper's ``i <-/`` state (never true for the source)."""
-        return not self.is_source and self.parent is None
+        return self.node_id != SOURCE_ID and self.parent is None
 
     def reset_protocol_state(self) -> None:
         """Clear all protocol timers and referrals (used on churn rejoin)."""
@@ -135,7 +207,26 @@ class Node:
             return f"0_{self.fanout}"
         return self.spec.label(self.name)
 
+    # --- pickling (slots classes need explicit state) ---------------------
+
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state) -> None:
+        for slot, value in state.items():
+            object.__setattr__(self, slot, value)
+
+    def __reduce__(self):
+        # Bypass __init__ (which would re-zero timers and re-create the
+        # children proxy); restore the exact slot state instead.
+        return (_reconstruct_node, (), self.__getstate__())
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "online" if self.online else "offline"
         parent = self.parent.name if self.parent is not None else "-"
         return f"<Node {self.label()} parent={parent} {state}>"
+
+
+def _reconstruct_node() -> Node:
+    """Pickle helper: an empty shell ``__setstate__`` then fills."""
+    return object.__new__(Node)

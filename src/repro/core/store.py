@@ -1,15 +1,14 @@
 """Dense columnar node-state storage: the N=100k memory layout.
 
-The object-per-node overlay carries every hot fact (constraints, links,
-liveness, chain metadata) inside per-node Python objects, which is
-comfortable at N=10^3 but wasteful at N=10^5: every read is an attribute
-dict hop and every scan chases pointers.  :class:`ColumnarState` flips
-the layout — one ``array``/``bytearray`` column per fact, indexed by a
-*dense* node id — while :class:`ColumnarNode` keeps the exact ``Node``
-API as a thin per-id view, so the construction algorithms, maintenance
-rules and oracles run unchanged (and bit-identically, pinned by
-``tests/test_columnar.py``) whether an overlay is columnar or
-object-backed.
+Every hot fact of a node (constraints, links, liveness, chain metadata)
+lives in one ``array``/``bytearray`` column per fact, indexed by a
+*dense* node id, so scans read arrays instead of chasing per-node
+objects.  :class:`~repro.core.node.Node` is the per-id view over these
+columns: it keeps the node API (``parent``, ``children``, ``online``,
+the protocol timers) as slots, so the construction algorithms,
+maintenance rules and oracles read nodes while the scan-heavy readers
+(the oracle roster, the convergence scan, the ``settled`` predicates)
+read the columns.
 
 Columns
 -------
@@ -22,14 +21,13 @@ Columns
     the whole chain model derives from.
 ``n_children``
     Child count (fanout slack is ``fanout - n_children``), maintained by
-    the write-through :class:`_Children` proxy.
+    the write-through child list of :class:`~repro.core.node.Node`.
 ``online``
     Liveness bit.
 ``root`` / ``depth`` / ``rooted`` / ``delay``
     The §2.1.3 chain metadata, owned and maintained by
-    :class:`repro.core.index.ColumnarChainIndex` (same subtree-shift
-    algorithm as the object index, writing columns instead of entry
-    slots).
+    :class:`repro.core.index.ChainIndex` (uniform subtree shifts at the
+    four structural mutators).
 
 Dense id allocation
 -------------------
@@ -43,7 +41,7 @@ an offline consumer keeps its id so a rejoin can never alias a live
 node (property-tested in ``tests/test_store.py``).
 
 The whole structure is plain ``array``/``bytearray``/``list`` state, so
-a columnar overlay pickles (and therefore forks into
+an overlay pickles (and therefore forks into
 :mod:`repro.par` worker pools) without custom machinery.
 """
 
@@ -51,174 +49,14 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.core.constraints import NodeSpec
 from repro.core.errors import TopologyError
-from repro.core.node import SOURCE_ID, NodeId
+from repro.core.node import Node, NodeId
 
 #: Sentinel stored in the ``parent`` column for parentless nodes.
 NO_PARENT = -1
-
-
-class _Children:
-    """Write-through child list of one node.
-
-    Behaves like the plain ``list`` the object backend uses (append /
-    remove / clear / iteration / containment, identity semantics), and
-    additionally maintains the owner's ``n_children`` column so columnar
-    scans can read fanout slack without touching the view objects.
-    """
-
-    __slots__ = ("_store", "_owner", "_items")
-
-    def __init__(self, store: "ColumnarState", owner: NodeId) -> None:
-        self._store = store
-        self._owner = owner
-        self._items: List["ColumnarNode"] = []
-
-    def append(self, node: "ColumnarNode") -> None:
-        self._items.append(node)
-        self._store.n_children[self._owner] += 1
-
-    def remove(self, node: "ColumnarNode") -> None:
-        self._items.remove(node)
-        self._store.n_children[self._owner] -= 1
-
-    def clear(self) -> None:
-        self._items.clear()
-        self._store.n_children[self._owner] = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator["ColumnarNode"]:
-        return iter(self._items)
-
-    def __reversed__(self) -> Iterator["ColumnarNode"]:
-        return reversed(self._items)
-
-    def __contains__(self, node: object) -> bool:
-        for item in self._items:
-            if item is node:
-                return True
-        return False
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return repr(self._items)
-
-
-class ColumnarNode:
-    """Thin per-id view over :class:`ColumnarState` with the ``Node`` API.
-
-    Identity is by object, exactly like ``Node`` (``eq`` is default
-    identity): the store keeps exactly one view per live id, so every
-    ``is`` comparison in the construction code keeps working.  All node
-    state is plain slots (fastest possible read — the same attribute
-    cost as the object backend).  The mutable hot state (``parent``,
-    ``online``) is mirrored into the store's columns by the four
-    :class:`~repro.core.tree.Overlay` mutators — the only code that
-    assigns either — so the arrays stay the exact scan surface
-    (:meth:`ColumnarState.verify` cross-checks slot against column).
-    The per-node protocol timers are slots only — strictly node-local
-    scratch the scans never aggregate over.
-    """
-
-    __slots__ = (
-        "_store",
-        "node_id",
-        "spec",
-        "name",
-        "latency",
-        "fanout",
-        "children",
-        "parent",
-        "online",
-        "rounds_without_parent",
-        "violation_rounds",
-        "referral",
-        "busy_until",
-        "source_failures",
-        "source_retry_timeout",
-    )
-
-    def __init__(self, store: "ColumnarState", node_id: NodeId, spec: NodeSpec, name: str) -> None:
-        self._store = store
-        self.node_id = node_id
-        self.spec = spec
-        self.name = name if name else str(node_id)
-        self.latency = spec.latency
-        self.fanout = spec.fanout
-        self.children = _Children(store, node_id)
-        self.parent: Optional["ColumnarNode"] = None
-        self.online = True
-        self.rounds_without_parent = 0
-        self.violation_rounds = 0
-        self.referral: Optional["ColumnarNode"] = None
-        self.busy_until = 0
-        self.source_failures = 0
-        self.source_retry_timeout = 0
-
-    # --- read-only convenience (mirrors Node) -----------------------------
-
-    @property
-    def is_source(self) -> bool:
-        return self.node_id == SOURCE_ID
-
-    @property
-    def free_fanout(self) -> int:
-        return self.fanout - len(self.children)
-
-    @property
-    def has_parent(self) -> bool:
-        return self.parent is not None
-
-    @property
-    def is_parentless(self) -> bool:
-        return self.node_id != SOURCE_ID and self.parent is None
-
-    def reset_protocol_state(self) -> None:
-        self.rounds_without_parent = 0
-        self.violation_rounds = 0
-        self.referral = None
-        self.busy_until = 0
-        self.source_failures = 0
-        self.source_retry_timeout = 0
-
-    def label(self) -> str:
-        if self.is_source:
-            return f"0_{self.fanout}"
-        return self.spec.label(self.name)
-
-    # --- pickling (slots classes need explicit state) ---------------------
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            object.__setattr__(self, slot, value)
-
-    def __reduce__(self):
-        # Bypass __init__ (which would re-zero timers and re-create the
-        # children proxy); restore the exact slot state instead.
-        return (_reconstruct_node, (), self.__getstate__())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "online" if self.online else "offline"
-        parent = self.parent.name if self.parent is not None else "-"
-        return f"<Node {self.label()} parent={parent} {state}>"
-
-
-def _reconstruct_node() -> ColumnarNode:
-    """Pickle helper: an empty shell ``__setstate__`` then fills."""
-    return object.__new__(ColumnarNode)
 
 
 class ColumnarState:
@@ -236,13 +74,13 @@ class ColumnarState:
         self.parent = make()
         self.n_children = make()
         self.online = bytearray()
-        # Chain-metadata columns (§2.1.3), owned by ColumnarChainIndex.
+        # Chain-metadata columns (§2.1.3), owned by ChainIndex.
         self.root = make()
         self.depth = make()
         self.rooted = bytearray()
         self.delay = make()
         #: One view object per live id (``None`` = released slot).
-        self.nodes: List[Optional[ColumnarNode]] = []
+        self.nodes: List[Optional[Node]] = []
         #: Min-heap of released ids awaiting reuse.
         self.free: List[NodeId] = []
 
@@ -258,7 +96,7 @@ class ColumnarState:
         """Number of allocated (non-released) ids."""
         return len(self.nodes) - len(self.free)
 
-    def allocate(self, spec: NodeSpec, name: str = "") -> ColumnarNode:
+    def allocate(self, spec: NodeSpec, name: str = "") -> Node:
         """Allocate the smallest available dense id and return its view."""
         if self.free:
             node_id = heapq.heappop(self.free)
@@ -274,7 +112,7 @@ class ColumnarState:
             self.depth.append(0)
             self.rooted.append(0)
             self.delay.append(0)
-        node = ColumnarNode(self, node_id, spec, name)
+        node = Node(self, node_id, spec, name)
         self.nodes[node_id] = node
         self.latency[node_id] = spec.latency
         self.fanout[node_id] = spec.fanout
@@ -305,11 +143,11 @@ class ColumnarState:
     def verify(self, overlay) -> None:
         """Cross-check every column against the view-level state.
 
-        The columnar analogue of ``ChainIndex.verify`` for the
-        non-chain columns: constraints, parent links, child counts and
-        liveness bits must agree with what the views report.  Chain
-        columns are checked by ``ColumnarChainIndex.verify`` (via the
-        reference walks), not here.
+        The analogue of ``ChainIndex.verify`` for the non-chain
+        columns: constraints, parent links, child counts and liveness
+        bits must agree with what the views report.  Chain columns are
+        checked by ``ChainIndex.verify`` (via the reference walks), not
+        here.
         """
         for node in overlay:
             i = node.node_id

@@ -41,13 +41,12 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.constraints import NodeSpec
 from repro.core.errors import (
-    ConfigurationError,
     FanoutExceededError,
     OfflineNodeError,
     TopologyError,
     UnknownNodeError,
 )
-from repro.core.index import ChainIndex, ColumnarChainIndex
+from repro.core.index import ChainIndex
 from repro.core.node import SOURCE_ID, Node, NodeId
 from repro.core.store import NO_PARENT, ColumnarState
 from repro.obs.probe import NULL_PROBE, Probe
@@ -61,18 +60,6 @@ def _remove_sorted(roster: List[Node], node: Node) -> None:
     del roster[bisect_left(roster, node.node_id, key=_BY_NODE_ID)]
 
 
-#: Node-state backend used when :class:`Overlay` is built without an
-#: explicit ``backend``.  ``"columnar"`` (the production default) stores
-#: hot node state in the dense column arrays of
-#: :class:`~repro.core.store.ColumnarState`; ``"objects"`` is the
-#: original object-per-node layout, kept as the cross-check path (the
-#: golden-seed guard in ``tests/test_columnar.py`` pins both backends
-#: bit-identical, mirroring the PR 2 ``walk_*`` pattern).
-DEFAULT_BACKEND = "columnar"
-
-_BACKENDS = ("columnar", "objects")
-
-
 class Overlay:
     """A LagOver overlay-in-construction: the source plus all consumers.
 
@@ -82,33 +69,14 @@ class Overlay:
     job, and transient violations are part of normal operation (§3.2).
     """
 
-    def __init__(
-        self,
-        source_fanout: int,
-        source_name: str = "0",
-        backend: Optional[str] = None,
-    ) -> None:
-        if backend is None:
-            backend = DEFAULT_BACKEND
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"unknown overlay backend {backend!r}; choose from {_BACKENDS}"
-            )
-        #: Which node-state layout backs this overlay (``"columnar"`` or
-        #: ``"objects"``); :attr:`store` is ``None`` on the object backend.
-        self.backend = backend
-        self._nodes: Dict[NodeId, Node] = {}
-        self._next_id: NodeId = SOURCE_ID + 1
-        source_spec = NodeSpec(latency=1, fanout=source_fanout)
-        if backend == "columnar":
-            self.store: Optional[ColumnarState] = ColumnarState()
-            self.source = self.store.allocate(source_spec, source_name)
-        else:
-            self.store = None
-            self.source = Node(
-                node_id=SOURCE_ID, spec=source_spec, name=source_name
-            )
-        self._nodes[SOURCE_ID] = self.source
+    def __init__(self, source_fanout: int, source_name: str = "0") -> None:
+        #: Dense column storage of every node's state; each
+        #: :class:`~repro.core.node.Node` is its view at one id.
+        self.store = ColumnarState()
+        self.source = self.store.allocate(
+            NodeSpec(latency=1, fanout=source_fanout), source_name
+        )
+        self._nodes: Dict[NodeId, Node] = {SOURCE_ID: self.source}
         # Incrementally maintained rosters (id order): `_consumers` stays
         # sorted (ids only grow, except on free-list reuse which insorts);
         # `_online` is updated on churn transitions instead of being
@@ -122,15 +90,10 @@ class Overlay:
         #: continuous engine's idle-actor scan) can skip rounds in which
         #: it has not moved.
         self.liveness_version = 0
-        #: Chain-metadata index: amortized O(1) ``Root``/``DelayAt`` reads,
-        #: kept exact by the four checked mutators below.  The columnar
-        #: backend keeps the same metadata in column arrays behind the
-        #: identical ``entries`` read surface.
-        self.chain_index = (
-            ColumnarChainIndex(self, self.store)
-            if self.store is not None
-            else ChainIndex(self)
-        )
+        #: Chain-metadata index: keeps the store's chain columns exact
+        #: through the four checked mutators below, for O(1)
+        #: ``Root``/``DelayAt`` reads.
+        self.chain_index = ChainIndex(self, self.store)
         # Per-version cache slot for the shared forest scan of
         # :mod:`repro.core.convergence` (owned by that module).
         self._quality_cache = None
@@ -150,11 +113,7 @@ class Overlay:
 
     def add_consumer(self, spec: NodeSpec, name: str = "") -> Node:
         """Create a new consumer with the given constraints and return it."""
-        if self.store is not None:
-            node = self.store.allocate(spec, name)
-        else:
-            node = Node(node_id=self._next_id, spec=spec, name=name)
-        self._next_id = max(self._next_id, node.node_id + 1)
+        node = self.store.allocate(spec, name)
         self._nodes[node.node_id] = node
         if self._consumers and node.node_id < self._consumers[-1].node_id:
             # A recycled id (freed by remove_consumer) lands mid-roster.
@@ -172,10 +131,10 @@ class Overlay:
 
         This is departure-for-good (a permanently crashed or
         decommissioned peer), not churn: ordinary churn departures keep
-        their id so a rejoin can never alias another consumer.  On the
-        columnar backend the dense id returns to the allocator's free
-        list and the next :meth:`add_consumer` reuses it (property-tested
-        in ``tests/test_store.py``).
+        their id so a rejoin can never alias another consumer.  The dense
+        id returns to the allocator's free list and the next
+        :meth:`add_consumer` reuses it (property-tested in
+        ``tests/test_store.py``).
         """
         if node not in self:
             raise UnknownNodeError(f"{node!r} is not in this overlay")
@@ -191,8 +150,7 @@ class Overlay:
         _remove_sorted(self._consumers, node)
         self.liveness_version += 1
         self.chain_index.unregister(node)
-        if self.store is not None:
-            self.store.release(node.node_id)
+        self.store.release(node.node_id)
 
     def add_population(self, specs: Iterable[Tuple[str, NodeSpec]]) -> List[Node]:
         """Add many consumers from ``(name, spec)`` pairs (see
@@ -238,52 +196,44 @@ class Overlay:
 
         Returns the source if the node is connected to it, otherwise the
         parentless consumer heading the node's fragment (a node with no
-        parent is its own root).  Amortized O(1) via the chain index;
-        nodes foreign to this overlay fall back to the reference walk.
+        parent is its own root).  Amortized O(1) via the chain index.
 
-        On the columnar backend these five readers skip the
-        ``_ColumnEntry`` facade and index the store's columns directly —
-        same cells the facade reads, minus a property call per read (the
-        oracle filter makes millions of them per run).  The ``entries``
-        dict stays the membership test either way, so foreign nodes keep
-        falling back to the walk.
+        These five readers each make one membership test and one column
+        read.  A node belongs to this overlay iff it *is* the store's
+        view at its id, so a node of another overlay whose id happens to
+        be in use here falls back to the reference walk like any other
+        foreign node, instead of reading the local node's chain facts.
         """
         store = self.store
-        if store is not None:
-            node_id = node.node_id
-            if node_id in self.chain_index.entries:
-                return store.nodes[store.root[node_id]]
-            return self.walk_fragment_root(node)
+        node_id = node.node_id
         try:
-            return self.chain_index.entries[node.node_id].root
-        except KeyError:
-            return self.walk_fragment_root(node)
+            if store.nodes[node_id] is node:
+                return store.nodes[store.root[node_id]]
+        except IndexError:
+            pass
+        return self.walk_fragment_root(node)
 
     def depth(self, node: Node) -> int:
         """Number of hops from the node to its fragment root (O(1))."""
         store = self.store
-        if store is not None:
-            node_id = node.node_id
-            if node_id in self.chain_index.entries:
-                return store.depth[node_id]
-            return self.walk_depth(node)
+        node_id = node.node_id
         try:
-            return self.chain_index.entries[node.node_id].depth
-        except KeyError:
-            return self.walk_depth(node)
+            if store.nodes[node_id] is node:
+                return store.depth[node_id]
+        except IndexError:
+            pass
+        return self.walk_depth(node)
 
     def is_rooted(self, node: Node) -> bool:
         """Whether ``Root(node)`` is the source (node 0)."""
         store = self.store
-        if store is not None:
-            node_id = node.node_id
-            if node_id in self.chain_index.entries:
-                return bool(store.rooted[node_id])
-            return self.walk_is_rooted(node)
+        node_id = node.node_id
         try:
-            return self.chain_index.entries[node.node_id].rooted
-        except KeyError:
-            return self.walk_is_rooted(node)
+            if store.nodes[node_id] is node:
+                return bool(store.rooted[node_id])
+        except IndexError:
+            pass
+        return self.walk_is_rooted(node)
 
     def delay_at(self, node: Node) -> int:
         """``DelayAt(i)``: actual delay if rooted, potential delay otherwise.
@@ -295,38 +245,31 @@ class Overlay:
         construction algorithms plan with.  Amortized O(1).
 
         This is the single hottest read in the stack (the oracles filter
-        every sampled candidate by it), so the entry access is inlined:
-        one dict lookup plus one slot load.  The source's own entry
-        stores delay 0, so no special case is needed on this path.
+        every sampled candidate by it).  The source's own cell stores
+        delay 0, so no special case is needed on this path.
         """
         store = self.store
-        if store is not None:
-            node_id = node.node_id
-            if node_id in self.chain_index.entries:
-                return store.delay[node_id]
-            return self.walk_delay_at(node)
+        node_id = node.node_id
         try:
-            return self.chain_index.entries[node.node_id].delay
-        except KeyError:
-            return self.walk_delay_at(node)
+            if store.nodes[node_id] is node:
+                return store.delay[node_id]
+        except IndexError:
+            pass
+        return self.walk_delay_at(node)
 
     def meets_latency(self, node: Node) -> bool:
         """Whether the node is rooted at the source within its constraint."""
         store = self.store
-        if store is not None:
-            node_id = node.node_id
-            if node_id not in self.chain_index.entries:
-                return self.walk_meets_latency(node)
-            if node.is_source:
-                return True
-            return bool(store.rooted[node_id]) and store.depth[node_id] <= node.latency
+        node_id = node.node_id
         try:
-            entry = self.chain_index.entries[node.node_id]
-        except KeyError:
-            return self.walk_meets_latency(node)
-        if node.is_source:
-            return True
-        return entry.rooted and entry.depth <= node.latency
+            if store.nodes[node_id] is node:
+                return node_id == SOURCE_ID or (
+                    bool(store.rooted[node_id])
+                    and store.depth[node_id] <= node.latency
+                )
+        except IndexError:
+            pass
+        return self.walk_meets_latency(node)
 
     # ------------------------------------------------------------------
     # chain metadata, reference implementation (walk-on-read)
@@ -335,9 +278,8 @@ class Overlay:
     # The pre-index walking code, kept in-tree on purpose: it is the
     # ground truth `check_integrity()` cross-checks the index against,
     # the fallback for nodes foreign to this overlay, and what the
-    # golden-seed guard (tests/test_chain_index.py) and the perf harness
-    # (benchmarks/perf_chain_index.py) swap back in to prove the index is
-    # behavior-invisible and to quantify what it buys.
+    # golden-seed guard (tests/test_chain_index.py) swaps back in to
+    # prove the index is behavior-invisible.
 
     def walk_fragment_root(self, node: Node) -> Node:
         """Reference ``Root(i)``: walk the parent chain (O(depth))."""
@@ -466,8 +408,7 @@ class Overlay:
                 f"{parent!r} has no free fanout (f={parent.fanout})"
             )
         child.parent = parent
-        if self.store is not None:
-            self.store.parent[child.node_id] = parent.node_id
+        self.store.parent[child.node_id] = parent.node_id
         parent.children.append(child)
         self.chain_index.on_attach(child, parent)
         # The subtree shift noted the moved nodes; the parent's fanout
@@ -493,8 +434,7 @@ class Overlay:
             raise TopologyError(f"{child!r} has no parent to leave")
         parent.children.remove(child)
         child.parent = None
-        if self.store is not None:
-            self.store.parent[child.node_id] = NO_PARENT
+        self.store.parent[child.node_id] = NO_PARENT
         self.chain_index.on_detach(child)
         self.chain_index.mark(parent)  # parent regained fanout slack
         self.detach_count += 1
@@ -535,8 +475,7 @@ class Overlay:
         orphans = list(node.children)
         for child in orphans:
             child.parent = None
-            if self.store is not None:
-                self.store.parent[child.node_id] = NO_PARENT
+            self.store.parent[child.node_id] = NO_PARENT
             self.chain_index.on_detach(child)
             child.rounds_without_parent = 0
             # Not counted in detach_count (orphaning is the departing
@@ -547,8 +486,7 @@ class Overlay:
                 self.probe.referral(child.node_id, grandparent.node_id, reason)
         node.children.clear()
         node.online = False
-        if self.store is not None:
-            self.store.online[node.node_id] = 0
+        self.store.online[node.node_id] = 0
         _remove_sorted(self._online, node)
         self.liveness_version += 1
         self.chain_index.touch(node)
@@ -560,8 +498,7 @@ class Overlay:
         if node.online:
             raise OfflineNodeError(f"{node!r} is already online")
         node.online = True
-        if self.store is not None:
-            self.store.online[node.node_id] = 1
+        self.store.online[node.node_id] = 1
         insort(self._online, node, key=_BY_NODE_ID)
         self.liveness_version += 1
         self.chain_index.touch(node)
@@ -597,8 +534,7 @@ class Overlay:
             self.walk_fragment_root(node)  # raises on cycles
         # Cross-validate the incremental structures against ground truth.
         self.chain_index.verify()
-        if self.store is not None:
-            self.store.verify(self)
+        self.store.verify(self)
         # Id reuse means the node table's insertion order is not id order;
         # the rosters' contract is id order, so compare against that.
         expected_consumers = sorted(

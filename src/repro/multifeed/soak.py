@@ -30,8 +30,8 @@ time-to-recover after the last disruption, the flash-crowded feed's
 before/after p99 and re-convergence time, and the cross-feed reuse
 metrics.  Every random draw comes from dedicated
 :class:`~repro.sim.rng.StreamFactory` streams, so a summary is a pure
-function of its :class:`SoakConfig` — bit-identical serially, under
-:mod:`repro.par` pooling, and across overlay backends.
+function of its :class:`SoakConfig` — bit-identical serially and under
+:mod:`repro.par` pooling.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ class SoakConfig:
 
     The summary is a pure function of this config: two processes given
     equal configs produce equal :class:`SoakSummary` objects, which is
-    what the serial-vs-pooled and backend-equivalence guards in
-    ``tests/test_soak.py`` pin.
+    what the serial-vs-pooled guard in ``tests/test_soak.py`` and the
+    golden ledger pin.
     """
 
     feed_ids: Tuple[str, ...] = ("news", "sports", "tech")
@@ -200,7 +200,6 @@ class SoakConfig:
     reuse_bias: float = 0.8
     recover_threshold: float = 0.9
     health_every: int = 5
-    backend: Optional[str] = None
     #: ``"rounds"`` (default) or ``"continuous:<profile>"``.  Continuous
     #: soaks route every feed's per-hop forwarding delay through the
     #: profile's geo latency model (keyed by consumer *name*, so one
@@ -481,7 +480,6 @@ class ServiceSoak:
             total_fanout_range=config.total_fanout_range,
             max_latency=config.max_latency,
             oracle_factory=reuse_oracle_factory(config.reuse_bias),
-            backend=config.backend,
         )
         streams = self.system.streams
         for overlay in self.system.overlays.values():

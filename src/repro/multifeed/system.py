@@ -84,7 +84,6 @@ class MultiFeedSystem:
         oracle_factory: Optional[OracleFactory] = None,
         protocol: Optional[ProtocolConfig] = None,
         correlated_latency: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if not feed_ids:
             raise ConfigurationError("need at least one feed")
@@ -147,9 +146,7 @@ class MultiFeedSystem:
             population, _ = repair_population(
                 source_fanout, population, self.streams.get(f"repair/{feed}")
             )
-            overlay = Overlay(
-                source_fanout=source_fanout, source_name=feed, backend=backend
-            )
+            overlay = Overlay(source_fanout=source_fanout, source_name=feed)
             nodes = overlay.add_population(population)
             self.overlays[feed] = overlay
             self._nodes[feed] = {node.name: node for node in nodes}

@@ -210,7 +210,6 @@ class MultipathSystem:
         protocol: Optional[ProtocolConfig] = None,
         algorithm: str = "hybrid",
         faults: Optional[FaultPlan] = None,
-        backend: Optional[str] = None,
         probe: Optional[Probe] = None,
     ) -> None:
         if paths < 1:
@@ -259,9 +258,7 @@ class MultipathSystem:
                 self.streams.get(f"repair/{path}"),
             )
             overlay = Overlay(
-                source_fanout=workload.source_fanout,
-                source_name=f"s{path}",
-                backend=backend,
+                source_fanout=workload.source_fanout, source_name=f"s{path}"
             )
             overlay.probe = self.probe
             nodes = overlay.add_population(population)
@@ -720,7 +717,6 @@ def delivery_under_failures(
     trials: int = 5,
     max_rounds: int = 4000,
     algorithm: str = "hybrid",
-    backend: Optional[str] = None,
 ) -> List[ResilienceRow]:
     """Build a k-path system and sweep random-failure fractions.
 
@@ -730,9 +726,7 @@ def delivery_under_failures(
     (stripe-interleaved split), so rows for different ``paths`` compare
     delivery at equal total capacity.
     """
-    system = MultipathSystem(
-        workload, paths=paths, seed=seed, algorithm=algorithm, backend=backend
-    )
+    system = MultipathSystem(workload, paths=paths, seed=seed, algorithm=algorithm)
     if not system.run(max_rounds=max_rounds):
         raise ConfigurationError("multipath system failed to converge")
     fail_rng = system.streams.get("failures")

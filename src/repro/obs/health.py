@@ -149,15 +149,16 @@ class HealthRecorder:
     # ------------------------------------------------------------------
 
     def _contribution(self, node) -> _Contribution:
-        entry = self.overlay.chain_index.entries[node.node_id]
+        store = self.overlay.store
+        i = node.node_id
         online = node.online
-        rooted = online and entry.rooted
+        rooted = online and bool(store.rooted[i])
         return (
             online,
             online and node.parent is None,
             rooted,
-            rooted and entry.depth <= node.latency,
-            entry.delay,
+            rooted and store.depth[i] <= node.latency,
+            store.delay[i],
             node.free_fanout,
         )
 

@@ -352,7 +352,7 @@ class StalenessAttributor:
         """Charge this round's aging; call once at the end of a round."""
         self.rounds = now
         overlay = self.overlay
-        entries = overlay.chain_index.entries
+        rooted_column, delay_column = overlay.store.rooted, overlay.store.delay
         ages = self._ages
         faults = self.faults
         outage = faults is not None and (
@@ -365,10 +365,8 @@ class StalenessAttributor:
             state = ages.get(node_id)
             if state is None:
                 state = ages[node_id] = _Age()
-            entry = entries[node_id]
-            if entry.rooted:
-                state.depth = entry.delay
-                state.age = entry.delay
+            if rooted_column[node_id]:
+                state.depth = state.age = delay_column[node_id]
                 state.reset_stalls()
                 continue
             state.age += 1

@@ -171,7 +171,7 @@ class ContinuousSimulation:
         last_check = self._last_check
         # One cell per id ever handed out (a negative count extends by
         # nothing).
-        last_check.extend([_AWAKE] * (overlay._next_id - len(last_check)))
+        last_check.extend([_AWAKE] * (overlay.store.capacity - len(last_check)))
         for node in overlay.online_consumers:
             if node in self._queued or last_check[node.node_id] >= 0:
                 continue

@@ -5,8 +5,8 @@ own moves.  This package widens the tested state space to adversarial
 ones, in the tradition of self-stabilizing overlay networks (e.g.
 Avatar, PAPERS.md): :mod:`repro.stabilize.corrupt` mangles a live
 overlay — orphaned subtrees, parent cycles, latency-violating rewires,
-stale chain-index entries, offline interior nodes — directly against
-either state backend, and :mod:`repro.stabilize.harness` runs the
+stale chain-index columns, offline interior nodes — directly, and
+:mod:`repro.stabilize.harness` runs the
 legitimate local reset (:func:`~repro.stabilize.harness.sanitize`)
 followed by ordinary protocol rounds until the overlay passes
 ``check_integrity()`` and every chain meets its latency constraint,
@@ -14,8 +14,7 @@ within an explicit round bound
 (:func:`~repro.stabilize.harness.round_bound`).
 
 The property suite in ``tests/test_stabilize.py`` asserts this for
-greedy and hybrid across all four oracle realizations and both
-backends.
+greedy and hybrid across all four oracle realizations.
 """
 
 from repro.stabilize.corrupt import (

@@ -2,19 +2,18 @@
 
 Self-stabilization is a claim about *arbitrary* states, so the
 corruptions here deliberately bypass the checked :class:`Overlay`
-mutators and write node links, liveness bits and chain-index entries
+mutators and write node links, liveness bits and chain-index columns
 directly — the resulting states violate invariants no protocol run
 could ever produce (cycles, fanout overflows, offline interior nodes
-with live edges, index entries that lie about the structure).
+with live edges, chain columns that lie about the structure).
 
-Two rules keep the corruption *representable* on both state backends:
+Two rules keep the corruption *representable*:
 
 * raw link writes keep ``parent`` pointers and ``children`` lists
-  mutually consistent and mirror the columnar ``parent`` / ``online`` /
-  ``n_children`` columns (on the object backend there are no columns
-  and the same code paths are no-ops), so a corrupted state means "the
-  overlay's invariants are broken", never "the backend's own storage is
-  out of sync with itself";
+  mutually consistent and mirror the store's ``parent`` / ``online`` /
+  ``n_children`` columns, so a corrupted state means "the overlay's
+  invariants are broken", never "the store is out of sync with its own
+  node views";
 * the source is never corrupted (it is the one fixed point every
   self-stabilizing overlay construction assumes).
 
@@ -29,6 +28,7 @@ import random
 from typing import Dict, Optional, Sequence, Set
 
 from repro.core.node import Node
+from repro.core.store import NO_PARENT
 from repro.core.tree import Overlay
 
 #: All corruption kinds, in application order.  Parent cycles go last so
@@ -54,19 +54,15 @@ def _raw_set_parent(
     child.parent = parent
     if parent is not None and child not in parent.children:
         parent.children.append(child)
-    if overlay.store is not None:
-        from repro.core.store import NO_PARENT
-
-        overlay.store.parent[child.node_id] = (
-            NO_PARENT if parent is None else parent.node_id
-        )
+    overlay.store.parent[child.node_id] = (
+        NO_PARENT if parent is None else parent.node_id
+    )
 
 
 def _raw_set_online(overlay: Overlay, node: Node, online: bool) -> None:
     """Flip liveness without detaching links or updating the roster."""
     node.online = online
-    if overlay.store is not None:
-        overlay.store.online[node.node_id] = 1 if online else 0
+    overlay.store.online[node.node_id] = 1 if online else 0
 
 
 def _in_subtree(root: Node, target: Node) -> bool:
@@ -122,18 +118,16 @@ def corrupt_overlay(
                 count += 1
         elif kind == "stale-index":
             victims = rng.sample(consumers, min(budget, len(consumers)))
-            entries = overlay.chain_index.entries
+            store = overlay.store
             for node in victims:
-                entry = entries.get(node.node_id)
-                if entry is None:
-                    continue
+                i = node.node_id
                 # Lie about everything derivable: claim the node roots
                 # its own fragment at a shifted depth/delay, flip
                 # rootedness.
-                entry.root = node
-                entry.depth = entry.depth + rng.randint(1, 4)
-                entry.delay = entry.delay + rng.randint(1, 5)
-                entry.rooted = not entry.rooted
+                store.root[i] = i
+                store.depth[i] += rng.randint(1, 4)
+                store.delay[i] += rng.randint(1, 5)
+                store.rooted[i] = 0 if store.rooted[i] else 1
             count = len(victims)
         elif kind == "offline-interior":
             interior = [

@@ -7,7 +7,7 @@ Three layers of guarantees:
    naive parent-chain walk (kept in-tree as ``Overlay.walk_*``), and the
    incrementally maintained rosters equal their refiltered definitions.
 2. ``check_integrity()`` cross-validates the index against the walks and
-   detects a deliberately corrupted entry.
+   detects a deliberately corrupted chain column.
 3. A golden-seed guard: seeded construction runs produce *identical*
    ``SimulationResult``s whether chain metadata is read through the index
    or through the reference walks (both algorithms, all four paper
@@ -141,7 +141,7 @@ class TestIntegrityCrossCheck:
         overlay.attach(a, overlay.source)
         overlay.attach(b, a)
         overlay.check_integrity()
-        overlay.chain_index.entries[b.node_id].depth = 99
+        overlay.store.depth[b.node_id] = 99
         with pytest.raises(TopologyError, match="diverged"):
             overlay.check_integrity()
 
@@ -150,7 +150,7 @@ class TestIntegrityCrossCheck:
         a = overlay.add_consumer(NodeSpec(latency=3, fanout=2))
         b = overlay.add_consumer(NodeSpec(latency=5, fanout=2))
         overlay.attach(a, overlay.source)
-        overlay.chain_index.entries[a.node_id].root = b
+        overlay.store.root[a.node_id] = b.node_id
         with pytest.raises(TopologyError, match="diverged"):
             overlay.check_integrity()
 
@@ -161,13 +161,62 @@ class TestIntegrityCrossCheck:
         assert overlay.delay_at(foreign) == other.delay_at(foreign)
         assert overlay.fragment_root(foreign) is foreign
 
+    def test_foreign_node_with_a_colliding_id_reads_its_own_chain(self):
+        """A node of another overlay whose id is in use here is foreign
+        all the same: the readers must not serve it the local node's
+        chain facts."""
+        a = Overlay(source_fanout=2)
+        a.add_consumer(NodeSpec(latency=3, fanout=2), "p")
+        q = a.add_consumer(NodeSpec(latency=3, fanout=2), "q")
+        a.attach(q, a.source)
+        b = Overlay(source_fanout=2)
+        y = b.add_consumer(NodeSpec(latency=3, fanout=2), "y")
+        z = b.add_consumer(NodeSpec(latency=1, fanout=2), "z")
+        b.attach(z, y)
+        assert z.node_id == q.node_id and z not in a
+        assert a.delay_at(z) == a.walk_delay_at(z) == 2
+        assert a.depth(z) == 1
+        assert not a.is_rooted(z)
+        assert a.fragment_root(z) is y
+        assert not a.meets_latency(z)
+
     def test_rebuild_recovers_from_corruption(self):
         overlay = Overlay(source_fanout=2)
         a = overlay.add_consumer(NodeSpec(latency=3, fanout=2))
         overlay.attach(a, overlay.source)
-        overlay.chain_index.entries[a.node_id].depth = 42
+        overlay.store.depth[a.node_id] = 42
         overlay.chain_index.rebuild()
         overlay.check_integrity()
+
+
+class TestChainColumnCorruption:
+    """Each chain column is audited: a lie in any one cell fails
+    ``check_integrity()``, and ``rebuild()`` heals it."""
+
+    @staticmethod
+    def _overlay() -> Overlay:
+        overlay = Overlay(source_fanout=2)
+        a = overlay.add_consumer(NodeSpec(latency=6, fanout=2), "a")
+        b = overlay.add_consumer(NodeSpec(latency=8, fanout=2), "b")
+        overlay.attach(a, overlay.source)
+        overlay.attach(b, a)
+        overlay.check_integrity()
+        return overlay
+
+    @pytest.mark.parametrize("column", ["root", "depth", "rooted", "delay"])
+    def test_a_lying_cell_is_caught_and_healed(self, column):
+        overlay = self._overlay()
+        b = overlay.node(2)
+        cells = getattr(overlay.store, column)
+        # b sits rooted at depth 2: root id 0 + 1 names its parent, and
+        # every other shifted or flipped cell is just as wrong.
+        i = b.node_id
+        cells[i] = 1 - cells[i] if column == "rooted" else cells[i] + 1
+        with pytest.raises(TopologyError, match="diverged"):
+            overlay.check_integrity()
+        overlay.chain_index.rebuild()
+        overlay.check_integrity()
+        assert overlay.delay_at(b) == overlay.walk_delay_at(b) == 2
 
 
 class TestGoldenSeedGuard:

@@ -550,7 +550,7 @@ class TestWakeOnViolation:
 
 
 class TestSerialVsPooledSweeps:
-    def test_continuous_sweep_is_identical_across_backends(self):
+    def test_continuous_sweep_is_identical_serial_and_pooled(self):
         from repro.par import make_executor, repeat_items
 
         config = dataclasses.replace(CONTINUOUS, max_rounds=150)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core import tree as tree_module
 from repro.core.convergence import (
     OverlayQuality,
     depth_histogram,
@@ -138,17 +137,9 @@ def _assert_scan_matches_reference(overlay):
     return quality
 
 
-@pytest.fixture(params=("columnar", "objects"))
-def backend(request, monkeypatch):
-    monkeypatch.setattr(tree_module, "DEFAULT_BACKEND", request.param)
-    return request.param
-
-
 class TestColumnReadScanEqualsTheReaderScan:
-    def test_small_tree(self, backend):
-        overlay = small_tree()
-        assert overlay.backend == backend
-        _assert_scan_matches_reference(overlay)
+    def test_small_tree(self):
+        _assert_scan_matches_reference(small_tree())
 
     @pytest.mark.parametrize("algorithm", ("greedy", "hybrid"))
     @pytest.mark.parametrize(
@@ -164,7 +155,7 @@ class TestColumnReadScanEqualsTheReaderScan:
         ),
         ids=("churned", "faulted", "churned+faulted"),
     )
-    def test_every_round_of_a_disturbed_run(self, backend, algorithm, scenario):
+    def test_every_round_of_a_disturbed_run(self, algorithm, scenario):
         workload, _ = rand_workload(size=60, seed=4, source_fanout=3)
         sim = Simulation(
             workload,
@@ -177,7 +168,6 @@ class TestColumnReadScanEqualsTheReaderScan:
                 **scenario,
             ),
         )
-        assert sim.overlay.backend == backend
         seen = set()
         for _ in range(45):
             sim.run_round()
@@ -189,9 +179,8 @@ class TestColumnReadScanEqualsTheReaderScan:
 
     @pytest.mark.parametrize("algorithm", ("greedy", "hybrid"))
     @pytest.mark.parametrize("seed", range(4))
-    def test_corrupted_then_sanitized(self, backend, algorithm, seed):
+    def test_corrupted_then_sanitized(self, algorithm, seed):
         overlay = make("Rand", size=50, seed=seed).build_overlay()
-        assert overlay.backend == backend
         converge(overlay, algorithm=algorithm, seed=seed, max_rounds=400)
         _assert_scan_matches_reference(overlay)
         corrupt_overlay(overlay, random.Random(seed))

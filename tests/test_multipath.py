@@ -3,8 +3,8 @@
 Covers the enforced-disjointness guarantee (edge policy + oracle +
 overlap repair), fault-plan composition across paths, system-level
 recovery metrics, the resilience payoff at equal fanout budget, and the
-golden-seed determinism guards (backend equality and serial-vs-pooled
-sweep equality).
+golden-seed determinism guards (same-seed repeatability and
+serial-vs-pooled sweep equality).
 """
 
 import dataclasses
@@ -251,15 +251,14 @@ class TestFaultComposition:
 
 
 class TestDeterminism:
-    """Golden-seed guards: backends and executors must agree exactly."""
+    """Golden-seed guards: reruns and executors must agree exactly."""
 
-    def run_once(self, backend=None):
+    def run_once(self):
         workload = make_workload("Rand", size=30, seed=5)
         system = MultipathSystem(
             workload,
             paths=2,
             seed=5,
-            backend=backend,
             faults=parse_fault_plan("crash@40:0.2:rejoin=10"),
         )
         system.run(max_rounds=200)
@@ -279,11 +278,6 @@ class TestDeterminism:
 
     def test_same_seed_reproduces(self):
         self.assert_results_equal(self.run_once(), self.run_once())
-
-    def test_columnar_equals_objects(self):
-        self.assert_results_equal(
-            self.run_once(backend="columnar"), self.run_once(backend="objects")
-        )
 
     def test_serial_equals_pooled_sweep(self):
         config = SimulationConfig(

@@ -151,9 +151,7 @@ class TestHealthRecorder:
         overlay = simulation.overlay
         online = [n for n in overlay.consumers if n.online]
         assert last.online == len(online)
-        assert last.rooted == sum(
-            1 for n in online if overlay.chain_index.entries[n.node_id].rooted
-        )
+        assert last.rooted == sum(1 for n in online if overlay.is_rooted(n))
         assert last.orphans == sum(
             1 for n in online if n.parent is None
         )
@@ -236,38 +234,37 @@ class TestHealthRecorder:
 
 class TestWatchSets:
     def test_every_watcher_sees_every_touched_id(self):
-        for backend in ("columnar", "objects"):
-            overlay = Overlay(source_fanout=2, backend=backend)
-            a, b, c = (
-                overlay.add_consumer(NodeSpec(latency=5, fanout=2))
-                for _ in range(3)
-            )
-            first = overlay.chain_index.watch()
-            second = overlay.chain_index.watch()
-            overlay.attach(b, a)
-            overlay.attach(c, b)
-            assert first == second == {a.node_id, b.node_id, c.node_id}
-            first.clear()  # one consumer drains; the other keeps its ids
-            overlay.attach(a, overlay.source)  # shifts the whole chain
-            assert first == {0, a.node_id, b.node_id, c.node_id}
-            assert second == first
-            first.clear()
-            second.clear()
-            overlay.go_offline(b)
-            assert first == second == {a.node_id, b.node_id, c.node_id}
-            first.clear()
-            overlay.go_online(b)
-            assert first == {b.node_id}
-            newcomer = overlay.add_consumer(NodeSpec(latency=5, fanout=0))
-            assert newcomer.node_id in first
-            first.clear()
-            overlay.go_offline(newcomer)
-            overlay.remove_consumer(newcomer)
-            assert first == {newcomer.node_id}
-            first.clear()
-            overlay.chain_index.rebuild()
-            assert first == {n.node_id for n in overlay}
-            overlay.check_integrity()
+        overlay = Overlay(source_fanout=2)
+        a, b, c = (
+            overlay.add_consumer(NodeSpec(latency=5, fanout=2))
+            for _ in range(3)
+        )
+        first = overlay.chain_index.watch()
+        second = overlay.chain_index.watch()
+        overlay.attach(b, a)
+        overlay.attach(c, b)
+        assert first == second == {a.node_id, b.node_id, c.node_id}
+        first.clear()  # one consumer drains; the other keeps its ids
+        overlay.attach(a, overlay.source)  # shifts the whole chain
+        assert first == {0, a.node_id, b.node_id, c.node_id}
+        assert second == first
+        first.clear()
+        second.clear()
+        overlay.go_offline(b)
+        assert first == second == {a.node_id, b.node_id, c.node_id}
+        first.clear()
+        overlay.go_online(b)
+        assert first == {b.node_id}
+        newcomer = overlay.add_consumer(NodeSpec(latency=5, fanout=0))
+        assert newcomer.node_id in first
+        first.clear()
+        overlay.go_offline(newcomer)
+        overlay.remove_consumer(newcomer)
+        assert first == {newcomer.node_id}
+        first.clear()
+        overlay.chain_index.rebuild()
+        assert first == {n.node_id for n in overlay}
+        overlay.check_integrity()
 
 
 class TestFeedSpans:
@@ -303,13 +300,12 @@ class TestFeedSpans:
         engine, tracer, _ = self.traced_delivery()
         overlay = engine.overlay
         for node in overlay.consumers:
-            entry = overlay.chain_index.entries[node.node_id]
-            if not entry.rooted:
+            if not overlay.is_rooted(node):
                 continue
             attribution = tracer.attribute(node.node_id, 0)
             if attribution is None:
                 continue
-            assert attribution.hops == entry.delay - 1
+            assert attribution.hops == overlay.delay_at(node) - 1
 
     def test_tracing_never_changes_the_delivery(self):
         def run(tracer):
@@ -405,14 +401,13 @@ class TestStalenessAttributor:
         config = churned_config(attribution=True, seed=3)
         simulation = Simulation(make("Rand", size=100, seed=3), config)
         simulation.run()
-        entries = simulation.overlay.chain_index.entries
-        for node in simulation.overlay.online_consumers:
-            entry = entries[node.node_id]
-            if not entry.rooted:
+        overlay = simulation.overlay
+        for node in overlay.online_consumers:
+            if not overlay.is_rooted(node):
                 continue
             row = simulation.attributor.breakdown(node.node_id)
-            assert row["staleness"] == entry.delay
-            assert row["depth"] == entry.delay
+            assert row["staleness"] == overlay.delay_at(node)
+            assert row["depth"] == overlay.delay_at(node)
             assert all(row[bucket] == 0 for bucket in STALL_BUCKETS)
 
     def test_outage_rounds_are_charged_to_outage_stall(self):

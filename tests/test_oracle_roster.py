@@ -4,13 +4,13 @@ Three guarantees:
 
 1. **The roster is exact.**  After any sequence of checked mutations —
    attach / detach / go_offline / go_online / add / remove with id
-   reuse — on either backend, ``ChainIndex.delay_roster()`` equals a
+   reuse — ``ChainIndex.delay_roster()`` equals a
    from-scratch scan off the reference walk (hypothesis property).
 2. **The draw is unchanged.**  ``sample`` over the bitset returns, RNG
    state for RNG state, what the former O(N) list scan returned.  The
    scan is written out below as the reference and run on a twin RNG.
 3. **A lying roster is caught and healed** by the same paths that guard
-   the chain entries: ``check_integrity()``, ``rebuild()``, and the
+   the chain columns: ``check_integrity()``, ``rebuild()``, and the
    ``repro.stabilize`` sanitize pass.
 """
 
@@ -33,8 +33,6 @@ from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.stabilize.harness import sanitize
 from repro.workloads import make
-
-BACKENDS = ("columnar", "objects")
 
 
 def scanned_roster(overlay: Overlay) -> dict:
@@ -82,12 +80,11 @@ class TestKthSetBit:
 
 
 class TestRosterTracksMutations:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @given(seed=st.integers(0, 10_000), steps=st.integers(10, 70))
     @settings(max_examples=40, deadline=None)
-    def test_roster_equals_scan_after_every_step(self, backend, seed, steps):
+    def test_roster_equals_scan_after_every_step(self, seed, steps):
         rng = random.Random(seed)
-        overlay = Overlay(source_fanout=rng.randint(1, 3), backend=backend)
+        overlay = Overlay(source_fanout=rng.randint(1, 3))
         for _ in range(rng.randint(2, 8)):
             overlay.add_consumer(NodeSpec(latency=5, fanout=rng.randint(0, 3)))
         assert kept_roster(overlay) == scanned_roster(overlay)  # first read
@@ -122,7 +119,7 @@ class TestRosterTracksMutations:
                     overlay.go_offline(node, graceful=rng.random() < 0.5)
                 else:
                     overlay.go_online(node)
-            else:  # remove for good; the columnar backend recycles the id
+            else:  # remove for good; the store recycles the id
                 node = rng.choice(consumers)
                 if node.online:
                     overlay.go_offline(node)
@@ -278,9 +275,8 @@ class TestSampleDrawForDraw:
 
 
 class TestRosterIntegrity:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_corruption_is_caught_and_healed(self, backend):
-        overlay = Overlay(source_fanout=2, backend=backend)
+    def test_corruption_is_caught_and_healed(self):
+        overlay = Overlay(source_fanout=2)
         nodes = [
             overlay.add_consumer(NodeSpec(latency=4, fanout=2)) for _ in range(6)
         ]

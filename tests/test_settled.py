@@ -7,7 +7,7 @@ chain next changes.  Both clocks lean on it: the round sweeps visit only
 Four guarantees:
 
 1. **Soundness** — on random mutation sequences, for every registered
-   algorithm (eager ablations included) on both backends, a settled
+   algorithm (eager ablations included), a settled
    node's ``maintain`` is a no-op on the parent map, the protocol
    counters and the probe stream.  This is what catches a subclass that
    swaps the rule but inherits the other rule's predicate.
@@ -56,7 +56,6 @@ from repro.stabilize.harness import converge, sanitize
 from repro.workloads import make
 
 SHIPPED = ("greedy", "hybrid", "greedy-eager", "hybrid-eager")
-BACKENDS = ("columnar", "objects")
 
 
 def _polled(name: str) -> str:
@@ -112,9 +111,9 @@ def _assert_settled_nodes_are_quiet(algorithm, overlay, probe) -> None:
         assert _observable_state(overlay, probe) == before, node
 
 
-def _mutate_and_check(algorithm_name: str, backend: str, seed: int, steps: int):
+def _mutate_and_check(algorithm_name: str, seed: int, steps: int):
     rng = random.Random(seed)
-    overlay = Overlay(source_fanout=rng.randint(1, 3), backend=backend)
+    overlay = Overlay(source_fanout=rng.randint(1, 3))
     probe = RecordingProbe()
     overlay.probe = probe
 
@@ -183,14 +182,11 @@ def _mutate_and_check(algorithm_name: str, backend: str, seed: int, steps: int):
 
 
 class TestSettledIsSound:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", SHIPPED)
     @given(seed=st.integers(0, 100_000), steps=st.integers(10, 60))
     @settings(max_examples=25, deadline=None)
-    def test_settled_implies_maintain_is_a_no_op(
-        self, algorithm, backend, seed, steps
-    ):
-        _mutate_and_check(algorithm, backend, seed, steps)
+    def test_settled_implies_maintain_is_a_no_op(self, algorithm, seed, steps):
+        _mutate_and_check(algorithm, seed, steps)
 
     @given(data=st.data(), seed=st.integers(0, 100_000))
     @settings(max_examples=40, deadline=None)
@@ -204,8 +200,7 @@ class TestSettledIsSound:
             if "step" not in vars(cls)
         )
         algorithm = data.draw(st.sampled_from(names))
-        backend = data.draw(st.sampled_from(BACKENDS))
-        _mutate_and_check(algorithm, backend, seed, 30)
+        _mutate_and_check(algorithm, seed, 30)
 
     def test_an_inherited_predicate_would_be_caught(self):
         """The failure the property exists for: the eager rule under the
@@ -219,7 +214,7 @@ class TestSettledIsSound:
         try:
             with pytest.raises(AssertionError):
                 for seed in range(40):
-                    _mutate_and_check("wrong-predicate", "columnar", seed, 40)
+                    _mutate_and_check("wrong-predicate", seed, 40)
         finally:
             del ALGORITHMS["wrong-predicate"]
 
@@ -291,135 +286,23 @@ class TestPredicateIsTiedToTheRule:
             def maintain(self, node):
                 return False
 
-        for backend in BACKENDS:
-            overlay = Overlay(source_fanout=2, backend=backend)
-            nodes = [
-                overlay.add_consumer(NodeSpec(latency=4, fanout=2))
-                for _ in range(6)
-            ]
-            overlay.attach(nodes[0], overlay.source)
-            overlay.attach(nodes[1], nodes[0])
-            overlay.attach(nodes[3], nodes[2])  # an unrooted pair
-            oracle = make_oracle("random", overlay, random.Random(0))
-            swapped = Swapped(overlay, oracle)
-            shipped = GreedyConstruction(overlay, oracle)
-            assert "settled" not in vars(swapped)
-            assert "settled" not in vars(shipped)
-            assert all(shipped.settled(node) for node in nodes)
-            assert not any(swapped.settled(node) for node in overlay)
-            assert list(swapped.due(nodes)) == nodes
-            assert list(shipped.due(nodes)) == [nodes[2], nodes[4], nodes[5]]
-
-
-# ----------------------------------------------------------------------
-# 2b. one predicate, two state layouts
-# ----------------------------------------------------------------------
-
-
-def _settled_by_name(algorithm, overlay):
-    return {node.name: algorithm.settled(node) for node in overlay}
-
-
-def _mutate_in_lockstep(algorithm_name: str, seed: int, steps: int):
-    """One seeded mutation sequence applied to a columnar and an objects
-    overlay, node for node by *name* (the two backends hand out ids
-    differently once ids are recycled); after every mutation the
-    predicate must answer alike on both."""
-    rng = random.Random(seed)
-    source_fanout = rng.randint(1, 3)
-    overlays = [Overlay(source_fanout=source_fanout, backend=b) for b in BACKENDS]
-    algorithms = [
-        ALGORITHMS[algorithm_name](
-            overlay, make_oracle("random", overlay, random.Random(seed + 1))
-        )
-        for overlay in overlays
-    ]
-    names = []  # live consumers, in creation order
-    created = 0
-
-    def twins(name):
-        """The node of that name in each overlay (``None``: the source)."""
-        if name is None:
-            return [overlay.source for overlay in overlays]
-        return [
-            next(n for n in overlay.consumers if n.name == name)
-            for overlay in overlays
+        overlay = Overlay(source_fanout=2)
+        nodes = [
+            overlay.add_consumer(NodeSpec(latency=4, fanout=2))
+            for _ in range(6)
         ]
-
-    def newcomer():
-        nonlocal created
-        created += 1
-        spec = NodeSpec(latency=rng.randint(1, 4), fanout=rng.randint(0, 3))
-        for overlay in overlays:
-            overlay.add_consumer(spec, name=f"n{created}")
-        names.append(f"n{created}")
-
-    for _ in range(rng.randint(3, 9)):
-        newcomer()
-    for _ in range(steps):
-        op = rng.choice(
-            ("attach", "attach", "attach", "detach", "churn", "add", "remove",
-             "maintain", "maintain")
-        )
-        if op == "add" or not names:
-            newcomer()
-        elif op == "attach":
-            children = twins(rng.choice(names))
-            parents = twins(rng.choice(names + [None]))
-            for overlay, child, parent in zip(overlays, children, parents):
-                if (
-                    child.online
-                    and parent.online
-                    and child.parent is None
-                    and parent is not child
-                    and parent.free_fanout > 0
-                    and not overlay.is_descendant(parent, child)
-                ):
-                    overlay.attach(child, parent)
-        elif op == "detach":
-            name = rng.choice(names)
-            for overlay, node in zip(overlays, twins(name)):
-                if node.parent is not None:
-                    overlay.detach(node)
-        elif op == "churn":
-            name = rng.choice(names)
-            graceful = rng.random() < 0.5
-            for overlay, node in zip(overlays, twins(name)):
-                if node.online:
-                    overlay.go_offline(node, graceful=graceful)
-                else:
-                    overlay.go_online(node)
-        elif op == "remove":
-            name = rng.choice(names)
-            for overlay, node in zip(overlays, twins(name)):
-                if node.online:
-                    overlay.go_offline(node)
-                overlay.remove_consumer(node)
-            names.remove(name)
-        else:
-            # The rule moves the damping counter the hybrid predicate
-            # reads, and detaches.
-            name = rng.choice(names)
-            outcomes = [
-                algorithm.maintain(node)
-                for algorithm, node in zip(algorithms, twins(name))
-            ]
-            assert outcomes[0] == outcomes[1]
-        columnar, objects = (
-            _settled_by_name(algorithm, overlay)
-            for algorithm, overlay in zip(algorithms, overlays)
-        )
-        assert columnar == objects
-    for overlay in overlays:
-        overlay.check_integrity()
-
-
-class TestColumnarAndObjectsAgree:
-    @pytest.mark.parametrize("algorithm", SHIPPED)
-    @given(seed=st.integers(0, 100_000), steps=st.integers(10, 60))
-    @settings(max_examples=25, deadline=None)
-    def test_settled_answers_alike_on_both_backends(self, algorithm, seed, steps):
-        _mutate_in_lockstep(algorithm, seed, steps)
+        overlay.attach(nodes[0], overlay.source)
+        overlay.attach(nodes[1], nodes[0])
+        overlay.attach(nodes[3], nodes[2])  # an unrooted pair
+        oracle = make_oracle("random", overlay, random.Random(0))
+        swapped = Swapped(overlay, oracle)
+        shipped = GreedyConstruction(overlay, oracle)
+        assert "settled" not in vars(swapped)
+        assert "settled" not in vars(shipped)
+        assert all(shipped.settled(node) for node in nodes)
+        assert not any(swapped.settled(node) for node in overlay)
+        assert list(swapped.due(nodes)) == nodes
+        assert list(shipped.due(nodes)) == [nodes[2], nodes[4], nodes[5]]
 
 
 class TestDueReadsLiveState:
@@ -674,7 +557,7 @@ class TestLivenessCounter:
         sim.run_round()
         assert victim.node_id not in directory._records
         heir = sim.overlay.add_consumer(NodeSpec(latency=9, fanout=2))
-        assert heir.node_id == victim.node_id  # the columnar store recycles
+        assert heir.node_id == victim.node_id  # the store recycles ids
         sim.run_round()
         assert directory._records[heir.node_id].node_id == heir.node_id
         sim.overlay.check_integrity()

@@ -227,11 +227,6 @@ class TestDeterminism:
         assert all(outcome.ok for outcome in outcomes)
         assert [outcome.value for outcome in outcomes] == serial
 
-    def test_columnar_equals_objects(self):
-        objects = run_soak(quick_config(backend="objects"))
-        columnar = run_soak(quick_config(backend="columnar"))
-        assert objects == columnar
-
     def test_null_fault_plan_equals_no_plan(self):
         bare = run_soak(quick_config(faults=None))
         nulled = run_soak(quick_config(faults=NullFaultPlan()))

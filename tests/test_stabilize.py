@@ -6,12 +6,12 @@ fanout overflows, lying index entries, offline interior nodes), one
 local reset (:func:`~repro.stabilize.harness.sanitize`) followed by
 ordinary protocol rounds re-converges within the documented bound
 (:func:`~repro.stabilize.harness.round_bound`), for greedy AND hybrid,
-under all four oracle realizations, on both state backends, with
-``Overlay.check_integrity()`` holding at the end.
+under all four oracle realizations, with ``Overlay.check_integrity()``
+holding at the end.
 
 Hypothesis drives the corruption seed and intensity; the full
-(algorithm × realization × backend) matrix is parametrized so a failure
-names its cell exactly.
+(algorithm × realization) matrix is parametrized so a failure names its
+cell exactly.
 """
 
 import random
@@ -34,7 +34,6 @@ from repro.workloads import make as make_workload
 
 SIZE = 24
 REALIZATIONS = ("omniscient", "dht", "sharded", "random-walk")
-BACKENDS = ("objects", "columnar")
 
 
 def oracle_for(realization):
@@ -42,10 +41,10 @@ def oracle_for(realization):
     return "random" if realization == "random-walk" else "random-delay"
 
 
-def converged_overlay(algorithm, realization, backend, seed=3):
+def converged_overlay(algorithm, realization, seed=3):
     """A freshly built, converged overlay to corrupt."""
     workload = make_workload("Rand", size=SIZE, seed=seed)
-    overlay = Overlay(source_fanout=workload.source_fanout, backend=backend)
+    overlay = Overlay(source_fanout=workload.source_fanout)
     overlay.add_population(workload.population)
     ok, _ = converge(
         overlay,
@@ -61,7 +60,7 @@ def converged_overlay(algorithm, realization, backend, seed=3):
 
 class TestCorruptionGenerator:
     def test_corruption_breaks_integrity(self):
-        overlay = converged_overlay("hybrid", "omniscient", "columnar")
+        overlay = converged_overlay("hybrid", "omniscient")
         applied = corrupt_overlay(overlay, random.Random(7))
         assert set(applied) == set(CORRUPTION_KINDS)
         assert all(count > 0 for count in applied.values())
@@ -71,7 +70,7 @@ class TestCorruptionGenerator:
     def test_corruption_is_deterministic(self):
         snapshots = []
         for _ in range(2):
-            overlay = converged_overlay("hybrid", "omniscient", "columnar")
+            overlay = converged_overlay("hybrid", "omniscient")
             corrupt_overlay(overlay, random.Random(11))
             snapshots.append(
                 [
@@ -82,29 +81,28 @@ class TestCorruptionGenerator:
         assert snapshots[0] == snapshots[1]
 
     def test_source_never_corrupted(self):
-        overlay = converged_overlay("hybrid", "omniscient", "objects")
+        overlay = converged_overlay("hybrid", "omniscient")
         corrupt_overlay(overlay, random.Random(5))
         assert overlay.source.online
         assert overlay.source.parent is None
 
     def test_unknown_kind_rejected(self):
-        overlay = converged_overlay("hybrid", "omniscient", "columnar")
+        overlay = converged_overlay("hybrid", "omniscient")
         with pytest.raises(ValueError):
             corrupt_overlay(overlay, random.Random(0), kinds=("nope",))
 
 
 class TestSanitize:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", ["greedy", "hybrid"])
-    def test_sanitize_restores_integrity(self, algorithm, backend):
-        overlay = converged_overlay(algorithm, "omniscient", backend)
+    def test_sanitize_restores_integrity(self, algorithm):
+        overlay = converged_overlay(algorithm, "omniscient")
         corrupt_overlay(overlay, random.Random(23))
         report = sanitize(overlay, algorithm=algorithm)
         overlay.check_integrity()  # raises on any surviving violation
         assert report.roster_fixes + report.offline_severed >= 0
 
     def test_sanitize_never_attaches(self):
-        overlay = converged_overlay("hybrid", "omniscient", "columnar")
+        overlay = converged_overlay("hybrid", "omniscient")
         corrupt_overlay(overlay, random.Random(3))
         before = {
             n.name: (n.parent.name if n.parent else None)
@@ -116,7 +114,7 @@ class TestSanitize:
                 assert before[node.name] == node.parent.name
 
     def test_greedy_sanitize_restores_edge_invariant(self):
-        overlay = converged_overlay("greedy", "omniscient", "columnar")
+        overlay = converged_overlay("greedy", "omniscient")
         corrupt_overlay(overlay, random.Random(29))
         sanitize(overlay, algorithm="greedy")
         for node in overlay.consumers:
@@ -130,17 +128,14 @@ class StabilizeMatrix:
 
     algorithm = None
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("realization", REALIZATIONS)
     @settings(max_examples=5, deadline=None)
     @given(
         corruption_seed=st.integers(min_value=0, max_value=2**16),
         intensity=st.floats(min_value=0.1, max_value=0.6),
     )
-    def test_converges_within_bound(
-        self, realization, backend, corruption_seed, intensity
-    ):
-        overlay = converged_overlay(self.algorithm, realization, backend)
+    def test_converges_within_bound(self, realization, corruption_seed, intensity):
+        overlay = converged_overlay(self.algorithm, realization)
         corrupt_overlay(
             overlay, random.Random(corruption_seed), intensity=intensity
         )
@@ -153,7 +148,7 @@ class StabilizeMatrix:
         )
         assert outcome.bound == round_bound(len(overlay.online_consumers))
         assert outcome.converged, (
-            f"{self.algorithm}/{realization}/{backend} did not re-converge "
+            f"{self.algorithm}/{realization} did not re-converge "
             f"within {outcome.bound} rounds (seed {corruption_seed})"
         )
         assert outcome.rounds <= outcome.bound
@@ -169,24 +164,3 @@ class TestStabilizeGreedy(StabilizeMatrix):
 
 class TestStabilizeHybrid(StabilizeMatrix):
     algorithm = "hybrid"
-
-
-class TestBackendAgreement:
-    def test_stabilize_identical_across_backends(self):
-        """Same corruption + recovery on both backends, bit-identical."""
-        outcomes = []
-        finals = []
-        for backend in BACKENDS:
-            overlay = converged_overlay("hybrid", "omniscient", backend)
-            corrupt_overlay(overlay, random.Random(99))
-            outcomes.append(
-                stabilize(overlay, algorithm="hybrid", seed=99)
-            )
-            finals.append(
-                sorted(
-                    (n.name, n.parent.name if n.parent else None)
-                    for n in overlay.consumers
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-        assert finals[0] == finals[1]

@@ -36,9 +36,7 @@ from repro.workloads.random_workload import rand_workload
 
 
 def columnar_overlay(source_fanout: int = 3) -> Overlay:
-    overlay = Overlay(source_fanout=source_fanout, backend="columnar")
-    assert overlay.store is not None
-    return overlay
+    return Overlay(source_fanout=source_fanout)
 
 
 SPEC = NodeSpec(latency=5, fanout=2)
