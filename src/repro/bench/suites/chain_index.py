@@ -1,50 +1,22 @@
-"""Chain-index benchmark: indexed vs walk-on-read rounds/sec.
+"""Chain-index benchmark: rounds/sec of a churned construction.
 
-The registry port of ``benchmarks/perf_chain_index.py`` (which is now a
-thin CLI wrapper over this module).  One churned construction workload
-is run twice — once with the production
-:class:`~repro.core.index.ChainIndex` reads, once with every
-chain-metadata read routed through the in-tree reference walk
-(``Overlay.walk_*``) — and the speedup is reported.  Seeded runs are
-bit-identical either way, so the suite hard-fails if any end-state
-statistic ever diverges between the two modes.
+One seeded churned construction runs for a fixed number of rounds on the
+production :class:`~repro.core.index.ChainIndex` reads and reports its
+throughput and seeded end-state satisfaction.  The walk-on-read
+reference stays as ``Overlay.walk_*``, audited by ``check_integrity()``
+and the golden-seed guard in ``tests/test_chain_index.py``.
 
-Scales: full N=2000 × 80 rounds (the committed ``BENCH_chain_index.json``
-numbers), quick N=300 × 8 rounds (CI smoke).
+Scales: full N=2000 × 80 rounds, quick N=300 × 8 rounds (CI smoke).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import List, Tuple
 
 from repro.bench.registry import BenchContext, BenchResult, Metric, register
-from repro.core.tree import Overlay
-from repro.par import Task, make_executor
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig
 from repro.workloads.random_workload import rand_workload
-
-#: Overlay readers swapped for their ``walk_*`` reference twins in
-#: baseline mode (mirrors tests/test_chain_index.py's golden guard).
-WALKED_READS = ("fragment_root", "depth", "is_rooted", "delay_at", "meets_latency")
-
-#: End-state statistics that must be identical between the two modes.
-INVARIANT_KEYS = ("attaches", "detaches", "satisfied_fraction")
-
-
-@contextmanager
-def walk_on_read():
-    """Temporarily route all chain-metadata reads through the walks."""
-    saved = {name: getattr(Overlay, name) for name in WALKED_READS}
-    try:
-        for name in WALKED_READS:
-            setattr(Overlay, name, getattr(Overlay, f"walk_{name}"))
-        yield
-    finally:
-        for name, method in saved.items():
-            setattr(Overlay, name, method)
 
 
 def run_rounds(
@@ -74,59 +46,6 @@ def run_rounds(
     }
 
 
-def run_rounds_walked(
-    population: int, rounds: int, seed: int, algorithm: str, oracle: str
-) -> dict:
-    """:func:`run_rounds` with the walk patch applied inside the worker."""
-    with walk_on_read():
-        return run_rounds(population, rounds, seed, algorithm, oracle)
-
-
-def run_modes(
-    population: int,
-    rounds: int,
-    seed: int,
-    algorithm: str,
-    oracle: str,
-    workers: int = 0,
-    skip_walk: bool = False,
-) -> Tuple[dict, dict, List[str]]:
-    """Run the indexed (and unless skipped, walked) modes.
-
-    ``workers > 1`` dispatches the two modes as :mod:`repro.par` tasks
-    in separate worker processes (the walk patch is applied inside the
-    worker, so it never leaks into the indexed run).  Returns
-    ``(indexed, walked_or_None, failures)``.
-    """
-    mode_args = (population, rounds, seed, algorithm, oracle)
-    failures: List[str] = []
-    walked = None
-    if workers > 1 and not skip_walk:
-        modes = make_executor(workers).run_tasks(
-            [
-                Task(run_rounds, mode_args, label="indexed"),
-                Task(run_rounds_walked, mode_args, label="walked"),
-            ]
-        )
-        for mode in modes:
-            if not mode.ok:
-                failures.append(f"mode failed: {mode.error}")
-        if failures:
-            return {}, {}, failures
-        indexed, walked = modes[0].value, modes[1].value
-    else:
-        indexed = run_rounds(*mode_args)
-        if not skip_walk:
-            walked = run_rounds_walked(*mode_args)
-    if walked is not None:
-        # Seeded runs are bit-identical either way (the golden guard);
-        # double-check the bench never compares apples to oranges.
-        for key in INVARIANT_KEYS:
-            if indexed[key] != walked[key]:
-                failures.append(f"{key} diverged between indexed and walked")
-    return indexed, walked, failures
-
-
 @register(
     "chain_index.churn",
     tags=("core", "index", "perf"),
@@ -135,13 +54,7 @@ def run_modes(
             unit="rounds/s",
             higher_is_better=True,
             tolerance=0.35,
-            description="indexed-mode construction throughput",
-        ),
-        "speedup": Metric(
-            unit="x",
-            higher_is_better=True,
-            tolerance=0.30,
-            description="indexed over walk-on-read rounds/sec",
+            description="churned construction throughput",
         ),
         "satisfied_fraction": Metric(
             higher_is_better=True,
@@ -150,7 +63,7 @@ def run_modes(
             description="end-state constraint satisfaction (seeded, exact)",
         ),
     },
-    description="ChainIndex vs walk-on-read on a churned construction",
+    description="ChainIndex-backed churned construction",
 )
 def chain_index_churn(ctx: BenchContext) -> BenchResult:
     population = int(ctx.opt("population", 300 if ctx.quick else 2000))
@@ -158,22 +71,11 @@ def chain_index_churn(ctx: BenchContext) -> BenchResult:
     seed = int(ctx.opt("seed", 0))
     algorithm = str(ctx.opt("algorithm", "hybrid"))
     oracle = str(ctx.opt("oracle", "random-delay"))
-    skip_walk = bool(ctx.opt("skip_walk", False))
-    indexed, walked, failures = run_modes(
-        population,
-        rounds,
-        seed,
-        algorithm,
-        oracle,
-        workers=ctx.workers,
-        skip_walk=skip_walk,
-    )
-    metrics = {}
-    if indexed:
-        metrics["rounds_per_sec"] = indexed["rounds_per_sec"]
-        metrics["satisfied_fraction"] = indexed["satisfied_fraction"]
-    if walked:
-        metrics["speedup"] = indexed["rounds_per_sec"] / walked["rounds_per_sec"]
+    indexed = run_rounds(population, rounds, seed, algorithm, oracle)
+    metrics = {
+        "rounds_per_sec": indexed["rounds_per_sec"],
+        "satisfied_fraction": indexed["satisfied_fraction"],
+    }
     detail = {
         "benchmark": "chain_index",
         "population": population,
@@ -182,9 +84,6 @@ def chain_index_churn(ctx: BenchContext) -> BenchResult:
         "algorithm": algorithm,
         "oracle": oracle,
         "churn": True,
-        "workers": ctx.workers,
-        "indexed": indexed or None,
-        "walked": walked,
-        "speedup": metrics.get("speedup"),
+        "indexed": indexed,
     }
-    return BenchResult(metrics=metrics, detail=detail, failures=tuple(failures))
+    return BenchResult(metrics=metrics, detail=detail)
