@@ -4,7 +4,8 @@ Every entry is recomputed here from its scenario in
 ``tools/golden_ledger.py`` (imported by path, like the link checker), so
 a change that moves a pinned seeded outcome fails tier-1.  The last test
 checks the pin is sharp: one perturbed draw of the round-order kernel
-moves a churned scenario's digest.
+moves the digest of a churned construction and of a sequentially built
+multi-feed system.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.multifeed.system  # noqa: F401 - binds the kernel step_feed calls
 import repro.sim.rng
 import repro.sim.runner  # noqa: F401 - binds the kernel the round sweep calls
 
@@ -58,7 +60,8 @@ def test_entry(name, seed, run):
 
 def test_a_perturbed_draw_moves_a_digest(monkeypatch):
     """Swap the first two outputs of every round-order shuffle: the
-    churned scenario must hash differently."""
+    churned construction and the sequential multi-feed build must each
+    hash differently."""
     shuffle = repro.sim.rng.shuffle
 
     def perturbed(rng, items):
@@ -69,6 +72,9 @@ def test_a_perturbed_draw_moves_a_digest(monkeypatch):
     for module in list(sys.modules.values()):
         if getattr(module, "shuffle", None) is shuffle:
             monkeypatch.setattr(module, "shuffle", perturbed)
-    name = "construction/churn/hybrid/random"
-    (seed, run), = [(s, r) for n, s, r in SCENARIOS if n == name]
-    assert ledger_tool.digest(run(seed)) != RECORDED[name][str(seed)]
+    for name in (
+        "construction/churn/hybrid/random",
+        "multifeed/run_sequential/reuse",
+    ):
+        (seed, run), = [(s, r) for n, s, r in SCENARIOS if n == name]
+        assert ledger_tool.digest(run(seed)) != RECORDED[name][str(seed)], name

@@ -21,6 +21,17 @@ outlives either side of it:
 * a corrupted overlay's self-stabilization (the outcome plus the sorted
   final parent map).
 
+Beside those, one row per round loop the layouts never split, so every
+loop that drives the construction rules is pinned:
+
+* the continuous clock on ``geo-3region``, as a static build and under
+  churn plus a fault plan;
+* the rounds clock with ``AsynchronyConfig(1, 4)`` under churn;
+* a static greedy build stopped at convergence (the paper grid's path);
+* a reuse-biased multi-feed system driven by ``run()`` and by
+  ``run_sequential()`` (convergence by feed, rounds run and the sorted
+  parent map of every feed).
+
 A change that only makes the code faster or smaller leaves
 ``tests/golden/ledger.json`` byte-identical.  A change that moves an
 outcome on purpose re-pins it with this script, as one reviewed diff of
@@ -116,6 +127,89 @@ def _faulted(plan: str, **config_kwargs):
     return lambda seed: _construction(
         seed, faults=parse_fault_plan(plan), **config_kwargs
     )
+
+
+def _continuous(seed: int, **config_kwargs):
+    """One N=40 hybrid build on the continuous clock over the
+    ``geo-3region`` profile."""
+    from repro.sim.runner import SimulationConfig, run_simulation
+    from repro.workloads.random_workload import rand_workload
+
+    workload, _ = rand_workload(size=40, seed=5, source_fanout=3)
+    settings = dict(
+        algorithm="hybrid",
+        oracle="random-delay",
+        seed=seed,
+        max_rounds=150,
+        time_model="continuous:geo-3region",
+    )
+    settings.update(config_kwargs)
+    return run_simulation(workload, SimulationConfig(**settings))
+
+
+def _continuous_churn_faults(seed: int):
+    from repro.faults.plan import parse_fault_plan
+    from repro.sim.churn import ChurnConfig
+
+    return _continuous(
+        seed,
+        churn=ChurnConfig(),
+        faults=parse_fault_plan("crash@20:0.2:rejoin=10, source-outage@35:4"),
+        max_rounds=80,
+        stop_at_convergence=False,
+    )
+
+
+def _asynchrony(seed: int):
+    from repro.sim.asynchrony import AsynchronyConfig
+
+    return _construction(seed, asynchrony=AsynchronyConfig(1, 4))
+
+
+def _static_greedy(seed: int):
+    """A static N=40 greedy build run to its first converged round."""
+    from repro.sim.runner import SimulationConfig, run_simulation
+    from repro.workloads import make
+
+    return run_simulation(
+        make("Rand", size=40, seed=5),
+        SimulationConfig(
+            algorithm="greedy", oracle="random-delay", seed=seed, max_rounds=8000
+        ),
+    )
+
+
+def _multifeed(sequential: bool):
+    """Three feeds over 30 shared consumers with the reuse-biased oracle,
+    built interleaved (``run()``) or one feed after another."""
+
+    def run(seed: int):
+        from repro.multifeed.reuse import reuse_oracle_factory
+        from repro.multifeed.system import MultiFeedSystem
+
+        system = MultiFeedSystem(
+            ["news", "sports", "tech"],
+            consumer_count=30,
+            seed=seed,
+            oracle_factory=reuse_oracle_factory(0.9),
+        )
+        if sequential:
+            system.run_sequential(max_rounds_per_feed=2000)
+        else:
+            system.run(max_rounds=2000)
+        return {
+            "converged": system.convergence_by_feed(),
+            "rounds": system.now,
+            "parents": {
+                feed: sorted(
+                    (n.name, n.parent.name if n.parent else None)
+                    for n in overlay.consumers
+                )
+                for feed, overlay in system.overlays.items()
+            },
+        }
+
+    return run
 
 
 def _soak(seed: int):
@@ -223,6 +317,16 @@ def scenarios() -> List[Scenario]:
                 oracle_realization="sharded",
             ),
         )
+    )
+    out.append(("continuous/static/geo-3region", 17, _continuous))
+    out.append(
+        ("continuous/churn+faults/geo-3region", 17, _continuous_churn_faults)
+    )
+    out.append(("construction/asynchrony/churn", 17, _asynchrony))
+    out.append(("construction/static/greedy", 17, _static_greedy))
+    out.append(("multifeed/run/reuse", 13, _multifeed(sequential=False)))
+    out.append(
+        ("multifeed/run_sequential/reuse", 13, _multifeed(sequential=True))
     )
     out.append(("soak/quick", 11, _soak))
     out.append(("multipath/2-paths+crash", 5, _multipath))
