@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+import time
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.interactions import (
@@ -33,6 +34,7 @@ from repro.core.tree import Overlay
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.oracles.base import Oracle
+    from repro.sim.asynchrony import AsynchronyModel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,3 +329,49 @@ class ConstructionAlgorithm(abc.ABC):
         for node in roster:
             if node.parent is None or not settled(node):
                 yield node
+
+    def sweep(
+        self,
+        roster: Iterable[Node],
+        now: int = 0,
+        asynchrony: Optional["AsynchronyModel"] = None,
+    ) -> Tuple[float, int, float, int]:
+        """One round of the local rule over ``roster``, in roster order:
+        every :meth:`due` node that is still online runs :meth:`maintain`
+        if parented, else takes one construction :meth:`step`.
+
+        The one dispatch every round loop shares.  With an
+        ``asynchrony`` model, a busy parentless node sits the round out
+        and a stepping one is occupied for its drawn duration;
+        maintenance is local and never waits.  Returns
+        ``(step_seconds, step_calls, maintain_seconds, maintain_calls)``
+        from one clock-read pair per call.
+        """
+        # Read through the instance once per sweep, so a method replaced
+        # on the instance (a timing wrapper) is the one called.
+        maintain = self.maintain
+        step = self.step
+        perf_counter = time.perf_counter
+        maintain_seconds = step_seconds = 0.0
+        maintain_calls = step_calls = 0
+        for node in self.due(roster):
+            if not node.online:
+                # Load-bearing: a node crashed by a fault plan after the
+                # roster was drawn must not act this round (pinned by
+                # tests/test_faults.py).
+                continue
+            if node.parent is not None:
+                t0 = perf_counter()
+                maintain(node)
+                maintain_seconds += perf_counter() - t0
+                maintain_calls += 1
+                continue
+            if asynchrony is not None and not asynchrony.is_free(node, now):
+                continue
+            t0 = perf_counter()
+            step(node)
+            step_seconds += perf_counter() - t0
+            step_calls += 1
+            if asynchrony is not None:
+                asynchrony.occupy(node, now)
+        return step_seconds, step_calls, maintain_seconds, maintain_calls

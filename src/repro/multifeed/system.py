@@ -175,16 +175,10 @@ class MultiFeedSystem:
         clock (callers that interleave other machinery — the service
         soak's fault injection and dissemination — advance :attr:`now`
         themselves and drive the feeds individually)."""
-        overlay = self.overlays[feed]
         self.oracles[feed].on_round(self.now)
-        algorithm = self.algorithms[feed]
-        nodes = overlay.online_consumers
+        nodes = self.overlays[feed].online_consumers
         shuffle(self._order_rng, nodes)
-        for node in algorithm.due(nodes):
-            if node.parent is not None:
-                algorithm.maintain(node)
-            else:
-                algorithm.step(node)
+        self.algorithms[feed].sweep(nodes)
 
     def run(self, max_rounds: int = 4000) -> bool:
         """Run until every feed's overlay converges; returns success."""
@@ -204,19 +198,11 @@ class MultiFeedSystem:
         """
         for feed in self.feed_ids:
             overlay = self.overlays[feed]
-            algorithm = self.algorithms[feed]
             rounds = 0
             while not overlay.is_converged() and rounds < max_rounds_per_feed:
                 self.now += 1
                 rounds += 1
-                self.oracles[feed].on_round(self.now)
-                nodes = overlay.online_consumers
-                shuffle(self._order_rng, nodes)
-                for node in algorithm.due(nodes):
-                    if node.parent is not None:
-                        algorithm.maintain(node)
-                    else:
-                        algorithm.step(node)
+                self.step_feed(feed)
         return self.all_converged()
 
     def all_converged(self) -> bool:

@@ -494,15 +494,8 @@ class MultipathSystem:
             shuffle(self._order_rng, roster)
             rosters.append(roster)
         self.injector.inject(now)
-        for path in range(self.paths):
-            algorithm = self.algorithms[path]
-            for node in algorithm.due(rosters[path]):
-                if not node.online:  # crashed by this round's faults
-                    continue
-                if node.parent is not None:
-                    algorithm.maintain(node)
-                else:
-                    algorithm.step(node)
+        for algorithm, roster in zip(self.algorithms, rosters):
+            algorithm.sweep(roster)
         self._last_overlaps = self._repair_overlaps()
         self._repair_starvation()
         self._measure(now)

@@ -40,11 +40,13 @@ milliseconds — so a consumer behind a trans-continental path genuinely
 interacts less often than a same-metro one, which is exactly the
 asynchrony observation the paper reports, now with geographic teeth.
 
-**Round-domain bookkeeping is unchanged.**  Churn, the oracle's
-per-round refresh, fault injection and measurement all fire on a
-periodic *boundary tick* every ``profile.round_ms`` milliseconds, and
-each tick increments the same round counter the synchronous runner
-uses.  Everything round-keyed (fault plans, recovery metrics, health
+**Round-domain bookkeeping is the rounds clock's own.**  The engine is
+a :class:`~repro.sim.runner.Simulation` whose act phase is events:
+its :meth:`~ContinuousSimulation.run_round` is a periodic *boundary
+tick* every ``profile.round_ms`` milliseconds, which fires the actions
+due before it and then runs the base round — churn, the oracle's
+per-round refresh, fault injection, measurement — on the same round
+counter.  Everything round-keyed (fault plans, recovery metrics, health
 timeseries, staleness attribution) therefore works verbatim, and the
 engine adds the wall-clock view on top: ``sim_time_ms``, event counts,
 millisecond staleness percentiles and ``time_to_recover_ms`` on the
@@ -86,15 +88,13 @@ MIN_ACTION_MS = 0.05
 _AWAKE = -1.0
 
 
-class ContinuousSimulation:
+class ContinuousSimulation(Simulation):
     """One construction run on the continuous clock.
 
-    Wraps an ordinary :class:`~repro.sim.runner.Simulation` (same
-    streams, same oracle wiring, same fault plan, same observability
-    taps) and replaces its round loop with event-driven per-node
-    actions.  Attribute access falls through to the wrapped simulation,
-    so callers that inspect ``.overlay`` / ``.metrics`` / ``.timings`` /
-    ``.health`` work on either engine.
+    A :class:`~repro.sim.runner.Simulation` (same streams, same oracle
+    wiring, same fault plan, same observability taps) whose act phase is
+    events: per-node actions fire on their own timestamps between round
+    boundaries, and :meth:`run_round` is the boundary tick.
     """
 
     def __init__(
@@ -110,7 +110,7 @@ class ContinuousSimulation:
                 "ContinuousSimulation needs a continuous time model; "
                 f"got {config.time_model!r}"
             )
-        self.sim = Simulation(
+        super().__init__(
             workload, config, oracle_factory=oracle_factory, probe=probe
         )
         self.profile = get_profile(model.profile)
@@ -128,21 +128,10 @@ class ContinuousSimulation:
         #: dormant (:data:`_AWAKE` for everybody else).
         self._last_check = array("d")
         #: Ids the chain index touched since the last drain.
-        self._touched = self.sim.overlay.chain_index.watch()
-        #: ``overlay.liveness_version`` as of the last idle-actor scan.
+        self._touched = self.overlay.chain_index.watch()
+        #: ``overlay.liveness_version`` as of the last idle-actor scan
+        #: (``None`` until the first boundary queues the first cohort).
         self._scanned_liveness: Optional[int] = None
-
-    def __getattr__(self, name: str):
-        # Fallback for everything Simulation owns (overlay, metrics,
-        # timings, health, attributor, oracle, algorithm, config, ...).
-        # ``sim`` itself is read off ``__dict__``: copy and pickle probe
-        # an instance ``__init__`` never ran on, and ``self.sim`` there
-        # would come straight back here.
-        try:
-            sim = self.__dict__["sim"]
-        except KeyError:
-            raise AttributeError(name) from None
-        return getattr(sim, name)
 
     # -- scheduling -----------------------------------------------------
 
@@ -164,7 +153,7 @@ class ContinuousSimulation:
         boundary at which the overlay's liveness counter stood still
         (every boundary of a static build after the first) has none.
         """
-        overlay = self.sim.overlay
+        overlay = self.overlay
         if overlay.liveness_version == self._scanned_liveness:
             return
         self._scanned_liveness = overlay.liveness_version
@@ -197,8 +186,8 @@ class ContinuousSimulation:
             return
         last_check = self._last_check
         known = len(last_check)
-        nodes = self.sim.overlay._nodes
-        settled = self.sim.algorithm.settled
+        nodes = self.overlay._nodes
+        settled = self.algorithm.settled
         now = self.scheduler.now
         round_ms = self.round_ms
         for node_id in sorted(touched):
@@ -233,9 +222,9 @@ class ContinuousSimulation:
                 f"{self.scheduler.pending} pending events for "
                 f"{len(self._queued)} queued nodes"
             )
-        settled = self.sim.algorithm.settled
+        settled = self.algorithm.settled
         last_check = self._last_check
-        for node in self.sim.overlay.online_consumers:
+        for node in self.overlay.online_consumers:
             node_id = node.node_id
             dormant = node_id < len(last_check) and last_check[node_id] >= 0
             if dormant == (node in self._queued):
@@ -251,14 +240,13 @@ class ContinuousSimulation:
     def _act(self, node: Node) -> None:
         """One node acts at the current scheduler time."""
         self._queued.discard(node)
-        overlay = self.sim.overlay
-        if node not in overlay or not node.online:
+        if node not in self.overlay or not node.online:
             # Departed (churn/crash) mid-flight: the action dissolves.
             # A rejoin is re-queued by the boundary's roster scan that
             # its ``go_online`` triggers.
             return
-        algorithm = self.sim.algorithm
-        timings_add = self.sim.timings.add
+        algorithm = self.algorithm
+        timings_add = self.timings.add
         geo = self.geo
         started = time.perf_counter()
         old_parent = node.parent
@@ -295,56 +283,24 @@ class ContinuousSimulation:
 
     # -- the boundary tick ----------------------------------------------
 
-    def _run_boundary(self) -> None:
-        """Fire all actions up to the next round boundary, then run the
-        round-domain phases (churn / oracle / faults / measure) exactly
-        as :meth:`~repro.sim.runner.Simulation.run_round` orders them."""
-        sim = self.sim
-        boundary = (sim.now + 1) * self.round_ms
-        self.scheduler.run_until(boundary)
-        sim.now += 1
-        round_start = time.perf_counter()
-        sim.probe.begin_round(sim.now)
-        departures = rejoins = 0
-        if sim.churn is not None:
-            with sim.timings.measure("churn"):
-                events = sim.churn.step(sim.now)
-                departures, rejoins = len(events.left), len(events.rejoined)
-        with sim.timings.measure("oracle"):
-            sim.oracle.on_round(sim.now)
-        if sim.injector is not None:
-            with sim.timings.measure("faults"):
-                sim.injector.inject(sim.now)
-        with sim.timings.measure("measure"):
-            sim.metrics.record(sim.now, departures=departures, rejoins=rejoins)
-            if sim.trace is not None:
-                sim.trace.capture(sim.now)
-            if sim.health is not None:
-                sim.health.capture(
-                    sim.now, departures=departures, rejoins=rejoins
-                )
-            if sim.attributor is not None:
-                sim.attributor.observe_round(sim.now)
+    def run_round(self) -> None:
+        """One boundary tick: fire every action up to the next round
+        boundary, then run the round-domain phases (churn / oracle /
+        faults / measure) of :meth:`Simulation.run_round
+        <repro.sim.runner.Simulation.run_round>`."""
+        if self._scanned_liveness is None:
+            self._schedule_idle_actors()  # the first cohort
+        self.scheduler.run_until((self.now + 1) * self.round_ms)
+        super().run_round()
         # Whoever the boundary's churn and faults unsettled wakes here;
         # rejoined / newly admitted consumers enter the event loop.
         self._wake_touched()
         self._schedule_idle_actors()
-        sim.probe.end_round(sim.now, time.perf_counter() - round_start)
 
-    # -- driving --------------------------------------------------------
-
-    def run(self) -> SimulationResult:
-        """Run to convergence or the round budget; return the result."""
-        sim = self.sim
-        self._schedule_idle_actors()
-        while sim.now < sim.config.max_rounds:
-            self._run_boundary()
-            if (
-                sim.config.stop_at_convergence
-                and sim.metrics.records[-1].quality.converged
-            ):
-                break
-        return self.result()
+    def _act_phase(self) -> None:
+        """The events between boundaries did the acting; the boundary
+        only injects the plan's faults."""
+        self._inject_faults()
 
     # -- wall-clock staleness -------------------------------------------
 
@@ -356,7 +312,7 @@ class ContinuousSimulation:
         summed one-way transit legs down the consumer's overlay path.
         Deterministic given the overlay and the seeded latency model.
         """
-        overlay = self.sim.overlay
+        overlay = self.overlay
         out: List[float] = []
         for node in overlay.online_consumers:
             if not overlay.is_rooted(node):
@@ -373,7 +329,7 @@ class ContinuousSimulation:
 
     def result(self) -> SimulationResult:
         """The round-domain result, extended with the wall-clock view."""
-        base = self.sim.result()
+        base = super().result()
         series = self.staleness_ms_series()
         percentiles = (
             staleness_percentiles(series, qs=(50.0, 99.0))
@@ -382,7 +338,7 @@ class ContinuousSimulation:
         )
         return dataclasses.replace(
             base,
-            time_model=self.sim.config.time_model,
+            time_model=self.config.time_model,
             sim_time_ms=self.scheduler.now,
             events_fired=self.scheduler.fired,
             staleness_ms_p50=percentiles["p50"],

@@ -3,13 +3,13 @@
 One :class:`Simulation` runs one LagOver construction: a workload is
 instantiated as an overlay of parentless consumers, and rounds proceed
 until every online consumer meets its latency constraint (or a round
-budget runs out).  Per round, in randomized order, every free online
-consumer acts once — parentless nodes execute a construction step
-(timeout / referral / oracle interaction), parented nodes run their
-maintenance rule unless it is *settled*, i.e. has nothing to do until
-the node's chain next changes
-(:meth:`~repro.core.protocol.ConstructionAlgorithm.due`) — after which
-the churn process (if any) fires.
+budget runs out).  Per round, after the churn process (if any) and the
+oracle's refresh, every free online consumer acts once in randomized
+order (:meth:`~repro.core.protocol.ConstructionAlgorithm.sweep`) —
+parentless nodes execute a construction step (timeout / referral /
+oracle interaction), parented nodes run their maintenance rule unless
+it is *settled*, i.e. has nothing to do until the node's chain next
+changes (:meth:`~repro.core.protocol.ConstructionAlgorithm.due`).
 
 Time here is the *construction* clock of §2.1.1's decoupled-time model;
 the feed-staleness clock lives in :mod:`repro.feeds` and is measured in
@@ -384,10 +384,10 @@ class Simulation:
         """Advance the simulation by one round.
 
         Each round decomposes into the phases ``churn`` / ``oracle`` /
-        ``faults`` (only with a plan installed) / ``step`` /
-        ``maintain`` / ``measure``, wall-clock-timed into
-        :attr:`timings`; the installed probe sees every protocol event
-        in between.  Neither timing nor probing consumes RNG.
+        the act phase (:meth:`_act_phase`) / ``measure``,
+        wall-clock-timed into :attr:`timings`; the installed probe sees
+        every protocol event in between.  Neither timing nor probing
+        consumes RNG.
         """
         self.now += 1
         round_start = time.perf_counter()
@@ -399,45 +399,7 @@ class Simulation:
                 departures, rejoins = len(events.left), len(events.rejoined)
         with self.timings.measure("oracle"):
             self.oracle.on_round(self.now)
-        nodes = self.overlay.online_consumers
-        shuffle(self._order_rng, nodes)
-        # Faults fire *after* the roster shuffle, so crash victims can sit
-        # anywhere in this round's schedule — the liveness guard below is
-        # what keeps them from acting posthumously.
-        if self.injector is not None:
-            with self.timings.measure("faults"):
-                self.injector.inject(self.now)
-        # Two clock reads per acting node, as ever; the spans are summed
-        # here and booked once per phase per round.
-        perf_counter = time.perf_counter
-        maintain_seconds = step_seconds = 0.0
-        maintain_calls = step_calls = 0
-        for node in self.algorithm.due(nodes):
-            if not node.online:
-                # Load-bearing: a node crashed by the fault plan after the
-                # shuffle is still on the roster and must not act this
-                # round (pinned by tests/test_faults.py).
-                continue
-            if node.parent is not None:
-                t0 = perf_counter()
-                self.algorithm.maintain(node)
-                maintain_seconds += perf_counter() - t0
-                maintain_calls += 1
-                continue
-            if self.asynchrony is not None and not self.asynchrony.is_free(
-                node, self.now
-            ):
-                continue
-            t0 = perf_counter()
-            self.algorithm.step(node)
-            step_seconds += perf_counter() - t0
-            step_calls += 1
-            if self.asynchrony is not None:
-                self.asynchrony.occupy(node, self.now)
-        if maintain_calls:
-            self.timings.add("maintain", maintain_seconds, maintain_calls)
-        if step_calls:
-            self.timings.add("step", step_seconds, step_calls)
+        self._act_phase()
         with self.timings.measure("measure"):
             self.metrics.record(self.now, departures=departures, rejoins=rejoins)
             if self.trace is not None:
@@ -449,6 +411,30 @@ class Simulation:
             if self.attributor is not None:
                 self.attributor.observe_round(self.now)
         self.probe.end_round(self.now, time.perf_counter() - round_start)
+
+    def _act_phase(self) -> None:
+        """Every online consumer acts once, in a fresh random order
+        (phases ``faults`` / ``step`` / ``maintain``)."""
+        nodes = self.overlay.online_consumers
+        shuffle(self._order_rng, nodes)
+        # Faults fire *after* the roster shuffle, so crash victims can sit
+        # anywhere in this round's schedule — the sweep's liveness guard
+        # is what keeps them from acting posthumously.
+        self._inject_faults()
+        step_seconds, step_calls, maintain_seconds, maintain_calls = (
+            self.algorithm.sweep(nodes, self.now, self.asynchrony)
+        )
+        if maintain_calls:
+            self.timings.add("maintain", maintain_seconds, maintain_calls)
+        if step_calls:
+            self.timings.add("step", step_seconds, step_calls)
+
+    def _inject_faults(self) -> None:
+        """The ``faults`` phase: fire the plan's injections for this
+        round (nothing without a plan)."""
+        if self.injector is not None:
+            with self.timings.measure("faults"):
+                self.injector.inject(self.now)
 
     def run(self) -> SimulationResult:
         """Run to convergence or to the round budget; return the result.
@@ -502,9 +488,8 @@ def make_simulation(
 
     Every entry point that honors ``config.time_model`` (the CLI, the
     sweep worker, benchmarks) routes through here, so the two engines
-    can never be selected inconsistently.  The returned object exposes
-    the same driving surface either way (``run()``, ``overlay``,
-    ``metrics``, ``timings``, ``health``, ``attributor``).
+    can never be selected inconsistently.  Either way the returned
+    object is a :class:`Simulation`.
     """
     from repro.sim.timemodel import parse_time_model
 

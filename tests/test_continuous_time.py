@@ -47,6 +47,7 @@ from repro.sim.continuous import ContinuousSimulation
 from repro.sim.runner import SimulationConfig, make_simulation, run_simulation
 from repro.sim.timemodel import TimeModel, parse_time_model
 from repro.workloads import make as make_workload
+from repro.workloads.random_workload import rand_workload
 
 
 # ----------------------------------------------------------------------
@@ -338,31 +339,70 @@ class TestContinuousEngine:
         assert first == second
         assert first.rounds_run == 80
 
-    def test_attribute_forwarding_needs_no_initialised_engine(self):
-        """``__getattr__`` forwards to ``self.sim``; looking ``sim`` up
-        through itself recursed without bound on any instance
-        ``__init__`` had not run on — which is how ``copy`` and
-        ``pickle`` rebuild one."""
+    def test_a_blank_engine_has_no_overlay_and_does_not_recurse(self):
+        """``copy`` and ``pickle`` rebuild an engine on an instance
+        ``__init__`` never ran on: looking an attribute up there must
+        fail plainly, not recurse."""
         blank = object.__new__(ContinuousSimulation)
         assert not hasattr(blank, "overlay")
-        assert not hasattr(blank, "sim")
         with pytest.raises(AttributeError, match="overlay"):
             blank.overlay
 
-        workload = make_workload("Rand", size=40, seed=2)
-        engine = make_simulation(workload, CONTINUOUS)
+    def test_a_shallow_copy_shares_the_overlay(self):
+        engine = make_simulation(make_workload("Rand", size=40, seed=2), CONTINUOUS)
         shallow = copy.copy(engine)
         assert isinstance(shallow, ContinuousSimulation)
-        assert shallow.sim is engine.sim
-        assert shallow.overlay is engine.overlay  # still forwarded
+        assert shallow.overlay is engine.overlay
         with pytest.raises(AttributeError):
             shallow.no_such_attribute
 
-        # A pickled engine is a whole, independent run, like the
-        # rounds-mode Simulation's.
+    def test_a_pickled_engine_is_a_whole_independent_run(self):
+        """Like the rounds-mode Simulation's."""
+        engine = make_simulation(make_workload("Rand", size=40, seed=2), CONTINUOUS)
         restored = pickle.loads(pickle.dumps(engine))
         assert restored.overlay is not engine.overlay
         assert restored.run() == engine.run()
+
+    def test_run_round_is_one_boundary_tick(self):
+        """``run_round()`` fires the actions due before the first
+        boundary on the event clock; it is not a synchronous sweep."""
+        workload, _ = rand_workload(60, seed=1)
+        engine = make_simulation(
+            workload,
+            SimulationConfig(
+                algorithm="hybrid",
+                oracle="random-delay",
+                seed=0,
+                time_model="continuous:geo-3region",
+                max_rounds=50,
+            ),
+        )
+        engine.run_round()
+        assert engine.now == 1
+        assert engine.scheduler.now == engine.round_ms
+        assert engine.scheduler.fired > 0
+        engine.check_schedule()
+
+    @pytest.mark.parametrize("rounds", (1, 9, 40))
+    @pytest.mark.parametrize("dynamic", (False, True), ids=("static", "churn+faults"))
+    def test_stepped_rounds_then_result_equal_run(self, rounds, dynamic):
+        config = dataclasses.replace(
+            CONTINUOUS,
+            algorithm="hybrid",
+            max_rounds=rounds,
+            stop_at_convergence=False,
+        )
+        if dynamic:
+            config = dataclasses.replace(
+                config,
+                churn=ChurnConfig(),
+                faults=parse_fault_plan("crash@5:0.2:rejoin=6"),
+            )
+        workload = make_workload("Rand", size=40, seed=3)
+        stepped = make_simulation(workload, config)
+        for _ in range(rounds):
+            stepped.run_round()
+        assert stepped.result() == make_simulation(workload, config).run()
 
 
 # ----------------------------------------------------------------------
@@ -410,10 +450,9 @@ def _static_engine():
 
 
 def _drive(engine, boundaries):
-    """``run()``'s loop, stoppable: the first cohort, then the ticks."""
-    engine._schedule_idle_actors()
+    """``run()``'s loop, without the convergence stop."""
     for _ in range(boundaries):
-        engine._run_boundary()
+        engine.run_round()
 
 
 class TestWakeOnViolation:
@@ -428,10 +467,9 @@ class TestWakeOnViolation:
             stop_at_convergence=False,
         )
         engine = make_simulation(make_workload("Rand", size=150, seed=4), config)
-        engine._schedule_idle_actors()  # what run() does before its loop
         dormant_seen = 0
         for _ in range(60):
-            engine._run_boundary()
+            engine.run_round()
             engine.check_schedule()
             dormant_seen += sum(1 for t in engine._last_check if t >= 0)
         assert dormant_seen  # the invariant was not vacuous
@@ -474,7 +512,7 @@ class TestWakeOnViolation:
             n for n in engine.overlay.online_consumers
             if engine._last_check[n.node_id] >= 0 and not n.children
         )
-        bounce_at = engine.sim.now + 1
+        bounce_at = engine.now + 1
         boundary_ms = bounce_at * engine.round_ms
         if on_the_boundary:
             # A tick that coincides with the boundary fired (as a no-op)
@@ -483,13 +521,13 @@ class TestWakeOnViolation:
         tick = engine._last_check[sleeper.node_id]
         while tick <= boundary_ms:
             tick += engine.round_ms
-        engine.sim.churn = _Bounce(engine.overlay, sleeper, bounce_at)
-        engine._run_boundary()
+        engine.churn = _Bounce(engine.overlay, sleeper, bounce_at)
+        engine.run_round()
         # Woken by its own detach: queued once, the rejoin scan skips it.
         assert sleeper in engine._queued
         assert engine._last_check[sleeper.node_id] < 0
         engine.check_schedule()
-        engine._run_boundary()
+        engine.run_round()
         acted = [t for t, node_id in log if node_id == sleeper.node_id]
         assert [t for t in acted if boundary_ms - engine.round_ms < t <= tick] == [
             tick
@@ -505,7 +543,7 @@ class TestWakeOnViolation:
         )
         engine.overlay.go_offline(sleeper)
         engine.overlay.remove_consumer(sleeper)
-        engine._run_boundary()
+        engine.run_round()
         assert engine._last_check[sleeper.node_id] < 0
         assert sleeper not in engine._queued
         engine.check_schedule()
@@ -531,7 +569,7 @@ class TestWakeOnViolation:
         _drive(engine, 10)
         newcomer = engine.overlay.add_consumer(NodeSpec(latency=9, fanout=1))
         assert newcomer not in engine._queued
-        engine._run_boundary()
+        engine.run_round()
         assert newcomer in engine._queued
         engine.check_schedule()
 
@@ -540,11 +578,11 @@ class TestWakeOnViolation:
         _drive(engine, 10)
         victim = engine.overlay.online_consumers[5]
         engine.overlay.go_offline(victim)
-        engine._run_boundary()
-        engine._run_boundary()  # its pending action has dissolved by now
+        engine.run_round()
+        engine.run_round()  # its pending action has dissolved by now
         assert victim not in engine._queued
         engine.overlay.go_online(victim)
-        engine._run_boundary()
+        engine.run_round()
         assert victim in engine._queued
         engine.check_schedule()
 
