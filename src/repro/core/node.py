@@ -37,7 +37,7 @@ comparison in the construction code keeps working.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.constraints import NodeSpec
 
@@ -48,59 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 NodeId = int
 
 SOURCE_ID: NodeId = 0
-
-
-class _Children:
-    """Write-through child list of one node.
-
-    Behaves like a plain ``list`` (append / remove / clear / iteration /
-    containment, identity semantics), and additionally maintains the
-    owner's ``n_children`` column so columnar scans can read fanout
-    slack without touching the node objects.
-    """
-
-    __slots__ = ("_store", "_owner", "_items")
-
-    def __init__(self, store: "ColumnarState", owner: NodeId) -> None:
-        self._store = store
-        self._owner = owner
-        self._items: List["Node"] = []
-
-    def append(self, node: "Node") -> None:
-        self._items.append(node)
-        self._store.n_children[self._owner] += 1
-
-    def remove(self, node: "Node") -> None:
-        self._items.remove(node)
-        self._store.n_children[self._owner] -= 1
-
-    def clear(self) -> None:
-        self._items.clear()
-        self._store.n_children[self._owner] = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator["Node"]:
-        return iter(self._items)
-
-    def __reversed__(self) -> Iterator["Node"]:
-        return reversed(self._items)
-
-    def __contains__(self, node: object) -> bool:
-        for item in self._items:
-            if item is node:
-                return True
-        return False
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return repr(self._items)
 
 
 class Node:
@@ -147,7 +94,7 @@ class Node:
         #: ``l_i`` and ``f_i``, copied out of :attr:`spec` for the hot reads.
         self.latency = spec.latency
         self.fanout = spec.fanout
-        self.children = _Children(store, node_id)
+        self.children: List["Node"] = []
         self.parent: Optional["Node"] = None
         self.online = True
         #: Rounds spent parentless since the last timeout reset; drives the
@@ -217,8 +164,8 @@ class Node:
             object.__setattr__(self, slot, value)
 
     def __reduce__(self):
-        # Bypass __init__ (which would re-zero timers and re-create the
-        # children proxy); restore the exact slot state instead.
+        # Bypass __init__ (which would re-zero timers and empty the
+        # child list); restore the exact slot state instead.
         return (_reconstruct_node, (), self.__getstate__())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

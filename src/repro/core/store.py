@@ -19,9 +19,6 @@ Columns
 ``parent``
     Parent node id, ``-1`` for parentless — the single structural fact
     the whole chain model derives from.
-``n_children``
-    Child count (fanout slack is ``fanout - n_children``), maintained by
-    the write-through child list of :class:`~repro.core.node.Node`.
 ``online``
     Liveness bit.
 ``root`` / ``depth`` / ``rooted`` / ``delay``
@@ -72,7 +69,6 @@ class ColumnarState:
         self.latency = make()
         self.fanout = make()
         self.parent = make()
-        self.n_children = make()
         self.online = bytearray()
         # Chain-metadata columns (§2.1.3), owned by ChainIndex.
         self.root = make()
@@ -106,7 +102,6 @@ class ColumnarState:
             self.latency.append(0)
             self.fanout.append(0)
             self.parent.append(NO_PARENT)
-            self.n_children.append(0)
             self.online.append(0)
             self.root.append(node_id)
             self.depth.append(0)
@@ -117,7 +112,6 @@ class ColumnarState:
         self.latency[node_id] = spec.latency
         self.fanout[node_id] = spec.fanout
         self.parent[node_id] = NO_PARENT
-        self.n_children[node_id] = 0
         self.online[node_id] = 1
         return node
 
@@ -133,7 +127,7 @@ class ColumnarState:
             raise TopologyError(f"id {node_id} is already free")
         if self.online[node_id]:
             raise TopologyError(f"cannot release online id {node_id}")
-        if self.parent[node_id] != NO_PARENT or self.n_children[node_id]:
+        if self.parent[node_id] != NO_PARENT or node.children:
             raise TopologyError(f"cannot release linked id {node_id}")
         self.nodes[node_id] = None
         heapq.heappush(self.free, node_id)
@@ -144,8 +138,8 @@ class ColumnarState:
         """Cross-check every column against the view-level state.
 
         The analogue of ``ChainIndex.verify`` for the non-chain
-        columns: constraints, parent links, child counts and liveness
-        bits must agree with what the views report.  Chain columns are
+        columns: constraints, parent links and liveness bits must agree
+        with what the views report.  Chain columns are
         checked by ``ChainIndex.verify`` (via the reference walks), not
         here.
         """
@@ -160,8 +154,6 @@ class ColumnarState:
             expected = NO_PARENT if parent is None else parent.node_id
             if self.parent[i] != expected:
                 raise TopologyError(f"parent column diverged at id {i}")
-            if self.n_children[i] != len(node.children):
-                raise TopologyError(f"n_children column diverged at id {i}")
             if bool(self.online[i]) != node.online:
                 raise TopologyError(f"online column diverged at id {i}")
         for free_id in self.free:

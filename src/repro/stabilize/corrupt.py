@@ -10,8 +10,8 @@ with live edges, chain columns that lie about the structure).
 Two rules keep the corruption *representable*:
 
 * raw link writes keep ``parent`` pointers and ``children`` lists
-  mutually consistent and mirror the store's ``parent`` / ``online`` /
-  ``n_children`` columns, so a corrupted state means "the overlay's
+  mutually consistent and mirror the store's ``parent`` / ``online``
+  columns, so a corrupted state means "the overlay's
   invariants are broken", never "the store is out of sync with its own
   node views";
 * the source is never corrupted (it is the one fixed point every

@@ -9,9 +9,8 @@ Four layers:
    sequences: freed ids are reused, a rejoin burst never aliases a live
    consumer, and the store's column/view cross-check stays clean after
    every step.
-3. View semantics — the ``_Children`` write-through proxy keeps the
-   child-count column exact, and node identity (not equality) governs
-   membership.
+3. View semantics — a node's plain child list follows every link
+   change, and node identity (not equality) governs membership.
 4. Pickle round-trips — the columnar overlay is fork-safe for
    :mod:`repro.par`: a clone is structurally identical and fully
    detached from the original's columns.
@@ -75,7 +74,7 @@ class TestAllocator:
         with pytest.raises(TopologyError):
             store.release(linked.node_id)
         store.parent[linked.node_id] = NO_PARENT
-        store.n_children[linked.node_id] = 1
+        linked.children.append(node)
         with pytest.raises(TopologyError):
             store.release(linked.node_id)
 
@@ -165,18 +164,19 @@ class TestAllocatorProperty:
             overlay.check_integrity()
 
 
-class TestChildrenProxy:
-    def test_child_count_column_tracks_links(self):
+class TestChildList:
+    def test_child_list_tracks_links(self):
         overlay = columnar_overlay()
-        store = overlay.store
         parent = overlay.add_consumer(NodeSpec(latency=5, fanout=3))
         overlay.attach(parent, overlay.source)
         kids = [overlay.add_consumer(SPEC) for _ in range(3)]
         for kid in kids:
             overlay.attach(kid, parent)
-        assert store.n_children[parent.node_id] == 3
+        assert parent.children == kids
+        assert parent.free_fanout == 0
         overlay.detach(kids[1])
-        assert store.n_children[parent.node_id] == 2
+        assert parent.children == [kids[0], kids[2]]
+        assert parent.free_fanout == 1
         assert kids[1] not in parent.children
         assert kids[0] in parent.children
 
@@ -198,14 +198,6 @@ class TestColumnVerification:
         node = overlay.add_consumer(SPEC)
         overlay.attach(node, overlay.source)
         overlay.store.parent[node.node_id] = NO_PARENT  # corrupt
-        with pytest.raises(TopologyError):
-            overlay.check_integrity()
-
-    def test_verify_detects_corrupted_child_count_column(self):
-        overlay = columnar_overlay()
-        node = overlay.add_consumer(SPEC)
-        overlay.attach(node, overlay.source)
-        overlay.store.n_children[node.node_id] = 5  # corrupt
         with pytest.raises(TopologyError):
             overlay.check_integrity()
 
