@@ -7,47 +7,54 @@ sampled candidate by delay, :func:`repro.core.convergence.measure` scores
 every node every round, and the maintenance rules consult it on every
 parented node.  Re-walking the parent chain on every read makes a round
 O(N·D); this module replaces walk-on-read with an **index** that is kept
-exact *incrementally* at the only four structural mutation points of
-:class:`~repro.core.tree.Overlay`:
+exact *incrementally* by the structural mutators of
+:class:`~repro.core.tree.Overlay`, through two hooks:
 
-``attach(child, parent)``
-    ``child`` was a fragment root, so its subtree's cached depths are
-    relative to ``child``; re-root the subtree under ``parent``'s root and
-    shift every depth by ``depth(parent) + 1``.
-``detach(child)``
-    ``child`` becomes a fragment root; subtract its old depth across its
-    subtree and re-root the subtree at ``child``.
-``go_offline(node)``
-    A departure is one detach of ``node`` plus one detach per orphaned
-    child (each keeps its subtree and becomes its own root).
-``go_online(node)``
-    A rejoining node is fully disconnected, so its chain facts are already
-    the fragment-root identity ``(itself, 0)``; only the version advances.
+``on_attach(child, parent)``
+    ``child`` was a fragment root; its subtree now hangs below
+    ``parent``, so it takes ``parent``'s root and ``child`` sits at
+    ``depth(parent) + 1``.  ``attach`` calls it once; ``splice`` (a node
+    slipped in above a parented child) calls it for the incoming node
+    and then for the child, whose subtree moves once, one hop deeper.
+``on_detach(child)``
+    ``child`` becomes a fragment root at depth 0.  ``detach`` calls it
+    once; ``go_offline`` detaches the leaver *after* taking its children
+    off it, so the leaver moves alone and each orphan subtree moves once.
+    A rejoining node (``go_online``) is already the fragment-root
+    identity ``(itself, 0)`` and moves nothing.
 
-The same four points keep the **delay roster** current: a list of
-Python ints used as bitsets over node ids, bit ``i`` of ``roster[d]``
-set iff consumer ``i`` is online with ``DelayAt(i) == d``.  It is the
-gradient ordering of the overlay (nodes sorted by distance from the
-source) used as an index: the omniscient oracles' ``DelayAt(j) < l_i``
-filter is the OR of a prefix of buckets, where it used to be a scan of
-the whole online population per query.  The roster is built by its
-first reader (:meth:`ChainIndex.delay_roster`), so runs whose oracle
-never asks — the sharded, DHT and random-walk realizations — pay one
-``is not None`` test per shifted node and nothing else.
+Both hooks are one :meth:`ChainIndex._shift_subtree`: the subtree below
+the moved node, walked level by level.  The piggy-backed metadata of
+§2.1.3 is the same for every node of one level — one root, one depth,
+one delay, all offsets from the moved node — so each level costs one
+set of column writes per node and a handful of per-level constants.
 
-They also feed the **watch sets** (:meth:`ChainIndex.watch`): every
-consumer that wants to know *which* nodes a mutation moved — the health
-recorder folding them into its aggregates, the continuous engine waking
-dormant nodes whose rule is no longer settled — asks for a set of its
-own, and every hook (``rebuild()`` included) adds the ids it visits to
-each of them.  The index never interprets them: which touched node has
-something to do is protocol knowledge
+The same shift keeps the **delay roster** current: a list of Python
+ints used as bitsets over node ids, bit ``i`` of ``roster[d]`` set iff
+consumer ``i`` is online with ``DelayAt(i) == d``.  It is the gradient
+ordering of the overlay (nodes sorted by distance from the source) used
+as an index: the omniscient oracles' ``DelayAt(j) < l_i`` filter is the
+OR of a prefix of buckets, where it used to be a scan of the whole
+online population per query.  A level of a shifted subtree leaves one
+bucket for another together, so the shift moves it as one mask.  The
+roster is built by its first reader (:meth:`ChainIndex.delay_roster`),
+so runs whose oracle never asks — the sharded, DHT and random-walk
+realizations — build no mask at all.
+
+The shifts also feed the **watch sets** (:meth:`ChainIndex.watch`):
+every consumer that wants to know *which* nodes a mutation moved — the
+health recorder folding them into its aggregates, the continuous engine
+waking dormant nodes whose rule is no longer settled — asks for a set
+of its own, and every shift adds each level's ids to each of them
+(``rebuild()`` adds every id, the liveness hooks the one node).  The
+index never interprets them: which touched node has something to do is
+protocol knowledge
 (:meth:`~repro.core.protocol.ConstructionAlgorithm.settled`), kept out
 of here.
 
-Reads are amortized O(1); a mutation pays at most the size of the moved
-subtree — the same asymptotic cost the mutation itself already pays for
-re-linking and event emission.
+Reads are O(1); a mutation pays the size of the subtree it moves, once
+— the nodes the protocol would re-announce the chain metadata to.
+:attr:`~repro.core.tree.Overlay.shifted_nodes` counts them.
 
 Invariants (cross-checked by :meth:`ChainIndex.verify`, which
 :meth:`Overlay.check_integrity` runs against the reference walk kept
@@ -83,12 +90,6 @@ def _set_bit(roster: List[int], node_id: int, delay: int) -> None:
     if delay >= len(roster):
         roster.extend([0] * (delay + 1 - len(roster)))
     roster[delay] |= 1 << node_id
-
-
-def _move_bit(roster: List[int], node_id: int, old: int, new: int) -> None:
-    """Move bit ``node_id`` from ``roster[old]`` to ``roster[new]``."""
-    roster[old] ^= 1 << node_id
-    _set_bit(roster, node_id, new)
 
 
 def kth_set_bit(mask: int, k: int) -> int:
@@ -137,7 +138,8 @@ class ChainIndex:
     Besides the per-node columns the index serves the *delay roster*
     (:meth:`delay_roster`): online consumers bucketed by ``DelayAt`` as
     bitsets over node ids, built on first read and from then on moved
-    bit by bit in the same subtree shifts that update the columns.
+    one level mask at a time in the same subtree shifts that update the
+    columns.
     """
 
     def __init__(self, overlay: "Overlay", store: "ColumnarState") -> None:
@@ -165,8 +167,8 @@ class ChainIndex:
         continuous engine's wake-on-violation) asks for its own set and
         drains and clears it at its own pace; the ids are the ones the
         index traversal visits anyway, so watching does not change the
-        asymptotics, and with no watcher a mutation pays one test per
-        shifted node.
+        asymptotics, and with no watcher a shift pays an empty loop per
+        level.
         """
         watcher: Set[int] = set()
         self._watchers.append(watcher)
@@ -225,17 +227,21 @@ class ChainIndex:
     # mutation hooks (links already updated when these run)
     # ------------------------------------------------------------------
 
-    def on_attach(self, child: Node, parent: Node) -> None:
-        """``child`` (a fragment root) was attached under ``parent``."""
+    def on_attach(self, child: Node, parent: Node) -> int:
+        """``child`` (a fragment root) was attached under ``parent``;
+        returns the number of nodes moved."""
         store = self._store
         p = parent.node_id
-        self._shift_subtree(child, store.nodes[store.root[p]], store.depth[p] + 1)
+        moved = self._shift_subtree(child, store.root[p], store.depth[p] + 1)
         self.version += 1
+        return moved
 
-    def on_detach(self, child: Node) -> None:
-        """``child`` was severed from its parent and heads its own fragment."""
-        self._shift_subtree(child, child, -self._store.depth[child.node_id])
+    def on_detach(self, child: Node) -> int:
+        """``child`` was severed from its parent and heads its own
+        fragment; returns the number of nodes moved."""
+        moved = self._shift_subtree(child, child.node_id, 0)
         self.version += 1
+        return moved
 
     def touch(self, node: Node) -> None:
         """Record a liveness-only mutation of ``node``
@@ -256,44 +262,63 @@ class ChainIndex:
         (fanout-slack shifts on a parent)."""
         self._notify((node.node_id,))
 
-    def _shift_subtree(self, top: Node, root: Node, delta: int) -> None:
-        """Re-root ``top``'s subtree at ``root``, shifting depths by ``delta``.
+    def _shift_subtree(self, top: Node, root_id: int, depth: int) -> int:
+        """Re-root ``top``'s subtree at ``root_id`` with ``top`` at
+        ``depth``; returns the number of nodes moved.
 
-        ``top``'s cached depths are relative to its previous root, so one
-        uniform shift re-anchors the whole subtree — this is the
-        "mutations pay at most the size of the moved subtree" cost.
+        The subtree is walked level by level.  Every node of one level
+        gets the same ``root`` / ``rooted`` / ``depth`` / ``delay``
+        cells, computed from ``top`` alone, and left the same delay
+        bucket (``top``'s old delay plus the level), so a node's own
+        cells are written, never read.  With the roster built, each
+        level moves between buckets as one mask.  The walk visits each
+        node once — this is the "a mutation pays the size of the moved
+        subtree" cost — and a parent relation that loops back into the
+        subtree trips the ``seen`` guard instead of spinning.
         """
         store = self._store
         root_col = store.root
         depth_col = store.depth
         rooted_col = store.rooted
         delay_col = store.delay
-        shifted: Optional[List[int]] = [] if self._watchers else None
         roster = self._roster
+        watchers = self._watchers
         limit = len(self._overlay)
-        seen = 0
-        root_id = root.node_id
         rooted = 1 if root_id == SOURCE_ID else 0
-        bias = 0 if rooted else 1
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            seen += 1
+        delay = depth + 1 - rooted
+        old = delay_col[top.node_id]
+        seen = 0
+        level = [top]
+        while level:
+            seen += len(level)
             if seen > limit:
                 raise TopologyError(f"cycle detected under {top!r}")
-            i = node.node_id
-            root_col[i] = root_id
-            rooted_col[i] = rooted
-            depth = depth_col[i] + delta
-            depth_col[i] = depth
+            mask = 0
+            below: List[Node] = []
+            for node in level:
+                i = node.node_id
+                root_col[i] = root_id
+                rooted_col[i] = rooted
+                depth_col[i] = depth
+                delay_col[i] = delay
+                if roster is not None:
+                    mask |= 1 << i
+                if node.children:
+                    below += node.children
             if roster is not None:
-                _move_bit(roster, i, delay_col[i], depth + bias)
-            delay_col[i] = depth + bias
-            if shifted is not None:
-                shifted.append(i)
-            stack.extend(node.children)
-        if shifted:
-            self._notify(shifted)
+                roster[old] ^= mask
+                if delay >= len(roster):
+                    roster.extend([0] * (delay + 1 - len(roster)))
+                roster[delay] |= mask
+            if watchers:
+                ids = [node.node_id for node in level]
+                for watcher in watchers:
+                    watcher.update(ids)
+            level = below
+            depth += 1
+            delay += 1
+            old += 1
+        return seen
 
     # ------------------------------------------------------------------
     # delay roster

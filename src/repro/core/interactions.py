@@ -91,7 +91,8 @@ def try_attach(
         return _reject(overlay, child, parent, "not-parentless")
     if parent.free_fanout <= 0:
         return _reject(overlay, child, parent, "no-fanout")
-    if overlay.is_descendant(parent, child):
+    # ``child`` is parentless: ``parent`` is below it iff rooted at it.
+    if overlay.fragment_root(parent) is child:
         return _reject(overlay, child, parent, "cycle")
     if not parent.is_source and not edge_ok(parent, child):
         return _reject(overlay, child, parent, "edge-policy")
@@ -171,9 +172,7 @@ def try_displace_child(
             victim = max(candidates, key=lambda m: (m.latency, -m.fanout))
             if incoming.free_fanout <= 0:
                 shed_one_child(overlay, incoming)
-            overlay.detach(victim, reason="displace")
-            overlay.attach(incoming, parent)
-            overlay.attach(victim, incoming)
+            overlay.splice(incoming, victim, reason="displace")
             return True
     if not allow_orphan:
         return False
@@ -253,9 +252,7 @@ def try_insert_between(
             return False
         # Shedding only helps if it actually frees a slot for `child`.
         shed_one_child(overlay, incoming)
-    overlay.detach(child, reason="splice")
-    overlay.attach(incoming, parent)
-    overlay.attach(child, incoming)
+    overlay.splice(incoming, child, reason="splice")
     return True
 
 

@@ -60,7 +60,7 @@ class Node:
     :class:`~repro.core.tree.Overlay`.  All node state is plain slots
     (the fastest attribute read CPython has).  The mutable hot state
     (``parent``, ``online``) is mirrored into the store's columns by the
-    four :class:`~repro.core.tree.Overlay` mutators — the only code that
+    checked :class:`~repro.core.tree.Overlay` mutators — the only code that
     assigns either — so the arrays stay the exact scan surface
     (:meth:`ColumnarState.verify <repro.core.store.ColumnarState.verify>`
     cross-checks slot against column).  The per-node protocol timers are

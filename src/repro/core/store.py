@@ -24,7 +24,7 @@ Columns
 ``root`` / ``depth`` / ``rooted`` / ``delay``
     The §2.1.3 chain metadata, owned and maintained by
     :class:`repro.core.index.ChainIndex` (uniform subtree shifts at the
-    four structural mutators).
+    structural mutators).
 
 Dense id allocation
 -------------------

@@ -91,7 +91,7 @@ class Overlay:
         #: it has not moved.
         self.liveness_version = 0
         #: Chain-metadata index: keeps the store's chain columns exact
-        #: through the four checked mutators below, for O(1)
+        #: through the checked mutators below, for O(1)
         #: ``Root``/``DelayAt`` reads.
         self.chain_index = ChainIndex(self, self.store)
         # Per-version cache slot for the shared forest scan of
@@ -101,6 +101,11 @@ class Overlay:
         #: reconfiguration-cost metrics: ``attaches`` and ``detaches``.
         self.attach_count = 0
         self.detach_count = 0
+        #: Lifetime count of nodes whose chain metadata a mutation moved
+        #: (the summed sizes of every shifted subtree): the exact work
+        #: of the chain index, and the metadata re-announcements of
+        #: §2.1.3 the moves cost.
+        self.shifted_nodes = 0
         #: Observability tap (:mod:`repro.obs`): every structural mutation
         #: is reported here.  The default :data:`~repro.obs.probe.NULL_PROBE`
         #: records nothing; :class:`repro.sim.runner.Simulation` installs
@@ -363,7 +368,11 @@ class Overlay:
         return walker
 
     def is_descendant(self, node: Node, ancestor: Node) -> bool:
-        """Whether ``ancestor`` lies on the parent chain of ``node``."""
+        """Whether ``ancestor`` lies on the parent chain of ``node``.
+
+        The reference walk for tests; the mutators test a cycle off the
+        chain index in O(1) instead.
+        """
         current = node.parent
         hops = 0
         while current is not None:
@@ -391,6 +400,19 @@ class Overlay:
         ``parent`` must have free fanout.  Latency constraints are *not*
         checked here — callers use :mod:`repro.core.interactions`.
         """
+        self._check_link(child, parent)
+        if parent.free_fanout <= 0:
+            raise FanoutExceededError(
+                f"{parent!r} has no free fanout (f={parent.fanout})"
+            )
+        self._link(child, parent)
+        self.attach_count += 1
+        self.probe.attach(child.node_id, parent.node_id)
+
+    def _check_link(self, child: Node, parent: Node) -> None:
+        """Raise unless ``child <- parent`` is a legal new edge, fanout
+        aside: both members and online, ``child`` a parentless consumer
+        and ``parent`` outside its subtree."""
         if child not in self or parent not in self:
             raise UnknownNodeError("attach with a node foreign to this overlay")
         if child is parent:
@@ -401,25 +423,24 @@ class Overlay:
             raise OfflineNodeError(f"attach({child!r}, {parent!r}) with offline node")
         if child.parent is not None:
             raise TopologyError(f"{child!r} already has a parent")
-        if parent is child or self.is_descendant(parent, child):
+        # ``child`` is parentless, so its subtree is exactly the nodes
+        # the index roots at it.
+        if self.store.root[parent.node_id] == child.node_id:
             raise TopologyError(f"attaching {child!r} under {parent!r} creates a cycle")
-        if parent.free_fanout <= 0:
-            raise FanoutExceededError(
-                f"{parent!r} has no free fanout (f={parent.fanout})"
-            )
+
+    def _link(self, child: Node, parent: Node) -> None:
+        """Hang the parentless ``child`` below ``parent``, unchecked."""
         child.parent = parent
         self.store.parent[child.node_id] = parent.node_id
         parent.children.append(child)
-        self.chain_index.on_attach(child, parent)
+        self.shifted_nodes += self.chain_index.on_attach(child, parent)
         # The subtree shift noted the moved nodes; the parent's fanout
         # slack changed too, which only the watch sets care about.
         self.chain_index.mark(parent)
-        self.attach_count += 1
         # Any successful attach ends a source-contact backoff episode
         # (no-op unless backoff is enabled and an episode was running).
         child.source_failures = 0
         child.source_retry_timeout = 0
-        self.probe.attach(child.node_id, parent.node_id)
 
     def detach(self, child: Node, reason: str = "detach") -> Node:
         """Sever ``child`` from its parent (the paper's ``j -/-> i``).
@@ -435,11 +456,44 @@ class Overlay:
         parent.children.remove(child)
         child.parent = None
         self.store.parent[child.node_id] = NO_PARENT
-        self.chain_index.on_detach(child)
+        self.shifted_nodes += self.chain_index.on_detach(child)
         self.chain_index.mark(parent)  # parent regained fanout slack
         self.detach_count += 1
         self.probe.detach(child.node_id, parent.node_id, reason)
         return parent
+
+    def splice(self, incoming: Node, child: Node, reason: str) -> None:
+        """Make ``child <- incoming <- parent`` out of ``child <- parent``.
+
+        The parentless ``incoming`` takes ``child``'s slot under
+        ``child``'s parent and adopts ``child``: the outcome, the
+        counters, the probe events and their order are those of
+        ``detach(child, reason)``, ``attach(incoming, parent)``,
+        ``attach(child, incoming)``, and ``reason`` annotates the
+        detach event the same way.  ``child``'s subtree keeps its root
+        and moves one hop deeper in a single shift, where the three
+        calls would move it out and back.  Every check runs before any
+        link changes, so a refused splice leaves the overlay untouched.
+        """
+        parent = child.parent
+        if parent is None:
+            raise TopologyError(f"{child!r} has no parent to leave")
+        # ``child`` has a parent, so it is an online member whenever
+        # ``parent`` is one, and ``incoming is child`` fails as parented.
+        self._check_link(incoming, parent)
+        if incoming.free_fanout <= 0:
+            raise FanoutExceededError(
+                f"{incoming!r} has no free fanout (f={incoming.fanout})"
+            )
+        parent.children.remove(child)
+        self._link(incoming, parent)
+        self._link(child, incoming)
+        self.detach_count += 1
+        self.attach_count += 2
+        probe = self.probe
+        probe.detach(child.node_id, parent.node_id, reason)
+        probe.attach(incoming.node_id, parent.node_id)
+        probe.attach(child.node_id, incoming.node_id)
 
     # ------------------------------------------------------------------
     # churn transitions
@@ -470,13 +524,16 @@ class Overlay:
         if not node.online:
             raise OfflineNodeError(f"{node!r} is already offline")
         grandparent = node.parent
-        if node.parent is not None:
-            self.detach(node, reason=reason)
+        # Take the children off first: the leaver's detach then moves
+        # the leaver alone, and each orphan subtree moves once, below.
         orphans = list(node.children)
+        node.children.clear()
+        if grandparent is not None:
+            self.detach(node, reason=reason)
         for child in orphans:
             child.parent = None
             self.store.parent[child.node_id] = NO_PARENT
-            self.chain_index.on_detach(child)
+            self.shifted_nodes += self.chain_index.on_detach(child)
             child.rounds_without_parent = 0
             # Not counted in detach_count (orphaning is the departing
             # node's doing, not a reconfiguration) but still observable.
@@ -484,7 +541,6 @@ class Overlay:
             if graceful and grandparent is not None and grandparent.online:
                 child.referral = grandparent
                 self.probe.referral(child.node_id, grandparent.node_id, reason)
-        node.children.clear()
         node.online = False
         self.store.online[node.node_id] = 0
         _remove_sorted(self._online, node)

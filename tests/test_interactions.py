@@ -11,7 +11,9 @@ from repro.core.interactions import (
     try_displace_child,
     try_insert_between,
 )
+from repro.core.errors import TopologyError
 from repro.core.tree import Overlay
+from repro.obs.probe import RecordingProbe
 
 from tests.conftest import spec
 
@@ -88,6 +90,23 @@ class TestTryAttach:
         b = add(overlay, "b", 5, 1)
         overlay.attach(b, a)
         assert not try_attach(overlay, a, b)
+
+    def test_cycle_under_own_descendant_refused_with_reason(self, overlay):
+        a = add(overlay, "a", 9, 1)
+        b = add(overlay, "b", 9, 1)
+        c = add(overlay, "c", 9, 1)
+        d = add(overlay, "d", 9, 1)
+        overlay.attach(b, a)
+        overlay.attach(c, b)
+        overlay.attach(d, c)
+        with pytest.raises(TopologyError, match="cycle"):
+            overlay.attach(a, d)
+        probe = RecordingProbe()
+        overlay.probe = probe
+        assert not try_attach(overlay, a, d)
+        assert [e.reason for e in probe.events_of("attach-reject")] == ["cycle"]
+        assert a.parent is None and d.parent is c
+        overlay.check_integrity()
 
     def test_attach_rejected_offline(self, overlay):
         a = add(overlay, "a", 1, 1)
