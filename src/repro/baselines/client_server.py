@@ -10,8 +10,10 @@ retried only at the client's next scheduled poll, so overload translates
 directly into missed updates and staleness blowup.
 
 Contrast: a LagOver puts at most ``f_0`` pullers on the source — load is
-*constant* in the population size — which the source-load benchmark
-(`benchmarks/test_source_load_baseline.py`) measures side by side.
+*constant* in the population size — which
+``repro.experiments.baselines_experiment.polling_sweep`` measures side
+by side (its claim is asserted by
+``tests/test_experiments.py::TestFigureModules::test_polling_sweep_rows``).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ for trees they never subscribed to.
 :func:`evaluate_feedtree` builds the tree for a workload's population and
 scores it with LagOver's own yardsticks — per-node latency satisfaction
 and declared-fanout violations — producing the related-work comparison
-rows of `benchmarks/test_feedtree_baseline.py`.
+rows of ``repro.experiments.baselines_experiment.feedtree_comparison``.
 """
 
 from __future__ import annotations

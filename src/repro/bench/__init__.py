@@ -8,7 +8,7 @@ Layers (see docs/BENCHMARKS.md for the guide):
 * :mod:`repro.bench.runner` — the shared runner: warmup, repeats,
   median/IQR, environment fingerprint, optional cProfile;
 * :mod:`repro.bench.schema` — the normalized ``repro.bench/v1`` JSON
-  record/run/history shapes, plus the legacy ``BENCH_*.json`` view;
+  record/run/history shapes;
 * :mod:`repro.bench.history` — the append-only ``BENCH_HISTORY.jsonl``
   perf trajectory;
 * :mod:`repro.bench.compare` — the noise-aware regression gate behind
@@ -41,7 +41,6 @@ from repro.bench.schema import (
     RECORD_SCHEMA,
     RUN_SCHEMA,
     history_record,
-    legacy_view,
     make_run_document,
     validate_record,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "fingerprints_match",
     "history_record",
     "latest_by_name",
-    "legacy_view",
     "load_suites",
     "make_run_document",
     "read_history",

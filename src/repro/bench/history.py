@@ -1,7 +1,6 @@
 """``BENCH_HISTORY.jsonl``: the repo's append-only perf trajectory.
 
-Every harness run — ``repro bench run`` and each legacy
-``benchmarks/*.py`` wrapper — appends one compact line per benchmark
+Every ``repro bench run`` appends one compact line per benchmark
 (:func:`repro.bench.schema.history_record`): name, quick flag, metric
 medians, failure count, environment fingerprint, timestamp.  The file
 is plain JSONL so it diffs, greps and plots trivially, and ``repro

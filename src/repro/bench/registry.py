@@ -76,18 +76,11 @@ class BenchContext:
     """What the runner hands every benchmark callable.
 
     ``quick`` selects the CI smoke scale; ``workers`` is a parallelism
-    hint (0 = serial); ``options`` carries script-level overrides (e.g.
-    ``population``) that :meth:`opt` reads with a default.
+    hint (0 = serial).
     """
 
     quick: bool = False
     workers: int = 0
-    options: Mapping[str, object] = dataclasses.field(default_factory=dict)
-
-    def opt(self, key: str, default=None):
-        """An override if the caller supplied one, else ``default``."""
-        value = self.options.get(key, default)
-        return default if value is None else value
 
 
 @dataclasses.dataclass
@@ -95,10 +88,9 @@ class BenchResult:
     """One benchmark invocation's outcome.
 
     ``metrics`` are the typed numbers the harness tracks; ``detail`` is
-    the benchmark's free-form payload (kept verbatim in the record —
-    the legacy ``BENCH_*.json`` views are built from it); ``failures``
-    are hard correctness failures (e.g. two seeded runs that diverge)
-    that fail the run regardless of any threshold.
+    the benchmark's free-form payload (kept verbatim in the record);
+    ``failures`` are hard correctness failures (e.g. two seeded runs
+    that diverge) that fail the run regardless of any threshold.
     """
 
     metrics: Dict[str, float]

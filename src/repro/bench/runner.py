@@ -21,7 +21,7 @@ import io
 import pstats
 import statistics
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bench.env import fingerprint
 from repro.bench.registry import Benchmark, BenchContext, BenchResult
@@ -38,12 +38,9 @@ class RunnerConfig:
     warmup: Optional[int] = None
     profile: bool = False
     profile_top: int = 15
-    options: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
     def context(self) -> BenchContext:
-        return BenchContext(
-            quick=self.quick, workers=self.workers, options=dict(self.options)
-        )
+        return BenchContext(quick=self.quick, workers=self.workers)
 
 
 def _iqr(values: Sequence[float]) -> float:

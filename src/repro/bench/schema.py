@@ -32,11 +32,6 @@ Three document shapes share one schema family:
 **History line** (``repro.bench/history/v1``) — the compact per-record
 line appended to ``BENCH_HISTORY.jsonl``: name, quick flag, metric
 *medians* only, failure count, env, timestamp.
-
-The legacy ``BENCH_*.json`` files written by ``benchmarks/*.py`` are
-*views* of a record: the record's ``detail`` payload hoisted to the top
-level (so their historical keys keep working) plus the normalized
-envelope keys, see :func:`legacy_view`.
 """
 
 from __future__ import annotations
@@ -134,21 +129,6 @@ def history_record(record: Mapping[str, object]) -> Dict[str, object]:
         "env": dict(record.get("env", {})),
         "recorded_at": record.get("recorded_at", utc_now()),
     }
-
-
-def legacy_view(record: Mapping[str, object]) -> Dict[str, object]:
-    """The legacy ``BENCH_*.json`` shape of a record.
-
-    The benchmark-specific ``detail`` payload (the pre-harness file
-    layout) is hoisted to the top level and the normalized envelope
-    rides along, so old consumers keep reading their keys and new ones
-    get the schema.
-    """
-    view: Dict[str, object] = dict(record.get("detail", {}))
-    for key in RECORD_REQUIRED:
-        if key != "detail":
-            view[key] = record[key]
-    return view
 
 
 def metric_medians(record: Mapping[str, object]) -> Dict[str, float]:

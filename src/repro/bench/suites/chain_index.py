@@ -66,11 +66,9 @@ def run_rounds(
     description="ChainIndex-backed churned construction",
 )
 def chain_index_churn(ctx: BenchContext) -> BenchResult:
-    population = int(ctx.opt("population", 300 if ctx.quick else 2000))
-    rounds = int(ctx.opt("rounds", 8 if ctx.quick else 80))
-    seed = int(ctx.opt("seed", 0))
-    algorithm = str(ctx.opt("algorithm", "hybrid"))
-    oracle = str(ctx.opt("oracle", "random-delay"))
+    population = 300 if ctx.quick else 2000
+    rounds = 8 if ctx.quick else 80
+    seed, algorithm, oracle = 0, "hybrid", "random-delay"
     indexed = run_rounds(population, rounds, seed, algorithm, oracle)
     metrics = {
         "rounds_per_sec": indexed["rounds_per_sec"],

@@ -1,7 +1,7 @@
 """Chaos benchmarks: the layered-fault soak and the backoff A/B.
 
-The registry port of ``benchmarks/chaos_soak.py`` (now a thin CLI
-wrapper over this module).  Two registered benchmarks:
+Two registered benchmarks, run at full scale with ``repro bench run
+chaos_soak.soak chaos_soak.backoff_ab --workers 2``:
 
 ``chaos_soak.soak``
     A long run under a layered fault plan — a 20 % correlated crash
@@ -199,15 +199,7 @@ def run_backoff_ab(
 
 def _scale(ctx: BenchContext) -> Tuple[int, int, int]:
     """(population, max_rounds, crash_round) at the context's scale."""
-    if ctx.quick:
-        defaults = (120, 220, 40)
-    else:
-        defaults = (500, 320, 100)
-    return (
-        int(ctx.opt("population", defaults[0])),
-        int(ctx.opt("max_rounds", defaults[1])),
-        int(ctx.opt("crash_round", defaults[2])),
-    )
+    return (120, 220, 40) if ctx.quick else (500, 320, 100)
 
 
 @register(
@@ -238,10 +230,8 @@ def _scale(ctx: BenchContext) -> Tuple[int, int, int]:
 )
 def chaos_soak_soak(ctx: BenchContext) -> BenchResult:
     population, max_rounds, crash_round = _scale(ctx)
-    seed = int(ctx.opt("seed", 0))
-    algorithm = str(ctx.opt("algorithm", "hybrid"))
-    oracle = str(ctx.opt("oracle", "random-delay"))
-    integrity_every = int(ctx.opt("integrity_every", 10))
+    seed, algorithm, oracle = 0, "hybrid", "random-delay"
+    integrity_every = 10
     soak = run_soak(
         population, seed, algorithm, oracle, max_rounds, crash_round,
         integrity_every,
@@ -295,10 +285,8 @@ def chaos_soak_soak(ctx: BenchContext) -> BenchResult:
 )
 def chaos_backoff_ab(ctx: BenchContext) -> BenchResult:
     population, _, crash_round = _scale(ctx)
-    seed = int(ctx.opt("seed", 0))
-    algorithm = str(ctx.opt("algorithm", "hybrid"))
-    oracle = str(ctx.opt("oracle", "random-delay"))
-    window = int(ctx.opt("window", 40))
+    seed, algorithm, oracle = 0, "hybrid", "random-delay"
+    window = 40
     # The backoff run converges a little later than the baseline (first
     # failures double the retry delay during construction too), so the
     # A/B's crash lands a bit after the soak's to stay post-convergence

@@ -100,9 +100,9 @@ def run_continuous(population: int, rounds: int, seed: int):
 )
 def time_continuous(ctx: BenchContext) -> BenchResult:
     """Timed continuous build, repeated to pin run-to-run determinism."""
-    population = int(ctx.opt("population", 600 if ctx.quick else 2000))
-    rounds = int(ctx.opt("rounds", 40 if ctx.quick else 80))
-    seed = int(ctx.opt("seed", 0))
+    population = 600 if ctx.quick else 2000
+    rounds = 40 if ctx.quick else 80
+    seed = 0
 
     failures: List[str] = []
     first, elapsed = run_continuous(population, rounds, seed)

@@ -11,7 +11,9 @@ baseline is regenerated deliberately.
 
 Cells that starve by design (Fig. 3's O2a/O2b on some families report a
 ``None`` median) are excluded from the metric set — the ``stuck``
-shape is asserted by the figure's own pytest-benchmark file, not here.
+shape is asserted by
+``tests/test_experiments.py::TestFigureModules::test_figure3_grid_keys``,
+not here.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def figure2_spread(ctx: BenchContext) -> BenchResult:
     families: Sequence[str] = (
         ("Rand", "BiUnCorr") if ctx.quick else ("Rand", "BiCorr", "BiUnCorr")
     )
-    repeats = int(ctx.opt("repeats", 3 if ctx.quick else 5))
+    repeats = 3 if ctx.quick else 5
     start = time.perf_counter()
     summaries = figure2.run(profile, repeats=repeats, families=families)
     elapsed = time.perf_counter() - start

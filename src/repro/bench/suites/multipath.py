@@ -70,9 +70,9 @@ _METRICS["k2_gain_min"] = Metric(
     description="Delivery availability vs failed fraction, k ∈ {1,2,3}",
 )
 def multipath_avail(ctx: BenchContext) -> BenchResult:
-    size = int(ctx.opt("size", 40))
-    seed = int(ctx.opt("seed", 2))
-    trials = int(ctx.opt("trials", 5))
+    size = 40
+    seed = 2
+    trials = 5
     fractions = QUICK_FRACTIONS if ctx.quick else FULL_FRACTIONS
     workload = make("Rand", size=size, seed=seed)
     metrics: Dict[str, float] = {}

@@ -126,10 +126,10 @@ def best_of(mode: str, population: int, rounds: int, seed: int, repeats: int) ->
     "on a churned construction",
 )
 def obs_overhead(ctx: BenchContext) -> BenchResult:
-    population = int(ctx.opt("population", 300 if ctx.quick else 2000))
-    rounds = int(ctx.opt("rounds", 8 if ctx.quick else 40))
-    seed = int(ctx.opt("seed", 0))
-    repeats = int(ctx.opt("repeats", 2))
+    population = 300 if ctx.quick else 2000
+    rounds = 8 if ctx.quick else 40
+    seed = 0
+    repeats = 2
     off = best_of("off", population, rounds, seed, repeats)
     recorder = best_of("recorder", population, rounds, seed, repeats)
     ring = best_of("ring", population, rounds, seed, repeats)

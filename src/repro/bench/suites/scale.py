@@ -139,14 +139,11 @@ def run_phase(
 )
 def scale_columnar(ctx: BenchContext) -> BenchResult:
     """Build + converge-under-churn throughput across the population ladder."""
-    if ctx.opt("populations") is not None:
-        populations = [int(n) for n in ctx.opt("populations")]
-    else:
-        populations = [POPULATIONS[0]] if ctx.quick else list(POPULATIONS)
-    build_rounds = int(ctx.opt("build_rounds", 60 if ctx.quick else 200))
-    churn_rounds = int(ctx.opt("churn_rounds", 30 if ctx.quick else 100))
-    seed = int(ctx.opt("seed", 0))
-    min_build_satisfied = float(ctx.opt("min_build_satisfied", 0.35))
+    populations = [POPULATIONS[0]] if ctx.quick else list(POPULATIONS)
+    build_rounds = 60 if ctx.quick else 200
+    churn_rounds = 30 if ctx.quick else 100
+    seed = 0
+    min_build_satisfied = 0.35
 
     metrics: Dict[str, float] = {}
     failures: List[str] = []

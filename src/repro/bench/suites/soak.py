@@ -25,10 +25,10 @@ from repro.faults.plan import parse_fault_plan
 from repro.multifeed.soak import SoakConfig, parse_timeline, run_soak
 
 
-def _config(ctx: BenchContext) -> SoakConfig:
-    """The soak at the context's scale (quick: small population and a
-    short service phase; full: the 10x surge over a real audience)."""
-    if ctx.quick:
+def soak_config(quick: bool) -> SoakConfig:
+    """The soak at one scale (quick: small population and a short
+    service phase; full: the 10x surge over a real audience)."""
+    if quick:
         consumers, rounds, warmup = 40, 90, 24
         timeline = "flash@36:news:x10:ramp=3,exodus@60:news:0.4"
         faults = "source-outage@48:4"
@@ -38,17 +38,12 @@ def _config(ctx: BenchContext) -> SoakConfig:
             "flash@60:news:x10:ramp=3,exodus@120:news:0.5,rejoin@140:news"
         )
         faults = "crash@100:0.15:rejoin=12,source-outage@150:6"
-    plan = str(ctx.opt("faults", faults))
     return SoakConfig(
-        feed_ids=("news", "sports", "tech"),
-        consumer_count=int(ctx.opt("consumers", consumers)),
-        seed=int(ctx.opt("seed", 0)),
-        rounds=int(ctx.opt("rounds", rounds)),
-        warmup_rounds=int(ctx.opt("warmup", warmup)),
-        timeline=parse_timeline(str(ctx.opt("timeline", timeline))),
-        faults=parse_fault_plan(plan) if plan != "none" else None,
-        publish_rate=float(ctx.opt("publish_rate", 0.5)),
-        reuse_bias=float(ctx.opt("reuse_bias", 0.8)),
+        consumer_count=consumers,
+        rounds=rounds,
+        warmup_rounds=warmup,
+        timeline=parse_timeline(timeline),
+        faults=parse_fault_plan(faults),
     )
 
 
@@ -103,8 +98,13 @@ def _config(ctx: BenchContext) -> SoakConfig:
     "correlated faults, per-feed staleness SLOs",
 )
 def soak_service(ctx: BenchContext) -> BenchResult:
-    config = _config(ctx)
-    p99_slo = float(ctx.opt("p99_slo", config.max_latency + 2))
+    return gated_soak(soak_config(ctx.quick))
+
+
+def gated_soak(config: SoakConfig) -> BenchResult:
+    """Run one soak and gate it: the hot feed must re-converge with its
+    p99 staleness back inside the SLO, and the system must recover."""
+    p99_slo = float(config.max_latency + 2)
     start = time.perf_counter()
     summary = run_soak(config)
     elapsed = time.perf_counter() - start

@@ -104,10 +104,10 @@ def run_cell(
     "omniscient/sharded",
 )
 def stabilize_converge(ctx: BenchContext) -> BenchResult:
-    size = int(ctx.opt("size", 24 if ctx.quick else 60))
-    seed = int(ctx.opt("seed", 3))
-    corruption_seed = int(ctx.opt("corruption_seed", 7))
-    intensity = float(ctx.opt("intensity", 0.25))
+    size = 24 if ctx.quick else 60
+    seed = 3
+    corruption_seed = 7
+    intensity = 0.25
     metrics: Dict[str, float] = {}
     failures: List[str] = []
     cells: Dict[str, dict] = {}

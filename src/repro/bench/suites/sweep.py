@@ -1,11 +1,10 @@
 """Parallel-sweep benchmark: the Fig. 3 grid, serial vs process pools.
 
-The registry port of ``benchmarks/parallel_sweep.py`` (now a thin CLI
-wrapper over this module).  The grid is run once on the serial
-reference executor, then once per requested pool size; the suite
-hard-fails if any pooled grid is not **bit-identical** to the serial
-one (the :mod:`repro.par` determinism contract) and reports wall-clock
-speedups.
+``parallel_sweep.grid`` runs the grid once on the serial reference
+executor, then once per pool size (2 at ``--quick``, 2 and 4 at full
+scale); the suite hard-fails if any pooled grid is not
+**bit-identical** to the serial one (the :mod:`repro.par` determinism
+contract) and reports wall-clock speedups.
 
 The measured speedup is bounded by the CPUs actually available: a
 repeat-median sweep is pure CPU-bound Python, so on an M-core machine
@@ -17,7 +16,6 @@ from different machines are never gated against each other.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import List, Sequence, Tuple
 
@@ -109,12 +107,6 @@ def parallel_sweep_grid(ctx: BenchContext) -> BenchResult:
         families = PAPER_FAMILIES
         oracles = tuple(oracle_names())
         worker_counts = (2, 4)
-    repeats = ctx.opt("grid_repeats")
-    if repeats is not None:
-        profile = dataclasses.replace(profile, repeats=int(repeats))
-    worker_counts = tuple(
-        int(w) for w in ctx.opt("worker_counts", worker_counts)
-    )
     serial, parallel, failures = run_scaling(
         profile, families, oracles, worker_counts
     )

@@ -157,8 +157,8 @@ def eager_maintenance(overlay: Overlay, node: Node) -> bool:
     as the latency constraint is violated, even in unrooted fragments.
 
     Provided as an ablation baseline
-    (``benchmarks/test_ablation_maintenance.py``) to quantify how much the
-    lazy rules buy.
+    (``repro.experiments.ablations.maintenance_comparison``) to quantify
+    how much the lazy rules buy.
     """
     if node.parent is None or node.is_source or not node.online:
         return False

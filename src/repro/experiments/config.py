@@ -1,10 +1,12 @@
-"""Experiment profiles: paper-scale and bench-scale parameters.
+"""Experiment profiles: paper-scale and reduced-scale parameters.
 
 The paper's §5 experiments use 120 peers and the repeat-5-take-median
 protocol.  Full-scale runs (minutes) are what ``python -m
-repro.experiments.<figure>`` executes and what EXPERIMENTS.md records;
-the pytest-benchmark harness uses the ``QUICK`` profile so the whole
-bench suite stays interactive while preserving every qualitative shape.
+repro.experiments.<figure>`` executes and what EXPERIMENTS.md records.
+The tier-1 claim tests (``tests/test_experiments.py``) run the same
+code at ``BENCH`` and ``BENCH_GRID``, the smallest scales at which
+every qualitative shape the paper claims still holds; the ``repro
+bench`` figure suites run at ``QUICK``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,14 @@ PAPER = ExperimentProfile(name="paper", population=120, repeats=5, max_rounds=80
 
 #: Bench scale: same shapes, interactive runtimes.
 QUICK = ExperimentProfile(name="quick", population=40, repeats=3, max_rounds=2500)
+
+#: Claim-test scale: big enough that every qualitative shape holds.
+BENCH = ExperimentProfile(name="bench", population=80, repeats=3, max_rounds=6000)
+
+#: Claim-test scale for the wide grids (Fig. 3's 16 cells).
+BENCH_GRID = ExperimentProfile(
+    name="bench-grid", population=60, repeats=3, max_rounds=4000
+)
 
 #: Fig. 2 repeats more (it *is* a variance study).
 FIG2_REPEATS = 20

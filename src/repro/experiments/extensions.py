@@ -1,26 +1,35 @@
 """Full-scale runs of the §7 extensions and the beyond-paper studies.
 
+Each table function prints its table and returns the outcomes it was
+built from, so ``tests/test_extensions_experiment.py`` asserts the
+claims on the same runs.
+
 Run: ``python -m repro.experiments.extensions``
 """
 
 from __future__ import annotations
 
 import statistics
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import ascii_table, banner
-from repro.feeds.live import live_delivery
-from repro.locality import run_pair
-from repro.multifeed import MultiFeedSystem, reuse_oracle_factory
-from repro.multipath import delivery_under_failures
+from repro.feeds.live import LiveDeliveryReport, live_delivery
+from repro.locality import LocalityOutcome, run_pair
+from repro.multifeed import MultiFeedSystem, ReuseMetrics, reuse_oracle_factory
+from repro.multipath import ResilienceRow, delivery_under_failures
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.workloads import make as make_workload
 
 
-def locality_table(population: int = 120, seeds=(0, 1, 2)) -> None:
+def locality_table(
+    population: int = 120, seeds=(0, 1, 2)
+) -> List[Tuple[LocalityOutcome, LocalityOutcome]]:
+    """The (plain, locality-biased) outcome pair of each seed."""
     print(banner("Extension: locality-gradated construction (Rand)"))
+    pairs = [run_pair(population=population, seed=seed) for seed in seeds]
     rows = []
-    for seed in seeds:
-        for outcome in run_pair(population=population, seed=seed):
+    for seed, pair in zip(seeds, pairs):
+        for outcome in pair:
             rows.append(
                 [
                     seed,
@@ -38,10 +47,15 @@ def locality_table(population: int = 120, seeds=(0, 1, 2)) -> None:
         )
     )
     print()
+    return pairs
 
 
-def multifeed_table(consumers: int = 120, seeds=(4, 5, 6)) -> None:
+def multifeed_table(
+    consumers: int = 120, seeds=(4, 5, 6)
+) -> Dict[str, List[Tuple[bool, ReuseMetrics]]]:
+    """Per oracle label, each seed's (all feeds converged, reuse metrics)."""
     print(banner("Extension: multi-feed reuse over intersecting consumers"))
+    outcomes: Dict[str, List[Tuple[bool, ReuseMetrics]]] = {}
     rows = []
     for seed in seeds:
         for label, factory in (
@@ -56,6 +70,7 @@ def multifeed_table(consumers: int = 120, seeds=(4, 5, 6)) -> None:
             )
             converged = system.run_sequential()
             metrics = system.reuse_metrics()
+            outcomes.setdefault(label, []).append((converged, metrics))
             rows.append(
                 [
                     seed,
@@ -82,20 +97,28 @@ def multifeed_table(consumers: int = 120, seeds=(4, 5, 6)) -> None:
         )
     )
     print()
+    return outcomes
 
 
-def multipath_table(population: int = 120, seed: int = 2) -> None:
+def multipath_table(
+    population: int = 120, seed: int = 2
+) -> Dict[int, List[ResilienceRow]]:
+    """Per path count, one row per failed fraction."""
     print(banner("Extension: multipath delivery under failures (Rand)"))
     workload = make_workload("Rand", size=population, seed=seed)
-    rows = []
-    for paths in (1, 2, 3):
-        for row in delivery_under_failures(
+    by_paths = {
+        paths: delivery_under_failures(
             workload,
             paths=paths,
             failure_fractions=[0.05, 0.15, 0.25],
             seed=seed,
             trials=10,
-        ):
+        )
+        for paths in (1, 2, 3)
+    }
+    rows = []
+    for paths, result_rows in by_paths.items():
+        for row in result_rows:
             rows.append(
                 [
                     paths,
@@ -110,16 +133,23 @@ def multipath_table(population: int = 120, seed: int = 2) -> None:
         )
     )
     print()
+    return by_paths
 
 
-def live_delivery_table(population: int = 120, seed: int = 1) -> None:
+def live_delivery_table(
+    population: int = 120, seed: int = 1
+) -> Dict[float, LiveDeliveryReport]:
+    """Per leave probability, the live-delivery report."""
     print(banner("Beyond the paper: live delivery under churn (Rand)"))
     workload = make_workload("Rand", size=population, seed=seed)
-    rows = []
-    for leave in (0.0, 0.01, 0.04):
-        report = live_delivery(
+    reports = {
+        leave: live_delivery(
             workload, seed=seed, leave_probability=leave, duration=200
         )
+        for leave in (0.0, 0.01, 0.04)
+    }
+    rows = []
+    for leave, report in reports.items():
         rows.append(
             [
                 leave,
@@ -137,10 +167,15 @@ def live_delivery_table(population: int = 120, seed: int = 1) -> None:
         )
     )
     print()
+    return reports
 
 
-def scalability_table(seeds=(1, 2, 3)) -> None:
+def scalability_table(
+    seeds=(1, 2, 3)
+) -> Dict[Tuple[str, int], List[Optional[int]]]:
+    """Per (algorithm, population), each seed's construction rounds."""
     print(banner("Beyond the paper: population scalability (Rand)"))
+    grid: Dict[Tuple[str, int], List[Optional[int]]] = {}
     rows = []
     for algorithm in ("greedy", "hybrid"):
         for population in (60, 120, 240, 480):
@@ -154,6 +189,7 @@ def scalability_table(seeds=(1, 2, 3)) -> None:
                     ),
                 )
                 values.append(result.construction_rounds)
+            grid[(algorithm, population)] = values
             rows.append(
                 [
                     algorithm,
@@ -167,6 +203,7 @@ def scalability_table(seeds=(1, 2, 3)) -> None:
             ["algorithm", "population", "median rounds", "failures"], rows
         )
     )
+    return grid
 
 
 def main() -> None:

@@ -14,11 +14,21 @@ run.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench import latest_by_name, load_suites, read_history
+from repro.bench import (
+    Benchmark,
+    BenchResult,
+    latest_by_name,
+    load_suites,
+    read_history,
+)
 from repro.cli import main
+
+#: The perf-gate's committed quick baseline, beside the golden ledger.
+QUICK_BASELINE = Path(__file__).resolve().parent / "golden" / "bench_quick.json"
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +95,20 @@ class TestBenchRun:
         assert main(["bench", "run", "no.such.bench", "--no-history"]) == 2
         assert "no.such.bench" in capsys.readouterr().err
 
+    def test_run_exits_one_on_a_failed_record(self, monkeypatch):
+        """A benchmark's hard failure fails the run (the CI perf-gate's
+        ``repro bench run --quick`` step relies on this)."""
+
+        def failing(ctx):
+            return BenchResult(metrics={"x": 1.0}, failures=("synthetic",))
+
+        registry = load_suites()
+        monkeypatch.setitem(
+            registry._benchmarks, "toy.failing", Benchmark("toy.failing", failing)
+        )
+        code = main(["bench", "run", "toy.failing", "--quick", "--no-history"])
+        assert code == 1
+
     def test_list_shows_all_benchmarks(self, capsys):
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
@@ -129,8 +153,7 @@ class TestBenchCompare:
 class TestCommittedBaseline:
     def test_committed_quick_baseline_matches_registry(self):
         """The CI gate's committed baseline covers the whole quick suite."""
-        with open("benchmarks/baselines/quick.json", encoding="utf-8") as fh:
-            document = json.load(fh)
+        document = json.loads(QUICK_BASELINE.read_text(encoding="utf-8"))
         assert document["schema"] == "repro.bench/run/v1"
         names = {record["name"] for record in document["records"]}
         assert names == set(load_suites().names())

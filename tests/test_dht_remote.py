@@ -1,5 +1,6 @@
 """Tests for message-level DHT lookups (repro.dht.remote)."""
 
+import math
 import random
 
 import pytest
@@ -109,3 +110,25 @@ class TestLookupProtocol:
         results = measure_lookup_latency(ring, network, scheduler, keys)
         mean_hops = sum(r.hops for r in results) / len(results)
         assert mean_hops <= 12  # ~2*log2(64)
+
+    def test_query_hops_grow_logarithmically_with_ring_size(self):
+        """The oracle's directory query over a wide-area substrate:
+        every lookup completes, mean hops stay within 2 log2(n) + 1 and
+        grow with the ring."""
+        mean_hops = {}
+        for size in (8, 16, 32, 64):
+            ring = ChordRing(bits=16)
+            for index in range(size):
+                ring.add_peer(f"svc-{index}")
+            scheduler = EventScheduler()
+            network = Network(
+                scheduler,
+                CoordinateLatency(random.Random(size), base=0.02, scale=0.1),
+            )
+            keys = [hash_key(f"q{i}", 16) for i in range(60)]
+            results = measure_lookup_latency(ring, network, scheduler, keys)
+            assert len(results) == 60
+            assert all(r.finished_at is not None for r in results)
+            mean_hops[size] = sum(r.hops for r in results) / len(results)
+            assert mean_hops[size] <= 2 * math.log2(size) + 1
+        assert mean_hops[64] > mean_hops[8]

@@ -159,6 +159,27 @@ class TestDissemination:
         assert report.satisfied_fraction == 1.0
         assert report.worst_violation() <= 0.0
 
+    def test_lagover_source_load_is_constant(self):
+        """§1: a LagOver's source serves one pull per direct puller per
+        unit, bounded by the source fanout and flat in the population."""
+
+        def pull_rate(population):
+            workload = make_workload("Rand", size=population, seed=1)
+            simulation = Simulation(
+                workload, SimulationConfig(algorithm="hybrid", seed=1)
+            )
+            simulation.run()
+            assert simulation.overlay.is_converged()
+            source = FeedSource()
+            LagOverDissemination(
+                simulation.overlay, source, random.Random(1)
+            ).run(40.0)
+            rate = source.requests_total / 40.0
+            assert rate <= workload.source_fanout + 0.5
+            return rate
+
+        assert pull_rate(160) <= pull_rate(40) * 1.25
+
     def test_invalid_hop_delay_rejected(self):
         overlay = self._chain_overlay()
         with pytest.raises(ConfigurationError):

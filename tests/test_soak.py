@@ -466,15 +466,15 @@ class TestBenchSuite:
                 assert first.metrics[name] == second.metrics[name]
 
     def test_gate_fails_when_hot_feed_cannot_reconverge(self):
-        from repro.bench.registry import BenchContext
+        from repro.bench.suites.soak import gated_soak, soak_config
 
-        bench = self.bench()
         # Flash lands 4 rounds before the end: no time to re-converge.
-        ctx = BenchContext(
-            quick=True,
-            options={"timeline": "flash@86:news:x10:ramp=1", "rounds": 90},
+        config = dataclasses.replace(
+            soak_config(quick=True),
+            timeline=parse_timeline("flash@86:news:x10:ramp=1"),
+            rounds=90,
         )
-        result = bench.fn(ctx)
+        result = gated_soak(config)
         assert result.failures
         assert "never re-converged" in result.failures[0]
 
