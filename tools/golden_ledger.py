@@ -30,7 +30,10 @@ loop that drives the construction rules is pinned:
 * a static greedy build stopped at convergence (the paper grid's path);
 * a reuse-biased multi-feed system driven by ``run()`` and by
   ``run_sequential()`` (convergence by feed, rounds run and the sorted
-  parent map of every feed).
+  parent map of every feed);
+* a small multi-feed service soak on the continuous clock over
+  ``geo-3region`` with a flash crowd, an exodus and a crash, the one
+  row whose feed delivery runs on a per-edge hop-delay model.
 
 A change that only makes the code faster or smaller leaves
 ``tests/golden/ledger.json`` byte-identical.  A change that moves an
@@ -228,6 +231,29 @@ def _soak(seed: int):
     )
 
 
+def _soak_geo(seed: int):
+    """A small three-feed soak on the continuous clock over
+    ``geo-3region``: a flash crowd, an exodus with its rejoin, and a
+    crash burst, so feed items cross re-parented overlays with pushes
+    from former parents still in flight."""
+    from repro.faults.plan import parse_fault_plan
+    from repro.multifeed.soak import SoakConfig, parse_timeline, run_soak
+
+    return run_soak(
+        SoakConfig(
+            consumer_count=36,
+            seed=seed,
+            rounds=70,
+            warmup_rounds=20,
+            timeline=parse_timeline(
+                "flash@30:news:x4:ramp=2,exodus@45:news:0.4,rejoin@55:news"
+            ),
+            faults=parse_fault_plan("crash@40:0.15:rejoin=8"),
+            time_model="continuous:geo-3region",
+        )
+    )
+
+
 def _multipath(seed: int):
     from repro.faults.plan import parse_fault_plan
     from repro.multipath import MultipathSystem
@@ -329,6 +355,7 @@ def scenarios() -> List[Scenario]:
         ("multifeed/run_sequential/reuse", 13, _multifeed(sequential=True))
     )
     out.append(("soak/quick", 11, _soak))
+    out.append(("soak/geo-3region", 11, _soak_geo))
     out.append(("multipath/2-paths+crash", 5, _multipath))
     out.append(("stabilize/hybrid/omniscient", 99, _stabilize))
     return out
