@@ -161,8 +161,9 @@ class FeedSource:
         self.advance_to(now)
         if not self._consume_capacity(now):
             return None
-        fresh = [item for item in self.items if item.seq > since_seq]
-        return fresh, self.latest_seq
+        # advance_to numbers items 1, 2, ... in publish order, so the
+        # items newer than since_seq are exactly a suffix of the list.
+        return self.items[since_seq:], self.latest_seq
 
     @property
     def rejection_rate(self) -> float:

@@ -524,18 +524,11 @@ class ServiceSoak:
             )
             period_ms = self.geo_profile.pull_period_ms
             geo = self.geo
-            # The geo model is pure and keyed by name, so each edge's
-            # units are computed once and served from this cache after.
-            units_by_edge: Dict[Tuple[str, str], float] = {}
 
+            # Pure in the edge (each engine caches it per edge, and
+            # delivers down its overlay as a wave on that contract).
             def hop_delay_model(parent, child):
-                edge = (parent.name, child.name)
-                units = units_by_edge.get(edge)
-                if units is None:
-                    units = units_by_edge[edge] = (
-                        geo.one_way_ms(parent.name, child.name) / period_ms
-                    )
-                return units
+                return geo.one_way_ms(parent.name, child.name) / period_ms
 
         # Live dissemination: one bursty source + engine per feed.
         self.sources: Dict[str, FeedSource] = {}
@@ -710,7 +703,7 @@ class ServiceSoak:
                 self._hot_reconverged_round = now
             if emit:
                 deliveries = sum(
-                    len(c.arrivals)
+                    c.received_count()
                     for c in self.engines[feed].consumers.values()
                 )
                 self.probe.feed_health(
@@ -777,13 +770,13 @@ class ServiceSoak:
             values: List[float] = []
             split_hot = feed == hot_feed and flash_time is not None
             for consumer in engine.consumers.values():
-                for arrival in consumer.arrivals.values():
-                    published = arrival.item.published_at
-                    if published < service_start:
-                        continue
-                    arrived_at = arrival.arrived_at
-                    staleness = (arrived_at - published) / pull_period
-                    values.append(staleness)
+                for batch, arrived_at in consumer.log:
+                    stale = [
+                        (arrived_at - item.published_at) / pull_period
+                        for item in batch
+                        if item.published_at >= service_start
+                    ]
+                    values.extend(stale)
                     # The before/after windows cut on *arrival* time —
                     # the operator's view: p99 of deliveries as they
                     # happened, pre-flash vs. post-recovery (a pre-flash
@@ -791,12 +784,12 @@ class ServiceSoak:
                     # the disruption, not the calm before it).
                     if split_hot:
                         if arrived_at < flash_time:
-                            hot_before.append(staleness)
+                            hot_before.extend(stale)
                         elif (
                             recover_time is not None
                             and arrived_at >= recover_time
                         ):
-                            hot_after.append(staleness)
+                            hot_after.extend(stale)
             percentiles = staleness_percentiles(values)
             series = self._satisfied_series[feed]
             availability = sum(series) / len(series) if series else 1.0

@@ -381,12 +381,17 @@ class ShardedOracle(Oracle):
             self.probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
-        self.probe.oracle_query(
-            enquirer.node_id,
-            self.name,
-            len(self.directory._batches[self.directory.shard_of(enquirer.node_id)]),
-            node.node_id,
-        )
+        if self.probe.enabled:
+            self.probe.oracle_query(
+                enquirer.node_id,
+                self.name,
+                len(
+                    self.directory._batches[
+                        self.directory.shard_of(enquirer.node_id)
+                    ]
+                ),
+                node.node_id,
+            )
         return node
 
     def admits(self, enquirer: Node, candidate: Node) -> bool:

@@ -66,6 +66,12 @@ class EventScheduler:
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: The latest time a firing callback may treat as already
+        #: reached: :meth:`run_until`'s bound, or under :meth:`step` the
+        #: firing event's own time, so a loop of ``step()`` calls never
+        #: runs ahead.  Feed dissemination delivers hops that land by the
+        #: horizon in place instead of scheduling them.
+        self.horizon: float = 0.0
         self._queue: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._fired = 0
@@ -122,7 +128,7 @@ class EventScheduler:
             _, _, handle = heapq.heappop(self._queue)
             if handle.cancelled:
                 continue
-            self.now = handle.time
+            self.now = self.horizon = handle.time
             handle.fired = True
             self._pending -= 1
             self._fired += 1
@@ -136,7 +142,9 @@ class EventScheduler:
         One pass over the heap with :meth:`peek_time`'s cancelled-skip,
         the time test and :meth:`step`'s fire inlined: the same events
         fire in the same order as a ``peek_time()``/``step()`` loop.
+        The horizon is ``time`` throughout.
         """
+        self.horizon = time
         queue = self._queue
         pop = heapq.heappop
         fired = 0

@@ -42,6 +42,19 @@ class TestFeedSource:
         items, _ = source.pull(5.0, since_seq=seq)
         assert [i.seq for i in items] == [4, 5]
 
+    def test_pull_serves_the_suffix_after_the_cursor(self):
+        source = FeedSource(
+            process=bursty(1.5, random.Random(4), burst_size=3, intra_gap=0.05)
+        )
+        source.advance_to(40.0)
+        items = source.items
+        assert len(items) > 20
+        assert [item.seq for item in items] == list(range(1, len(items) + 1))
+        for cursor in range(len(items) + 2):
+            served, latest = source.pull(40.0, since_seq=cursor)
+            assert served == [item for item in items if item.seq > cursor]
+            assert served is not items and latest == len(items)
+
     def test_capacity_rejects_excess_requests(self):
         source = FeedSource(process=periodic(1.0), capacity_per_unit=2)
         assert source.pull(0.5) is not None

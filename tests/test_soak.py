@@ -277,26 +277,27 @@ class TestGeoSoakPins:
     def test_cached_hop_delay_equals_the_geo_model(self):
         soak = ServiceSoak(geo_smoke_config(0))
         period_ms = soak.geo_profile.pull_period_ms
-        calls, edges = [], set()
+        calls = []
 
-        def checked(model):
+        def checked(feed, model):
             def hop_delay_model(parent, child):
                 units = model(parent, child)
                 expected = soak.geo.one_way_ms(parent.name, child.name) / period_ms
                 assert units == expected
-                calls.append(units)
-                edges.add((parent.name, child.name))
+                calls.append((feed, parent, child))
                 return units
 
             return hop_delay_model
 
-        for engine in soak.engines.values():
-            engine.hop_delay_model = checked(engine.hop_delay_model)
+        for feed, engine in soak.engines.items():
+            engine.hop_delay_model = checked(feed, engine.hop_delay_model)
         summary = soak.run()
         assert summary.flash_joined > 0 and summary.exodus_departures > 0
-        # Edges are pushed over again and again, so the cache serves most
-        # lookups.
-        assert len(calls) > 2 * len(edges) > 0
+        # Each engine asks the model once per edge of its overlay; edges
+        # are pushed over again and again, so its cache serves the rest.
+        assert len(calls) == len(set(calls)) > 0
+        pushes = sum(engine.pushes for engine in soak.engines.values())
+        assert pushes > 2 * len(calls)
 
 
 class TestObservability:
