@@ -120,8 +120,15 @@ class SpanRecorder:
 
     Keyed lookups (``(trace_id, node)`` is unique — consumers dedupe
     deliveries) drive chain reconstruction; eviction from the ring drops
-    the key too, so a capped recorder degrades to "the most recent
-    spans" without leaking.
+    the key too, so a capped recorder degrades to "the most recently
+    recorded spans" without leaking.
+
+    Spans are held in recording order, which is not always arrival
+    order: with a ``hop_delay_model`` the dissemination engine records a
+    wave's hops when the wave runs, ahead of hops that land earlier but
+    are still on the heap.  An uncapped recorder holds the same span set
+    either way; a capped one evicts by recording order, so which chains
+    stay complete can differ from a run that recorded in arrival order.
     """
 
     def __init__(self, capacity: int = 1 << 16) -> None:
@@ -177,7 +184,8 @@ class SpanRecorder:
         return len(self.spans)
 
     def records(self) -> List[Dict[str, Any]]:
-        """Held spans as JSON-ready dicts, oldest-first."""
+        """Held spans as JSON-ready dicts, in recording order (first
+        recorded first; see the class docstring)."""
         return [span.to_dict() for span in self.spans]
 
     def chain(self, node: int, trace_id: int) -> Optional[List[Span]]:
