@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Nine commands cover the common workflows (docs/CLI.md is the full
+Eight commands cover the common workflows (docs/CLI.md is the full
 reference):
 
 ``build``
@@ -42,11 +42,6 @@ reference):
     model: list profiles, print a profile's parameters, sampled one-way
     delay percentiles, triangle-inequality violation rate and
     (optionally) the full PoP matrix (docs/TIMING.md).
-``bench``
-    The benchmark harness (``bench run`` / ``list`` / ``compare``):
-    registry-driven benchmarks with normalized records, an append-only
-    ``BENCH_HISTORY.jsonl`` trajectory and a noise-aware regression
-    gate (see docs/BENCHMARKS.md).
 
 Examples::
 
@@ -59,8 +54,6 @@ Examples::
     python -m repro.cli obs summarize run.jsonl
     python -m repro.cli obs report run.jsonl --out report.html
     python -m repro.cli obs top run.jsonl --tail 15
-    python -m repro.cli bench run --quick --output run.json
-    python -m repro.cli bench compare baseline.json run.json
     python -m repro.cli workload --workload Tf1 --size 120
     python -m repro.cli feasibility --source-fanout 1 "1_1^1 2_1^2 3_2^5 4_1^4 5_0^4"
     python -m repro.cli experiment figure3
@@ -459,10 +452,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="show the last N sampled rounds (default 20; 0 for all)",
     )
-
-    from repro.bench.cli import configure_parser as configure_bench_parser
-
-    configure_bench_parser(commands)
     return parser
 
 
@@ -1344,10 +1333,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_latency(args)
     if args.command == "obs":
         return _cmd_obs(args)
-    if args.command == "bench":
-        from repro.bench.cli import run_cli as run_bench_cli
-
-        return run_bench_cli(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -17,7 +17,6 @@ from repro.experiments.config import (
     BENCH_GRID,
     FIG2_REPEATS,
     PAPER,
-    QUICK,
     ExperimentProfile,
 )
 from repro.experiments.runner import resolve_executor, run_repeats, run_single
@@ -27,7 +26,6 @@ __all__ = [
     "BENCH_GRID",
     "FIG2_REPEATS",
     "PAPER",
-    "QUICK",
     "ExperimentProfile",
     "resolve_executor",
     "run_repeats",

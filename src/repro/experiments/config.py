@@ -5,8 +5,7 @@ protocol.  Full-scale runs (minutes) are what ``python -m
 repro.experiments.<figure>`` executes and what EXPERIMENTS.md records.
 The tier-1 claim tests (``tests/test_experiments.py``) run the same
 code at ``BENCH`` and ``BENCH_GRID``, the smallest scales at which
-every qualitative shape the paper claims still holds; the ``repro
-bench`` figure suites run at ``QUICK``.
+every qualitative shape the paper claims still holds.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ class ExperimentProfile:
 
 #: The paper's scale: 120 peers, 5 repeats (§5.1-§5.3).
 PAPER = ExperimentProfile(name="paper", population=120, repeats=5, max_rounds=8000)
-
-#: Bench scale: same shapes, interactive runtimes.
-QUICK = ExperimentProfile(name="quick", population=40, repeats=3, max_rounds=2500)
 
 #: Claim-test scale: big enough that every qualitative shape holds.
 BENCH = ExperimentProfile(name="bench", population=80, repeats=3, max_rounds=6000)

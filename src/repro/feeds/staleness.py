@@ -26,7 +26,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     Deterministic and interpolation-free — the rank is
     ``ceil(q/100 * n)`` into the sorted values, so two runs that deliver
     the same multiset of stalenesses report bit-identical percentiles
-    (what lets the service-soak benchmark gate on exact p999 values).
+    (what lets the golden ledger pin exact service-soak percentiles).
     Empty input reports 0.0: no delivery has no measured staleness.
     """
     return _nearest_rank(sorted(values), q)

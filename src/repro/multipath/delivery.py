@@ -76,7 +76,7 @@ and the starvation re-roll for total cross-path blockage — converges
 reliably at k=2 across families/sizes/seeds; k=3 converges on
 moderately sized draws but can livelock on tight large ones (fanout
 split three ways plus vertex-disjointness leaves little slack).  The
-bench pins k=3 configurations that converge deterministically.
+golden ledger pins k=3 configurations that converge deterministically.
 """
 
 from __future__ import annotations
@@ -390,7 +390,7 @@ class MultipathSystem:
         k=2 converges reliably across families, sizes and seeds, while
         k=3 can exceed any round budget on tight draws (fanout split
         three ways plus vertex-disjointness leaves little slack; the
-        bench pins configurations that converge deterministically).
+        golden ledger pins configurations that converge deterministically).
         Escalations that re-roll the winning chain, and subtree-aware
         edge validation, were both tried and make k=3 *worse* — see the
         module docstring's design notes.

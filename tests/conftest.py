@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core.constraints import NodeSpec
 from repro.core.tree import Overlay
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name: str):
+    """Import ``tools/<name>.py`` by path (the tools live outside the
+    package)."""
+    module_spec = importlib.util.spec_from_file_location(
+        name, REPO_ROOT / "tools" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
 
 
 def spec(latency: int, fanout: int) -> NodeSpec:

@@ -191,6 +191,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["teleport"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        """The benchmark is ``bench/run.py``; the CLI has no ``bench``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "run", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["build", "--workload", "Zipf"])

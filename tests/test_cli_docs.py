@@ -5,7 +5,7 @@ its command's heading, and every flag the document mentions must exist
 in the parser — so a renamed or removed option fails the build until
 the reference is updated, and a documented-but-fictional flag can never
 ship.  The walk recurses through nested subparsers (``obs summarize``,
-``bench run/list/compare``), so new subcommands are covered the day
+``obs report``), so new subcommands are covered the day
 they are added.
 """
 
@@ -74,7 +74,7 @@ class TestCliDocSync:
     def test_every_subcommand_has_a_section(self):
         documented = set(documented_tree())
         actual = set(parser_tree())
-        # Pure group commands (bare `obs`, bare `bench`) need no section
+        # Pure group commands (bare `obs`) need no section
         # of their own as long as their leaves are documented.
         leaves = {
             path
@@ -116,7 +116,8 @@ class TestCliDocSync:
             "workload",
             "feasibility",
             "experiment",
+            "serve-soak",
             "obs",
-            "bench",
+            "latency",
         ):
             assert f"repro {name}" in text, f"{name} absent from docs/CLI.md"

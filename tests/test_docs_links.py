@@ -6,22 +6,14 @@ is imported by path here; the same script runs as a CI step.
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from tests.conftest import REPO_ROOT, load_tool
 
 
 @pytest.fixture(scope="module")
 def check_links_module():
-    spec = importlib.util.spec_from_file_location(
-        "check_links", REPO_ROOT / "tools" / "check_links.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("check_links")
 
 
 class TestRepositoryLinks:
@@ -36,7 +28,7 @@ class TestRepositoryLinks:
         }
         assert "README.md" in files
         assert "EXPERIMENTS.md" in files
-        assert "docs/BENCHMARKS.md" in files
+        assert "docs/SPEED.md" in files
         assert "docs/CLI.md" in files
 
 
@@ -70,7 +62,7 @@ class TestCheckerMechanics:
     def test_github_slugs(self, check_links_module):
         slugify = check_links_module.slugify
         assert slugify("The regression gate") == "the-regression-gate"
-        assert slugify("`repro bench run`") == "repro-bench-run"
+        assert slugify("`repro obs report`") == "repro-obs-report"
         assert slugify("§7 future-work extensions (implemented)") == (
             "7-future-work-extensions-implemented"
         )

@@ -43,8 +43,13 @@ from repro.oracles.sharded import ShardedOracle
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig, run_simulation
 from repro.workloads import make
+from repro.workloads.random_workload import rand_workload
 
-from tests.conftest import spec
+from tests.conftest import load_tool, spec
+
+#: The golden-ledger script; its quick rows define the thundering herd
+#: and the layered chaos plan asserted below.
+ledger_tool = load_tool("golden_ledger")
 
 #: The four paper oracles (O1, O2a, O2b, O3).
 PAPER_ORACLES = (
@@ -557,6 +562,18 @@ class TestSourceBackoff:
         assert contacts[True] < contacts[False]
         assert contacts[False] == 12  # every timeout+1 = 5 rounds
 
+    def test_backoff_sheds_the_thundering_herd(self):
+        """The A/B at scale: 40 % of N=120 crash and rejoin as one burst
+        inside a 40-round source outage.  The hardened arm re-contacts
+        the source less and still converges within the slack."""
+        baseline = ledger_tool.thundering_herd(0, backoff=False)
+        hardened = ledger_tool.thundering_herd(0, backoff=True)
+        assert hardened["repeat_contacts"] < baseline["repeat_contacts"]
+        assert baseline["converged_round"] is not None
+        slack = max(5, baseline["converged_round"] // 4)
+        assert hardened["converged_round"] is not None
+        assert hardened["converged_round"] <= baseline["converged_round"] + slack
+
     def test_off_by_default_and_behavior_neutral(self):
         overlay, node, algorithm = self._blocked()
         assert not algorithm.config.source_backoff
@@ -774,6 +791,26 @@ class TestChaosRecovery:
         assert result.recovery_series == [result.time_to_recover]
         assert result.availability < 1.0  # the dent is visible
         assert result.time_to_recover > 0  # and so was the fault
+
+    def test_layered_fault_soak_reconverges(self):
+        """A 20 % crash rejoining as a burst, a source outage and a stale
+        oracle view over N=120, integrity checked every 10 rounds: the
+        overlay re-converges after the last fault."""
+        workload, _ = rand_workload(size=120, seed=0, source_fanout=4)
+        config = SimulationConfig(
+            algorithm="hybrid",
+            oracle="random-delay",
+            seed=0,
+            faults=parse_fault_plan(ledger_tool.CHAOS_PLAN),
+            max_rounds=220,
+            stop_at_convergence=False,
+        )
+        simulation = Simulation(workload, config)
+        while simulation.now < config.max_rounds:
+            simulation.run_round()
+            if simulation.now % 10 == 0:
+                simulation.overlay.check_integrity()
+        assert simulation.result().time_to_recover is not None
 
 
 class TestRecoveryMetrics:

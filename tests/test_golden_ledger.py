@@ -10,9 +10,7 @@ multi-feed system.
 
 from __future__ import annotations
 
-import importlib.util
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,19 +18,9 @@ import repro.multifeed.system  # noqa: F401 - binds the kernel step_feed calls
 import repro.sim.rng
 import repro.sim.runner  # noqa: F401 - binds the kernel the round sweep calls
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from tests.conftest import load_tool
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "golden_ledger", REPO_ROOT / "tools" / "golden_ledger.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ledger_tool = _load_tool()
+ledger_tool = load_tool("golden_ledger")
 SCENARIOS = ledger_tool.scenarios()
 RECORDED = ledger_tool.load()
 

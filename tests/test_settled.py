@@ -37,7 +37,6 @@ from repro.core.greedy import GreedyConstruction
 from repro.core.hybrid import HybridConstruction
 from repro.core.protocol import ConstructionAlgorithm
 from repro.core.tree import Overlay
-from repro.bench.suites.scale import scale_workload
 from repro.faults.plan import parse_fault_plan
 from repro.multifeed import MultiFeedSystem
 from repro.multipath.delivery import MultipathSystem
@@ -54,6 +53,7 @@ from repro.sim.runner import (
 from repro.stabilize import corrupt_overlay
 from repro.stabilize.harness import converge, sanitize
 from repro.workloads import make
+from repro.workloads.random_workload import rand_workload
 
 SHIPPED = ("greedy", "hybrid", "greedy-eager", "hybrid-eager")
 
@@ -73,6 +73,20 @@ def _polled(name: str) -> str:
 
 
 POLLED = {name: _polled(name) for name in SHIPPED}
+
+
+def slack_workload(size: int, seed: int):
+    """``Rand`` with slack a sampled directory can serve: latency budgets
+    up to 40, fanout 2..8, source fanout 32."""
+    workload, _ = rand_workload(
+        size,
+        seed,
+        source_fanout=32,
+        max_latency=40,
+        min_fanout=2,
+        max_fanout=8,
+    )
+    return workload
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +378,7 @@ class TestRoundsModeDifferential:
         )
 
     def test_the_sweep_runs_the_rule_ten_times_less_often(self):
-        workload = scale_workload(600, 4)
+        workload = slack_workload(600, 4)
         config = SimulationConfig(
             algorithm="hybrid",
             oracle_realization="sharded",
@@ -439,7 +453,7 @@ class TestContinuousDifferential:
     @pytest.mark.parametrize("profile", ("geo-3region", "geo-5region", "metro"))
     @pytest.mark.parametrize("algorithm", ("greedy", "hybrid"))
     def test_static_build_differs_in_events_fired_alone(self, algorithm, profile):
-        workload = scale_workload(600, 2)
+        workload = slack_workload(600, 2)
         config = SimulationConfig(
             algorithm=algorithm,
             oracle_realization="sharded",
@@ -464,7 +478,7 @@ class TestContinuousDifferential:
     @pytest.mark.parametrize("profile", ("geo-3region", "geo-5region", "metro"))
     @pytest.mark.parametrize("algorithm", SHIPPED)
     def test_churn_and_faults(self, algorithm, profile, scenario):
-        workload = scale_workload(200, 8)
+        workload = slack_workload(200, 8)
         config = SimulationConfig(
             algorithm=algorithm,
             oracle_realization="sharded",
