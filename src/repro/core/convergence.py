@@ -6,13 +6,12 @@ round loop itself lives in :mod:`repro.sim.runner`; this module provides
 the predicates and the per-snapshot quality measures used by the
 evaluation and the analysis package.
 
-:func:`measure` and :func:`depth_histogram` used to each re-derive every
-node's delay (three walks per node inside ``measure`` alone); both are
-now served from one shared forest scan — a single pass over the online
-consumers using the O(1) chain-index reads — cached against
-:attr:`~repro.core.index.ChainIndex.version` so the several readers of a
-simulation round (metrics record, convergence check, analysis) pay for
-exactly one traversal per overlay state.
+:func:`measure` and :func:`depth_histogram` read quality counters that
+the chain index keeps in the subtree shifts that move the chain metadata
+(:class:`~repro.core.index.ChainIndex`), so a snapshot costs O(1) in the
+population.  :func:`_forest_scan` derives the same counts in one pass
+over the online consumers: ``Overlay.check_integrity()`` compares the
+counters with it, and ``ChainIndex.rebuild()`` resets them from it.
 """
 
 from __future__ import annotations
@@ -66,66 +65,64 @@ class OverlayQuality:
         return self.satisfied == self.online
 
 
-def _forest_scan(overlay: Overlay) -> Tuple[OverlayQuality, Dict[int, int]]:
-    """One pass over the online consumers: quality and depth histogram.
-
-    The result is cached on the overlay keyed by the chain index's
-    mutation version, so within one overlay state (e.g. the tail of a
-    simulation round: metrics record, then the runner's convergence
-    check, then any analysis) the forest is traversed exactly once.
-    """
-    cache = overlay._quality_cache
-    version = overlay.chain_index.version
-    if cache is not None and cache[0] == version:
-        return cache[1], cache[2]
-    rooted = satisfied = 0
-    slack_sum = 0
-    max_depth = 0
-    fragments = 1  # the source's own tree
+def _forest_scan(overlay: Overlay) -> Tuple[int, int, int, int, Dict[int, int]]:
+    """The chain index's quality counters from scratch, in the shape of
+    :meth:`~repro.core.index.ChainIndex.counts`, off the store's columns."""
+    parentless = rooted = satisfied = slack_sum = 0
     histogram: Dict[int, int] = {}
-    # Every node of the roster is scored every round, so the chain
-    # metadata is read where the index keeps it — the store's columns —
-    # not through a reader call per node.
     store = overlay.store
     rooted_column, delay_column = store.rooted, store.delay
-    roster = overlay._online
-    for node in roster:
+    for node in overlay._online:
         if node.parent is None:
-            fragments += 1
+            parentless += 1
         node_id = node.node_id
         if not rooted_column[node_id]:
             continue
         delay = delay_column[node_id]
         rooted += 1
-        if delay > max_depth:
-            max_depth = delay
         histogram[delay] = histogram.get(delay, 0) + 1
         slack = node.latency - delay
         if slack >= 0:
             satisfied += 1
             slack_sum += slack
+    return parentless, rooted, satisfied, slack_sum, dict(sorted(histogram.items()))
+
+
+def measure(overlay: Overlay) -> OverlayQuality:
+    """:class:`OverlayQuality` of the current state, off the chain index's
+    counters.  Equal consecutive snapshots are one object, so per-round
+    records hold one per distinct state."""
+    index = overlay.chain_index
+    online = len(overlay._online)
+    fields = (
+        online,
+        index.rooted,
+        index.satisfied,
+        1 + online - index.parented,  # the source's own tree too
+        index.max_delay(),
+        index.slack_sum,
+        len(overlay.source.children),
+    )
+    last = index.last_quality
+    if last is not None and last[0] == fields:
+        return last[1]
+    online, rooted, satisfied, fragments, max_depth, slack_sum, fanout = fields
     quality = OverlayQuality(
-        online=len(roster),
+        online=online,
         rooted=rooted,
         satisfied=satisfied,
         fragments=fragments,
         max_depth=max_depth,
         mean_slack=(slack_sum / satisfied) if satisfied else 0.0,
-        used_source_fanout=len(overlay.source.children),
+        used_source_fanout=fanout,
     )
-    histogram = dict(sorted(histogram.items()))
-    overlay._quality_cache = (version, quality, histogram)
-    return quality, histogram
-
-
-def measure(overlay: Overlay) -> OverlayQuality:
-    """Compute :class:`OverlayQuality` for the current overlay state."""
-    return _forest_scan(overlay)[0]
+    index.last_quality = (fields, quality)
+    return quality
 
 
 def depth_histogram(overlay: Overlay) -> Dict[int, int]:
     """Histogram ``{depth: count}`` of rooted online consumers."""
-    return dict(_forest_scan(overlay)[1])
+    return overlay.chain_index.counts()[4]
 
 
 def violated_nodes(overlay: Overlay) -> List[Node]:

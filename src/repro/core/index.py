@@ -46,11 +46,16 @@ every consumer that wants to know *which* nodes a mutation moved — the
 health recorder folding them into its aggregates, the continuous engine
 waking dormant nodes whose rule is no longer settled — asks for a set
 of its own, and every shift adds each level's ids to each of them
-(``rebuild()`` adds every id, the liveness hooks the one node).  The
-index never interprets them: which touched node has something to do is
-protocol knowledge
-(:meth:`~repro.core.protocol.ConstructionAlgorithm.settled`), kept out
-of here.
+(``rebuild()`` adds every id, the liveness hooks the one node).
+
+The same walk keeps what every round used to re-derive.  **Quality
+counters** over the online consumers — parented, rooted, satisfied,
+their summed slack and the rooted ``DelayAt`` histogram — move in the
+hooks, by a level's size or by each moved node's latency, and
+:func:`repro.core.convergence.measure` reads them.  The **unsettled
+column** of the rule bound with :meth:`ChainIndex.bind` holds ``not
+settled(node)`` for every parented node, written through the rule's
+level form once per moved level (:mod:`repro.core.maintenance`).
 
 Reads are O(1); a mutation pays the size of the subtree it moves, once
 — the nodes the protocol would re-announce the chain metadata to.
@@ -66,16 +71,15 @@ in-tree as ``Overlay.walk_*``):
   own root at depth 0;
 * once built, the delay roster equals a from-scratch scan of the
   ``delay`` column and the liveness flags;
-* :attr:`ChainIndex.version` strictly increases on every structural or
-  liveness mutation, so any value derived from chain metadata can be
-  cached per version (see ``repro.core.convergence``'s shared forest
-  scan).
+* the quality counters equal :func:`repro.core.convergence._forest_scan`,
+  and the unsettled cell of every parented node the bound predicate.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import TYPE_CHECKING, List, Optional, Set
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import TopologyError
 from repro.core.node import SOURCE_ID, Node
@@ -83,6 +87,10 @@ from repro.core.node import SOURCE_ID, Node
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.store import ColumnarState
     from repro.core.tree import Overlay
+
+
+#: A ``DelayAt`` bound no latency reaches.
+_NEVER = 1 << 62
 
 
 def _set_bit(roster: List[int], node_id: int, delay: int) -> None:
@@ -148,12 +156,17 @@ class ChainIndex:
         #: Delay-bucketed bitsets of the online consumers, or ``None``
         #: until :meth:`delay_roster` is first read.
         self._roster: Optional[List[int]] = None
-        #: Monotonic mutation counter; bumped by every hook.  Derived
-        #: per-round quantities are cached against it.
-        self.version = 0
         #: Watch sets handed out by :meth:`watch`, one per consumer.
         self._watchers: List[Set[int]] = []
-        self.rebuild()
+        #: The bound ``settled`` predicate (:meth:`bind`), its level form.
+        self.settled_rule: Optional[Callable] = None
+        self._level: Optional[Callable] = None
+        #: Quality counters over the online consumers (set by rebuild),
+        #: the rooted ones per ``DelayAt``, and the last ``measure()``.
+        self.parented = self.rooted = self.satisfied = self.slack_sum = 0
+        self._histogram: List[int] = []
+        self.last_quality: Optional[tuple] = None
+        self.register(overlay.source)  # so far the only node
 
     # ------------------------------------------------------------------
     # construction / registration
@@ -183,11 +196,14 @@ class ChainIndex:
         """Recompute every node's chain facts from the reference walk
         (O(N·D)).
 
-        Used at construction time and available as a recovery hatch; in
+        A recovery hatch (the stabilization harness's sanitize pass); in
         normal operation the incremental hooks keep the index exact.
         Whatever bypassed the hooks may have moved any node, so every
-        id goes to the watch sets.
+        id goes to the watch sets, the quality counters are re-scanned
+        and the unsettled column is refilled.
         """
+        from repro.core.convergence import _forest_scan
+
         store = self._store
         overlay = self._overlay
         for node in overlay:
@@ -202,7 +218,30 @@ class ChainIndex:
         self._notify([node.node_id for node in overlay])
         if self._roster is not None:
             self._roster = self._scan_roster()
-        self.version += 1
+        parentless, self.rooted, self.satisfied, self.slack_sum, histogram = (
+            _forest_scan(overlay)
+        )
+        self.parented = len(overlay._online) - parentless
+        deepest = max(histogram, default=0)
+        self._histogram = [histogram.get(d, 0) for d in range(deepest + 1)]
+        self._fill_unsettled()
+
+    def bind(self, settled: Callable) -> None:
+        """Keep the unsettled column for ``settled`` (a predicate with a
+        ``level`` form) in place of any rule bound before."""
+        self.settled_rule = settled
+        self._level = settled.level
+        self._fill_unsettled()
+
+    def _fill_unsettled(self) -> None:
+        """Write the bound rule's cell of every parented node: shift each
+        subtree below a fragment top onto the cells it already has."""
+        overlay = self._overlay
+        if self._level is None or not self.parented:
+            return  # no rule, or no parented node to give a cell
+        root, depth = self._store.root, self._store.depth
+        for top in overlay.source.children + overlay.fragments()[1:]:
+            self._shift_subtree(top, root[top.node_id], depth[top.node_id])
 
     def register(self, node: Node) -> None:
         """Index a newly added node: its own root at depth 0."""
@@ -215,13 +254,11 @@ class ChainIndex:
         store.delay[i] = 0 if rooted else 1
         self._sync_roster(node)
         self._notify((i,))
-        self.version += 1
 
     def unregister(self, node: Node) -> None:
         """Note a permanently removed node
         (:meth:`~repro.core.tree.Overlay.remove_consumer`)."""
         self._notify((node.node_id,))
-        self.version += 1
 
     # ------------------------------------------------------------------
     # mutation hooks (links already updated when these run)
@@ -231,17 +268,18 @@ class ChainIndex:
         """``child`` (a fragment root) was attached under ``parent``;
         returns the number of nodes moved."""
         store = self._store
+        if not store.depth[child.node_id]:
+            # It headed a fragment; ``splice``'s second attach moves a
+            # child that was parented all along.
+            self.parented += 1
         p = parent.node_id
-        moved = self._shift_subtree(child, store.root[p], store.depth[p] + 1)
-        self.version += 1
-        return moved
+        return self._shift_subtree(child, store.root[p], store.depth[p] + 1)
 
     def on_detach(self, child: Node) -> int:
         """``child`` was severed from its parent and heads its own
         fragment; returns the number of nodes moved."""
-        moved = self._shift_subtree(child, child.node_id, 0)
-        self.version += 1
-        return moved
+        self.parented -= 1
+        return self._shift_subtree(child, child.node_id, 0)
 
     def touch(self, node: Node) -> None:
         """Record a liveness-only mutation of ``node``
@@ -249,13 +287,11 @@ class ChainIndex:
 
         The departing/rejoining node's own chain facts are already the
         fragment-root identity — every structural consequence went
-        through :meth:`on_detach` — but liveness changes what the
-        per-round quality scan and the delay roster see, so the roster
-        bit follows ``node.online`` and the version advances.
+        through :meth:`on_detach` — but liveness changes what the delay
+        roster sees, so the roster bit follows ``node.online``.
         """
         self._sync_roster(node)
         self._notify((node.node_id,))
-        self.version += 1
 
     def mark(self, node: Node) -> None:
         """Note a non-chain change that health aggregates care about
@@ -269,32 +305,44 @@ class ChainIndex:
         The subtree is walked level by level.  Every node of one level
         gets the same ``root`` / ``rooted`` / ``depth`` / ``delay``
         cells, computed from ``top`` alone, and left the same delay
-        bucket (``top``'s old delay plus the level), so a node's own
-        cells are written, never read.  With the roster built, each
-        level moves between buckets as one mask.  The walk visits each
-        node once — this is the "a mutation pays the size of the moved
-        subtree" cost — and a parent relation that loops back into the
-        subtree trips the ``seen`` guard instead of spinning.
+        bucket and rootedness (``top``'s old ones, plus the level), so a
+        node's own cells are written, never read.  Each level moves
+        between roster buckets as one mask, and the bound rule's level
+        form writes its unsettled cells.  The walk visits each node once
+        — this is the "a mutation pays the size of the moved subtree"
+        cost — and a parent relation that loops back into the subtree
+        trips the ``seen`` guard instead of spinning.
         """
         store = self._store
         root_col = store.root
         depth_col = store.depth
         rooted_col = store.rooted
         delay_col = store.delay
+        unsettled = store.unsettled
         roster = self._roster
+        histogram = self._histogram
+        rule = self._level
         watchers = self._watchers
         limit = len(self._overlay)
         rooted = 1 if root_id == SOURCE_ID else 0
         delay = depth + 1 - rooted
         old = delay_col[top.node_id]
+        was_rooted = rooted_col[top.node_id]
+        scored = rooted or was_rooted
+        satisfied = slack = 0
         seen = 0
         level = [top]
         while level:
-            seen += len(level)
+            size = len(level)
+            seen += size
             if seen > limit:
                 raise TopologyError(f"cycle detected under {top!r}")
             mask = 0
             below: List[Node] = []
+            # Satisfied at the old delay iff ``latency >= lost``, and at
+            # the new iff ``>= gained``; unrooted satisfies nobody.
+            lost = old if was_rooted else _NEVER
+            gained = delay if rooted else _NEVER
             for node in level:
                 i = node.node_id
                 root_col[i] = root_id
@@ -305,11 +353,27 @@ class ChainIndex:
                     mask |= 1 << i
                 if node.children:
                     below += node.children
+                if scored:
+                    latency = node.latency
+                    if latency >= lost:
+                        satisfied -= 1
+                        slack -= latency - lost
+                    if latency >= gained:
+                        satisfied += 1
+                        slack += latency - gained
             if roster is not None:
                 roster[old] ^= mask
                 if delay >= len(roster):
                     roster.extend([0] * (delay + 1 - len(roster)))
                 roster[delay] |= mask
+            if was_rooted:
+                histogram[old] -= size
+            if rooted:
+                if delay >= len(histogram):
+                    histogram.extend([0] * (delay + 1 - len(histogram)))
+                histogram[delay] += size
+            if rule is not None:
+                rule(unsettled, level, rooted, delay)
             if watchers:
                 ids = [node.node_id for node in level]
                 for watcher in watchers:
@@ -318,7 +382,22 @@ class ChainIndex:
             depth += 1
             delay += 1
             old += 1
+        self.rooted += (rooted - was_rooted) * seen
+        self.satisfied += satisfied
+        self.slack_sum += slack
         return seen
+
+    def counts(self) -> Tuple[int, int, int, int, Dict[int, int]]:
+        """``(parentless, rooted, satisfied, slack_sum, {DelayAt: rooted})``
+        over the online consumers."""
+        histogram = {d: n for d, n in enumerate(self._histogram) if n}
+        parentless = len(self._overlay._online) - self.parented
+        return parentless, self.rooted, self.satisfied, self.slack_sum, histogram
+
+    def max_delay(self) -> int:
+        """Largest ``DelayAt`` of a rooted online consumer (0 if none)."""
+        histogram = self._histogram
+        return next((d for d in range(len(histogram) - 1, 0, -1) if histogram[d]), 0)
 
     # ------------------------------------------------------------------
     # delay roster
@@ -408,3 +487,13 @@ class ChainIndex:
             raise TopologyError(
                 "delay roster diverged from the delay column and liveness flags"
             )
+        from repro.core.convergence import _forest_scan
+
+        if self.counts() != _forest_scan(overlay):
+            raise TopologyError("quality counters diverged from the forest scan")
+        settled = self.settled_rule
+        owner = SimpleNamespace(overlay=overlay)  # all a predicate reads
+        for node in overlay._online if settled is not None else ():
+            cell = store.unsettled[node.node_id]
+            if node.parent is not None and cell == settled(owner, node):
+                raise TopologyError(f"unsettled column diverged at {node!r}")

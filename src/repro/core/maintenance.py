@@ -24,19 +24,24 @@ structure (the ``j <- i`` example of §3.2).
 Settled nodes
     Laziness has a second reading the simulator's clocks rely on: a node
     whose rule has nothing to do *now* has nothing to do until its parent
-    link or its chain metadata (``Root``, ``DelayAt``) next changes,
-    because the rules read nothing else.  Each rule therefore comes with
-    a ``*_settled`` predicate, defined beside it here, that is true only
-    in that case: the rule would return ``False`` and write no state.
-    The round sweeps skip settled nodes and the continuous clock
-    lets them sleep until the chain index reports a change
+    link or its chain metadata (``Root``, ``DelayAt``) next changes, or
+    (Hybrid) its damping count does, because the rules read nothing
+    else.  Each rule therefore comes with a ``*_settled`` predicate,
+    defined beside it here, that is true only in that case: the rule
+    would return ``False`` and write no state.  The round sweeps skip
+    settled nodes and the continuous clock lets them sleep until the
+    chain index reports a change
     (:meth:`repro.core.protocol.ConstructionAlgorithm.settled`).
-    The sweeps test every parented node every round, so a predicate
-    costs one Python frame: it takes the algorithm as its first
-    argument and *is* the algorithm's ``settled`` method
-    (``settled = greedy_settled`` in the class body), and it reads
-    ``rooted`` / ``delay`` where the chain index keeps them — the
-    store's columns — not through the overlay's reader methods.
+
+    Each predicate carries a *level form* (its ``level`` attribute): the
+    rule for one level of a shifted subtree, whose nodes share ``Root``
+    and ``DelayAt``.  The chain index calls it per moved level and so
+    keeps an *unsettled column*, ``not settled(node)`` on every parented
+    node (:meth:`repro.core.index.ChainIndex.bind`), which both clocks
+    read; the Hybrid rule writes its cell where it clears the damping
+    count.  The predicate stays the reference ``check_integrity()``
+    compares the column with, and *is* the algorithm's ``settled``
+    method (``settled = greedy_settled`` in the class body).
 """
 
 from __future__ import annotations
@@ -53,6 +58,15 @@ def greedy_settled(algorithm, node: Node) -> bool:
     # A rooted consumer's delay is at least 1, so 0 stands for unrooted.
     delay = store.delay[node_id] if store.rooted[node_id] else 0
     return delay != node.latency + 1
+
+
+def _greedy_level(unsettled, level, rooted: int, delay: int) -> None:
+    target = delay - 1 if rooted else -1
+    for node in level:
+        unsettled[node.node_id] = node.latency == target
+
+
+greedy_settled.level = _greedy_level
 
 
 def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
@@ -95,6 +109,15 @@ def hybrid_settled(algorithm, node: Node) -> bool:
     return delay <= node.latency
 
 
+def _hybrid_level(unsettled, level, rooted: int, delay: int) -> None:
+    limit = delay if rooted else 0
+    for node in level:
+        unsettled[node.node_id] = node.violation_rounds != 0 or node.latency < limit
+
+
+hybrid_settled.level = _hybrid_level
+
+
 def hybrid_maintenance(
     overlay: Overlay,
     node: Node,
@@ -116,6 +139,10 @@ def hybrid_maintenance(
     violated = overlay.is_rooted(node) and delay > node.latency
     if not violated:
         node.violation_rounds = 0
+        # With the count cleared the node is settled; a violation keeps
+        # the cell the shift wrote (1), so this is the one damping write.
+        if overlay.chain_index.settled_rule is hybrid_settled:
+            overlay.store.unsettled[node.node_id] = 0
         return False
     node.violation_rounds += 1
     if node.violation_rounds <= maintenance_timeout:
@@ -150,6 +177,14 @@ def eager_settled(algorithm, node: Node) -> bool:
     """Whether :func:`eager_maintenance` has nothing to do at ``node``
     until its chain changes: ``DelayAt <= l``, rooted or not."""
     return algorithm.overlay.store.delay[node.node_id] <= node.latency
+
+
+def _eager_level(unsettled, level, rooted: int, delay: int) -> None:
+    for node in level:
+        unsettled[node.node_id] = node.latency < delay
+
+
+eager_settled.level = _eager_level
 
 
 def eager_maintenance(overlay: Overlay, node: Node) -> bool:

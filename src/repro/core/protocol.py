@@ -145,6 +145,7 @@ class ConstructionAlgorithm(abc.ABC):
         self.overlay = overlay
         self.oracle = oracle
         self.config = config if config is not None else ProtocolConfig()
+        self.unsettled_column()  # bind the rule before anything moves
 
     @property
     def probe(self):
@@ -309,25 +310,36 @@ class ConstructionAlgorithm(abc.ABC):
         Both clocks leave a settled node alone: the round sweeps skip it
         (:meth:`due`) and the continuous engine lets it sleep until the
         chain index reports a change.  An algorithm defines the
-        predicate beside its rule (:mod:`repro.core.maintenance`) and
-        installs that function as this method in its class body, so a
-        test costs one frame; this default, "never", has every parented
+        predicate, with the level form that keeps its
+        :meth:`unsettled_column`, beside its rule
+        (:mod:`repro.core.maintenance`) and installs it as this method
+        in its class body.  This default, "never", has every parented
         node visited every tick.
         """
         return False
 
+    def unsettled_column(self) -> bytearray:
+        """The store's unsettled column for :meth:`settled`, bound to the
+        chain index if another rule was bound since."""
+        rule = self.settled.__func__
+        index = self.overlay.chain_index
+        if index.settled_rule is not rule:
+            index.bind(rule)
+        return self.overlay.store.unsettled
+
     def due(self, roster: Iterable[Node]) -> Iterator[Node]:
         """The nodes of ``roster`` with something to do this round, in
         roster order: the parentless ones (they :meth:`step`) and the
-        parented ones that are not :meth:`settled`.
+        parented ones that are not :meth:`settled`, read off the
+        :meth:`unsettled_column`.
 
         Lazy on purpose: each node is tested as the walk reaches it, on
         the state the round's earlier actors left behind — one of them
         may have pushed it into violation.
         """
-        settled = self.settled
+        unsettled = self.unsettled_column()
         for node in roster:
-            if node.parent is None or not settled(node):
+            if node.parent is None or unsettled[node.node_id]:
                 yield node
 
     def sweep(
@@ -375,3 +387,11 @@ class ConstructionAlgorithm(abc.ABC):
             if asynchrony is not None:
                 asynchrony.occupy(node, now)
         return step_seconds, step_calls, maintain_seconds, maintain_calls
+
+
+def _never_settled(unsettled, level, rooted: int, delay: int) -> None:
+    for node in level:
+        unsettled[node.node_id] = 1
+
+
+ConstructionAlgorithm.settled.level = _never_settled

@@ -25,6 +25,9 @@ Columns
     The §2.1.3 chain metadata, owned and maintained by
     :class:`repro.core.index.ChainIndex` (uniform subtree shifts at the
     structural mutators).
+``unsettled``
+    ``not settled(node)`` of every parented node, kept by the chain index
+    for the bound maintenance rule (:meth:`~repro.core.index.ChainIndex.bind`).
 
 Dense id allocation
 -------------------
@@ -75,6 +78,7 @@ class ColumnarState:
         self.depth = make()
         self.rooted = bytearray()
         self.delay = make()
+        self.unsettled = bytearray()
         #: One view object per live id (``None`` = released slot).
         self.nodes: List[Optional[Node]] = []
         #: Min-heap of released ids awaiting reuse.
@@ -107,6 +111,7 @@ class ColumnarState:
             self.depth.append(0)
             self.rooted.append(0)
             self.delay.append(0)
+            self.unsettled.append(0)
         node = Node(self, node_id, spec, name)
         self.nodes[node_id] = node
         self.latency[node_id] = spec.latency

@@ -94,9 +94,6 @@ class Overlay:
         #: through the checked mutators below, for O(1)
         #: ``Root``/``DelayAt`` reads.
         self.chain_index = ChainIndex(self, self.store)
-        # Per-version cache slot for the shared forest scan of
-        # :mod:`repro.core.convergence` (owned by that module).
-        self._quality_cache = None
         #: Lifetime counts of structural mutations, for the
         #: reconfiguration-cost metrics: ``attaches`` and ``detaches``.
         self.attach_count = 0

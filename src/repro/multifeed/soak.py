@@ -685,8 +685,8 @@ class ServiceSoak:
         emit = self.probe.enabled and now % self.config.health_every == 0
         all_recovered = True
         for feed in self.config.feed_ids:
-            # One shared forest scan per overlay state serves everything
-            # sampled below.
+            # Read off the chain index's quality counters: O(1) per
+            # feed, however large the audience.
             quality = measure(self.system.overlays[feed])
             satisfied_fraction = quality.satisfied_fraction
             if in_service:
@@ -794,8 +794,8 @@ class ServiceSoak:
             series = self._satisfied_series[feed]
             availability = sum(series) / len(series) if series else 1.0
             availabilities.append(availability)
-            # Final rooted/satisfied counts come from the shared forest
-            # scan; is_converged() stays the live reference.
+            # Final rooted/satisfied counts come from the chain index's
+            # quality counters; is_converged() stays the live reference.
             quality = measure(overlay)
             # Continuous clock: one pull period is pull_period_ms of
             # wall time, so the pull-period percentiles convert to ms

@@ -21,8 +21,9 @@ it exercised —
 events.  A parented node whose self-check left it where it was and
 :meth:`~repro.core.protocol.ConstructionAlgorithm.settled` goes
 *dormant*: it holds no queue entry, and the engine remembers when that
-last check ran.  The chain index reports every node whose chain
-metadata, parent or liveness changes (a watch set,
+last check ran (settledness is read off the chain index's unsettled
+column).  The chain index reports every node whose chain metadata,
+parent or liveness changes (a watch set,
 :meth:`~repro.core.index.ChainIndex.watch`); the engine drains it after
 every fired action and after the boundary's churn and fault phases, and
 a dormant node found parentless or no longer settled is woken at its
@@ -132,6 +133,8 @@ class ContinuousSimulation(Simulation):
         #: ``overlay.liveness_version`` as of the last idle-actor scan
         #: (``None`` until the first boundary queues the first cohort).
         self._scanned_liveness: Optional[int] = None
+        #: The algorithm's unsettled column, resolved at each boundary.
+        self._unsettled = self.algorithm.unsettled_column()
 
     # -- scheduling -----------------------------------------------------
 
@@ -187,7 +190,7 @@ class ContinuousSimulation(Simulation):
         last_check = self._last_check
         known = len(last_check)
         nodes = self.overlay._nodes
-        settled = self.algorithm.settled
+        unsettled = self._unsettled
         now = self.scheduler.now
         round_ms = self.round_ms
         for node_id in sorted(touched):
@@ -198,7 +201,7 @@ class ContinuousSimulation(Simulation):
                 # Taken offline and removed for good since the last drain.
                 last_check[node_id] = _AWAKE
                 continue
-            if node.parent is not None and settled(node):
+            if node.parent is not None and not unsettled[node_id]:
                 continue
             # Repeated addition, not a multiplication: these are the
             # floats the chain of ``now + round_ms`` reschedules made.
@@ -259,7 +262,7 @@ class ContinuousSimulation(Simulation):
                 delay = geo.rtt_ms(node.node_id, old_parent.node_id)
                 if node.parent is not None:
                     delay += geo.rtt_ms(node.node_id, node.parent.node_id)
-            elif algorithm.settled(node):
+            elif not self._unsettled[node.node_id]:
                 # Nothing to do until the chain changes: sleep, and let
                 # the index wake us (:meth:`_wake_touched`).
                 delay = None
@@ -288,6 +291,7 @@ class ContinuousSimulation(Simulation):
         boundary, then run the round-domain phases (churn / oracle /
         faults / measure) of :meth:`Simulation.run_round
         <repro.sim.runner.Simulation.run_round>`."""
+        self._unsettled = self.algorithm.unsettled_column()
         if self._scanned_liveness is None:
             self._schedule_idle_actors()  # the first cohort
         self.scheduler.run_until((self.now + 1) * self.round_ms)

@@ -49,9 +49,9 @@ class MetricsCollector:
     def record(self, now: int, departures: int = 0, rejoins: int = 0) -> RoundRecord:
         """Measure the overlay and append a record for round ``now``.
 
-        :func:`~repro.core.convergence.measure` is served by the
-        per-version cached forest scan, so the runner's convergence check
-        and any same-round analysis reuse this record's traversal.
+        :func:`~repro.core.convergence.measure` reads the chain index's
+        quality counters in O(1); the runner's convergence check reads
+        this record.
         """
         record = RoundRecord(
             round=now,

@@ -440,8 +440,7 @@ class Simulation:
         """Run to convergence or to the round budget; return the result.
 
         The convergence check reuses the quality already measured at the
-        end of the round (one shared forest scan per round) instead of
-        re-deriving every node's delay a second time.
+        end of the round.
         """
         while self.now < self.config.max_rounds:
             self.run_round()

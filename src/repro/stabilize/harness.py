@@ -157,14 +157,14 @@ def sanitize(overlay: Overlay, algorithm: str = "hybrid") -> SanitizeReport:
             ):
                 _raw_set_parent(overlay, node, None)
                 policy_severed += 1
-    # 7. Derived state: recompute the chain index from the reference
-    #    walk (also fixes any lying entries and bumps the version, so
-    #    the shared forest-scan cache cannot serve pre-repair answers),
-    #    and clear per-node protocol scratch (referrals may point at
-    #    severed positions; timers/violation counters restart).
-    overlay.chain_index.rebuild()
+    # 7. Derived state: clear per-node protocol scratch (referrals may
+    #    point at severed positions; timers/violation counters restart),
+    #    then recompute the chain index from the reference walk (also
+    #    fixes any lying entries, re-scans the quality counters and
+    #    refills the unsettled column from the cleared counters).
     for node in consumers:
         node.reset_protocol_state()
+    overlay.chain_index.rebuild()
     return SanitizeReport(
         roster_fixes=roster_fixes,
         offline_severed=offline_severed,

@@ -3,10 +3,13 @@
 Three layers of guarantees:
 
 1. A randomized mutation-sequence property test: after *every*
-   attach/detach/splice/churn transition, every index-backed read equals
-   the naive parent-chain walk (kept in-tree as ``Overlay.walk_*``), the
+   attach/detach/splice/churn/rebuild/removal transition and every
+   maintenance call, every index-backed read equals the naive
+   parent-chain walk (kept in-tree as ``Overlay.walk_*``), the
    incrementally maintained rosters equal their refiltered definitions,
-   and every moved node is in the watch set.  ``splice`` is checked
+   the quality counters equal the forest scan, the unsettled column of
+   the bound rule (greedy, hybrid or eager) equals its predicate, and
+   every moved node is in the watch set.  ``splice`` is checked
    against the detach/attach/attach triple it fuses, on pickled twins.
 2. ``check_integrity()`` cross-validates the index against the walks and
    detects a deliberately corrupted chain column.
@@ -25,7 +28,10 @@ from typing import Dict, Tuple
 
 import pytest
 
+import repro.core.convergence as convergence
+import repro.experiments.ablations  # noqa: F401 - registers the eager rules
 from repro.core.constraints import NodeSpec
+from repro.core.convergence import _forest_scan
 from repro.core.errors import (
     FanoutExceededError,
     OfflineNodeError,
@@ -34,8 +40,10 @@ from repro.core.errors import (
 from repro.core.interactions import try_insert_between
 from repro.core.tree import Overlay
 from repro.obs.probe import RecordingProbe
+from repro.oracles.base import make_oracle
 from repro.sim.churn import ChurnConfig
-from repro.sim.runner import SimulationConfig, run_simulation
+from repro.sim.runner import ALGORITHMS, Simulation, SimulationConfig, run_simulation
+from repro.workloads import make
 from repro.workloads.random_workload import rand_workload
 
 #: The Overlay chain-metadata readers and their reference twins.
@@ -62,7 +70,10 @@ def assert_index_matches_walk(overlay: Overlay) -> None:
         assert overlay.is_rooted(node) == overlay.walk_is_rooted(node)
         assert overlay.delay_at(node) == overlay.walk_delay_at(node)
         assert overlay.meets_latency(node) == overlay.walk_meets_latency(node)
-    naive_consumers = [n for n in overlay if not n.is_source]
+    # Id order: a recycled id is re-inserted at the node table's end.
+    naive_consumers = sorted(
+        (n for n in overlay if not n.is_source), key=lambda n: n.node_id
+    )
     assert overlay.consumers == naive_consumers
     assert overlay.online_consumers == [n for n in naive_consumers if n.online]
 
@@ -82,6 +93,24 @@ def chain_facts(overlay: Overlay) -> Dict[int, Tuple[int, int, int, int, bool]]:
     }
 
 
+def assert_counters_and_column(overlay: Overlay, algorithm=None) -> None:
+    """The quality counters equal the forest scan, and, with a rule
+    bound, every parented online node's unsettled cell equals
+    ``not settled(node)`` by the algorithm's own predicate."""
+    assert overlay.chain_index.counts() == _forest_scan(overlay)
+    if algorithm is None:
+        return
+    assert overlay.chain_index.settled_rule is type(algorithm).settled
+    for node in overlay.online_consumers:
+        if node.parent is not None:
+            cell = overlay.store.unsettled[node.node_id]
+            assert cell == (not algorithm.settled(node)), node
+
+
+#: The shipped maintenance rules, by the algorithm that binds each.
+RULES = ("greedy", "hybrid", "greedy-eager")
+
+
 def assert_roster_matches_scan(overlay: Overlay) -> None:
     """The kept delay roster equals a from-scratch scan (trailing
     empty buckets aside, exactly as ``ChainIndex.verify`` compares)."""
@@ -93,16 +122,25 @@ def assert_roster_matches_scan(overlay: Overlay) -> None:
 
 
 class TestMutationSequenceProperty:
-    def _random_overlay(self, rng: random.Random, size: int) -> Overlay:
+    @staticmethod
+    def _spec(rng: random.Random, max_latency: int) -> NodeSpec:
+        return NodeSpec(
+            latency=rng.randint(1, max_latency), fanout=rng.randint(1, 4)
+        )
+
+    def _random_overlay(
+        self, rng: random.Random, size: int, max_latency: int
+    ) -> Overlay:
         overlay = Overlay(source_fanout=rng.randint(1, 4))
         for _ in range(size):
-            overlay.add_consumer(
-                NodeSpec(latency=rng.randint(1, 10), fanout=rng.randint(1, 4))
-            )
+            overlay.add_consumer(self._spec(rng, max_latency))
         return overlay
 
-    def _mutate_once(self, overlay: Overlay, rng: random.Random) -> None:
-        """Attempt one random structural or liveness transition.
+    def _mutate_once(
+        self, overlay: Overlay, rng: random.Random, max_latency: int, algorithm=None
+    ) -> None:
+        """Attempt one random structural or liveness transition, or run
+        ``algorithm``'s maintenance rule at one node or its round sweep.
 
         Illegal attempts are fine: the checked mutators raise *before*
         touching any state, which is itself part of what the invariant
@@ -111,7 +149,8 @@ class TestMutationSequenceProperty:
         op = rng.choice(
             (
                 "attach", "attach", "detach", "splice", "splice",
-                "offline", "interior-offline", "online", "add",
+                "offline", "interior-offline", "online", "add", "remove",
+                "rebuild", "maintain", "sweep",
             )
         )
         nodes = list(overlay)
@@ -140,29 +179,55 @@ class TestMutationSequenceProperty:
                     overlay.go_offline(rng.choice(interior))
             elif op == "online":
                 overlay.go_online(rng.choice(overlay.consumers))
+            elif op == "remove":
+                # Gone for good; the next add recycles the id.
+                node = rng.choice(overlay.consumers)
+                if node.online:
+                    overlay.go_offline(node)
+                overlay.remove_consumer(node)
+                overlay.add_consumer(self._spec(rng, max_latency))
+            elif op == "rebuild":
+                overlay.chain_index.rebuild()
+            elif op == "maintain":
+                parented = [n for n in overlay.consumers if n.parent is not None]
+                if algorithm is not None and parented:
+                    algorithm.maintain(rng.choice(parented))
+            elif op == "sweep":
+                # One round of the rule: the protocol's own moves, and
+                # damping counts that rise and clear.
+                if algorithm is not None:
+                    roster = overlay.online_consumers
+                    rng.shuffle(roster)
+                    algorithm.sweep(roster)
             else:
-                overlay.add_consumer(
-                    NodeSpec(
-                        latency=rng.randint(1, 10), fanout=rng.randint(1, 4)
-                    )
-                )
+                overlay.add_consumer(self._spec(rng, max_latency))
         except (TopologyError, FanoutExceededError, OfflineNodeError):
             pass
 
-    def _run(self, seed, roster, watched, size, steps) -> None:
+    def _run(
+        self, seed, roster, watched, size, steps, rule=None, max_latency=10
+    ) -> None:
         """``steps`` random transitions; after each one the index equals
-        the walk, a built roster equals its scan, and every node whose
-        chain cells or liveness moved is in the watch set."""
+        the walk, a built roster equals its scan, the counters equal the
+        forest scan, the column of ``rule``'s algorithm (if any) equals
+        its predicate, and every node whose chain cells or liveness
+        moved is in the watch set."""
         rng = random.Random(seed)
-        overlay = self._random_overlay(rng, size=size)
+        overlay = self._random_overlay(rng, size, max_latency)
+        algorithm = None
+        if rule is not None:
+            algorithm = ALGORITHMS[rule](
+                overlay, make_oracle("random", overlay, random.Random(seed))
+            )
         if roster:
             overlay.chain_index.delay_roster()
         watcher = overlay.chain_index.watch() if watched else None
         assert_index_matches_walk(overlay)
         before = chain_facts(overlay)
         for _ in range(steps):
-            self._mutate_once(overlay, rng)
+            self._mutate_once(overlay, rng, max_latency, algorithm)
             assert_index_matches_walk(overlay)
+            assert_counters_and_column(overlay, algorithm)
             if roster:
                 assert_roster_matches_scan(overlay)
             after = chain_facts(overlay)
@@ -180,12 +245,26 @@ class TestMutationSequenceProperty:
     def test_index_equals_walk_after_every_transition(self, seed, roster, watched):
         self._run(seed, roster, watched, size=30, steps=300)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rule", RULES)
+    def test_counters_and_unsettled_column_after_every_transition(self, rule, seed):
+        """Tight budgets (``l`` up to 3), so the rules see violations,
+        damping counts and their clearing."""
+        self._run(
+            seed, roster=True, watched=False, size=30, steps=300, rule=rule,
+            max_latency=3,
+        )
+
     @pytest.mark.soak
     @pytest.mark.parametrize("seed", range(20))
     def test_long_sequences_with_roster_and_watcher(self, seed):
         """Deep subtrees through the level shift and the splice: 2,000
-        steps at N = 60, roster built and one watcher."""
-        self._run(seed, roster=True, watched=True, size=60, steps=2000)
+        steps at N = 60, roster built, one watcher, and the rules taken
+        in turn."""
+        self._run(
+            seed, roster=True, watched=True, size=60, steps=2000,
+            rule=RULES[seed % len(RULES)], max_latency=3 + seed % 8,
+        )
 
     def test_offline_cascade_reroots_every_orphan_subtree(self):
         overlay = Overlay(source_fanout=2)
@@ -431,6 +510,29 @@ class TestChainColumnCorruption:
         overlay.check_integrity()
         assert overlay.delay_at(b) == overlay.walk_delay_at(b) == 2
 
+    @pytest.mark.parametrize(
+        "counter", ["parented", "rooted", "satisfied", "slack_sum"]
+    )
+    def test_a_lying_counter_is_caught_and_healed(self, counter):
+        overlay = self._overlay()
+        index = overlay.chain_index
+        setattr(index, counter, getattr(index, counter) + 1)
+        with pytest.raises(TopologyError, match="forest scan"):
+            overlay.check_integrity()
+        index.rebuild()
+        overlay.check_integrity()
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_lying_unsettled_cell_is_caught_and_healed(self, rule):
+        overlay = self._overlay()
+        ALGORITHMS[rule](overlay, make_oracle("random", overlay, random.Random(0)))
+        cells = overlay.store.unsettled
+        cells[2] = 1 - cells[2]
+        with pytest.raises(TopologyError, match="unsettled column diverged"):
+            overlay.check_integrity()
+        overlay.chain_index.rebuild()
+        overlay.check_integrity()
+
 
 class TestGoldenSeedGuard:
     """Seeded runs are bit-identical with and without the index."""
@@ -466,3 +568,51 @@ class TestGoldenSeedGuard:
         # SimulationResult equality covers convergence round, final
         # quality, per-round satisfied series and reconfiguration counts.
         assert indexed == walked
+
+
+class _CountingColumn(bytearray):
+    """A column that counts the cells written into it."""
+
+    writes = 0
+
+    def __setitem__(self, key, value) -> None:
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+class TestRoundWork:
+    """A round reads quality and settledness off the index: no forest
+    scan and no predicate call, and the unsettled column is written
+    once per shifted node and at most once per maintenance call."""
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "hybrid"])
+    def test_a_paper_grid_cell_scans_nothing(self, algorithm, monkeypatch):
+        sim = Simulation(
+            make("Rand", size=120, seed=3),
+            SimulationConfig(
+                algorithm=algorithm, oracle="random", seed=3, max_rounds=8000
+            ),
+        )
+        scans = []
+        scan = convergence._forest_scan
+        monkeypatch.setattr(
+            convergence, "_forest_scan", lambda o: scans.append(o) or scan(o)
+        )
+        predicate = type(sim.algorithm).settled
+        calls = []
+
+        def counted(algorithm, node):
+            calls.append(node)
+            return predicate(algorithm, node)
+
+        counted.level = predicate.level
+        monkeypatch.setattr(type(sim.algorithm), "settled", counted)
+        overlay = sim.overlay
+        overlay.store.unsettled = column = _CountingColumn(overlay.store.unsettled)
+        result = sim.run()
+        assert result.converged
+        assert scans == [] and calls == []
+        maintained = result.phase_timings.get("maintain", {"calls": 0})["calls"]
+        assert 0 < column.writes <= overlay.shifted_nodes + maintained
+        overlay.check_integrity()  # where the scan and the predicate run
+        assert scans and calls

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.core.convergence as convergence
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.faults import (
@@ -240,6 +241,24 @@ class TestDeterminism:
         observed = ServiceSoak(config, RecordingProbe()).run()
         unobserved = ServiceSoak(config, NULL_PROBE).run()
         assert observed == unobserved
+
+
+class TestSamplingCost:
+    def test_run_makes_no_forest_scan(self, monkeypatch):
+        """Every feed is sampled every round off the chain index's
+        quality counters; the forest scan is the integrity reference."""
+        faults = parse_fault_plan("crash@40:0.2:rejoin=8")
+        soak = ServiceSoak(quick_config(faults=faults))
+        scans = []
+        scan = convergence._forest_scan
+        monkeypatch.setattr(
+            convergence, "_forest_scan", lambda o: scans.append(o) or scan(o)
+        )
+        soak.run()
+        assert scans == []
+        for overlay in soak.system.overlays.values():
+            overlay.check_integrity()
+        assert len(scans) == len(soak.system.overlays)
 
 
 def geo_smoke_config(seed: int) -> SoakConfig:
