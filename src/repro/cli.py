@@ -4,44 +4,29 @@ Eight commands cover the common workflows (docs/CLI.md is the full
 reference):
 
 ``build``
-    Run one construction and report the outcome (optionally render the
-    tree, run a feed-delivery check, or export a JSONL protocol trace
-    with ``--trace-out``).  ``--time-model continuous:<profile>`` swaps
-    the synchronous round clock for the continuous-time engine over a
-    geographic latency substrate and adds wall-clock-ms staleness
-    percentiles to the report (docs/TIMING.md).
+    Run one construction (one overlay, or ``--paths K`` disjoint ones)
+    and report the outcome; optionally render the tree, run a
+    feed-delivery check, or export a JSONL protocol trace.
 ``sweep``
     A multi-seed (family × oracle) sweep with the repeat-median
-    protocol, optionally fanned out to worker processes
-    (``--workers N``; results are bit-identical to serial — see
-    docs/PARALLEL.md), with per-seed JSONL traces (``--trace-dir``),
-    fault plans (``--faults``) and a merged observability counter
-    registry (``--obs``).
-``workload``
-    Describe a workload family instance: constraint histograms and
-    whether the §3.3 sufficiency condition holds.
-``feasibility``
-    Decide feasibility for a small population given in the paper's
-    ``name_f^l`` notation (exact search + sufficiency condition).
+    protocol, optionally fanned out to worker processes (bit-identical
+    to serial — docs/PARALLEL.md).
+``serve-soak``
+    Long-running multi-feed service soak under a scripted timeline and
+    fault plan, with per-feed staleness SLOs (docs/SCENARIOS.md).
+``workload`` / ``feasibility``
+    Describe a workload family instance, or decide the feasibility of a
+    small population in the paper's ``name_f^l`` notation.
 ``experiment``
     Run one of the full-scale paper experiments by name.
-``serve-soak``
-    Long-running multi-feed service soak: many feeds over one
-    population with bursty publishing, a scripted timeline of flash
-    crowds / exoduses / rejoins, correlated fault plans, and per-feed
-    staleness-percentile + availability + time-to-recover reporting
-    (docs/SCENARIOS.md is the guide).
-``obs``
-    Observability tools over exported traces: ``obs summarize`` (event
-    counts, timing and metric breakdowns, ``--kind`` filtering), ``obs
-    report`` (self-contained HTML/markdown report with staleness
-    attribution, health sparklines and critical paths) and ``obs top``
-    (terminal per-round health view).
 ``latency``
-    Inspect the geographic latency substrate behind the continuous time
-    model: list profiles, print a profile's parameters, sampled one-way
-    delay percentiles, triangle-inequality violation rate and
-    (optionally) the full PoP matrix (docs/TIMING.md).
+    Inspect the geographic latency profiles behind the continuous time
+    model (docs/TIMING.md).
+``obs``
+    ``summarize``, ``report`` and ``top`` over exported traces.
+
+``build``, ``sweep`` and ``serve-soak`` turn their flags into one
+:class:`repro.spec.RunSpec` per run and run it through :mod:`repro.spec`.
 
 Examples::
 
@@ -62,17 +47,20 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from repro.analysis.reporting import ascii_table
 from repro.core.constraints import parse_population
-from repro.core.protocol import ProtocolConfig
 from repro.core.sufficiency import find_feasible_configuration, sufficiency_holds
-from repro.sim.churn import ChurnConfig
-from repro.sim.runner import ALGORITHMS, SimulationConfig
 from repro.oracles.base import oracle_names
+from repro.sim.runner import ALGORITHMS
+from repro.sim.timemodel import parse_time_model
+from repro.spec import RunSpec, execute, run
 from repro.workloads import family_names, make as make_workload
+
+_SPEC_FIELDS = [field.name for field in dataclasses.fields(RunSpec)]
 
 EXPERIMENTS = (
     "figure2",
@@ -84,6 +72,41 @@ EXPERIMENTS = (
     "ablations",
     "extensions",
 )
+
+
+#: The run-description flags build, sweep and serve-soak share; each is
+#: one repro.spec.RunSpec key (docs/CLI.md has the per-command detail).
+_RUN_FLAGS = {
+    "--max-rounds": dict(type=int, default=6000, help="round budget"),
+    "--time-model": dict(
+        default="rounds",
+        metavar="MODEL",
+        help="'rounds' (default, the paper's synchronous clock) or "
+        "'continuous:<profile>' — the continuous-time engine over a "
+        "geographic latency profile ('repro latency --list' names them), "
+        "with wall-clock-ms staleness (docs/TIMING.md)",
+    ),
+    "--paths": dict(
+        type=int,
+        default=1,
+        help="build K upstream-disjoint overlay paths (§7 multipath; "
+        "K>1 splits each consumer's fanout budget across the paths and "
+        "uses the built-in disjointness-enforcing oracle, so --oracle "
+        "and --oracle-realization only label the run)",
+    ),
+    "--churn": dict(action="store_true", help="enable the paper's churn model"),
+    "--faults": dict(
+        default=None,
+        metavar="PLAN",
+        help="inject a fault plan, e.g. 'crash@60:0.2:rejoin=15,"
+        "source-outage@80:10' (see docs/RESILIENCE.md for the DSL)",
+    ),
+}
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_RUN_FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,34 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("omniscient", "dht", "sharded", "random-walk"),
     )
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--max-rounds", type=int, default=6000)
-    build.add_argument(
-        "--time-model",
-        default="rounds",
-        metavar="MODEL",
-        help="'rounds' (default, the paper's synchronous clock) or "
-        "'continuous:<profile>' — run the continuous-time engine over a "
-        "geographic latency profile ('repro latency --list' names them) "
-        "and report wall-clock-ms staleness (docs/TIMING.md)",
-    )
-    build.add_argument(
-        "--paths",
-        type=int,
-        default=1,
-        help="build K upstream-disjoint overlay paths (§7 multipath; "
-        "K>1 splits each consumer's fanout budget across the paths and "
-        "uses the built-in disjointness-enforcing oracle, so --oracle "
-        "and --oracle-realization are ignored)",
-    )
-    build.add_argument(
-        "--churn", action="store_true", help="enable the paper's churn model"
-    )
-    build.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help="inject a fault plan, e.g. 'crash@60:0.2:rejoin=15,"
-        "source-outage@80:10' (see docs/RESILIENCE.md for the DSL)",
+    _add_run_flags(
+        build, "--max-rounds", "--time-model", "--paths", "--churn", "--faults"
     )
     build.add_argument(
         "--harden",
@@ -191,24 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--size", type=int, default=120)
     sweep.add_argument("--repeats", type=int, default=5)
     sweep.add_argument("--base-seed", type=int, default=0)
-    sweep.add_argument("--max-rounds", type=int, default=6000)
-    sweep.add_argument(
-        "--time-model",
-        default="rounds",
-        metavar="MODEL",
-        help="'rounds' (default) or 'continuous:<profile>' — run every "
-        "cell on the continuous-time engine (bit-identical serial vs "
-        "--workers, same as rounds mode)",
-    )
-    sweep.add_argument(
-        "--paths",
-        type=int,
-        default=1,
-        help="run every cell as K upstream-disjoint overlay paths "
-        "(K>1 reports the multipath summary result; the oracle column "
-        "then only labels the cell — multipath runs use the built-in "
-        "disjointness-enforcing oracle)",
-    )
+    _add_run_flags(sweep, "--max-rounds", "--time-model", "--paths")
     sweep.add_argument(
         "--workers",
         type=int,
@@ -222,15 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replay one workload draw per cell across all seeds "
         "(Fig. 2's protocol) instead of varying the draw with the seed",
     )
-    sweep.add_argument(
-        "--churn", action="store_true", help="enable the paper's churn model"
-    )
-    sweep.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help="inject a fault plan into every run (same DSL as build)",
-    )
+    _add_run_flags(sweep, "--churn", "--faults")
     sweep.add_argument(
         "--trace-dir",
         default=None,
@@ -305,25 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "exodus@80:news:0.6:crash,rejoin@100:news' (see docs/SCENARIOS.md); "
         "'none' runs an undisturbed soak",
     )
-    soak.add_argument(
-        "--faults",
-        default=None,
-        metavar="PLAN",
-        help="inject a fault plan across all feeds, e.g. "
-        "'source-outage@60:5,crash@70:0.1:rejoin=10' "
-        "(docs/RESILIENCE.md has the DSL)",
-    )
+    _add_run_flags(soak, "--faults")
     soak.add_argument("--publish-rate", type=float, default=0.5)
     soak.add_argument("--burst-size", type=int, default=4)
     soak.add_argument("--pull-period", type=float, default=1.0)
-    soak.add_argument(
-        "--time-model",
-        default="rounds",
-        metavar="MODEL",
-        help="'rounds' (default) or 'continuous:<profile>' — route every "
-        "feed's hop delays through the profile's geo latency model and "
-        "report staleness SLOs in milliseconds too (docs/TIMING.md)",
-    )
+    _add_run_flags(soak, "--time-model")
     soak.add_argument("--reuse-bias", type=float, default=0.8)
     soak.add_argument(
         "--recover-threshold",
@@ -455,83 +413,63 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_spec(args: argparse.Namespace, **overrides) -> RunSpec:
+    """The command's run as a RunSpec: every spec field from the flag of
+    that name (``--max-rounds`` gives ``rounds``), then ``overrides``."""
+    flags = vars(args)
+    fields = {name: flags[name] for name in _SPEC_FIELDS if name in flags}
+    if "max_rounds" in flags:
+        fields["rounds"] = flags["max_rounds"]
+    fields["faults"] = flags.get("faults") or None
+    return RunSpec(**{**fields, **overrides})
+
+
+def _recovery(rounds, ms=None) -> str:
+    """A time-to-recover cell: rounds (and ms), or ``never``."""
+    if rounds is None:
+        return "never"
+    return f"{rounds} ({ms:.0f}ms)" if ms is not None else str(rounds)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.workload_file:
-        from repro.workloads import load_workload
-
-        workload = load_workload(args.workload_file)
-    else:
-        workload = make_workload(args.workload, size=args.size, seed=args.seed)
+    spec = _run_spec(args)
+    workload = spec.make_workload(args.seed)
     print(workload.describe())
-    from repro.sim.timemodel import parse_time_model
-
-    time_model = parse_time_model(args.time_model)
-    geo_profile = None
-    if time_model.continuous:
-        from repro.locality.geo import get_profile
-
-        geo_profile = get_profile(time_model.profile)
-    probe = None
+    probe, observers = None, {}
     if args.trace_out:
-        from repro.obs import RecordingProbe
+        from repro.obs import HealthConfig, RecordingProbe
 
         probe = RecordingProbe()
-    faults = None
-    if args.faults:
-        from repro.faults import parse_fault_plan
-
-        faults = parse_fault_plan(
-            args.faults,
-            ms_per_round=(
-                geo_profile.round_ms if geo_profile is not None else None
-            ),
-        )
-    protocol = ProtocolConfig(
-        source_backoff=args.harden, requeue_stale_referrals=args.harden
-    )
-    if args.paths > 1:
-        if args.churn:
-            print(
-                "error: --churn is not supported with --paths > 1 "
-                "(multipath membership dynamics come from --faults plans)",
-                file=sys.stderr,
-            )
-            return 2
-        if time_model.continuous:
-            print(
-                "error: the continuous time model is single-overlay; "
-                "--time-model continuous:* cannot combine with --paths > 1",
-                file=sys.stderr,
-            )
-            return 2
-        return _build_multipath(args, workload, probe, faults, protocol)
-    health_config = None
-    if args.trace_out:
-        from repro.obs import HealthConfig
-
-        health_config = HealthConfig()
-    config = SimulationConfig(
-        algorithm=args.algorithm,
-        oracle=args.oracle,
-        oracle_realization=args.oracle_realization,
-        protocol=protocol,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        churn=ChurnConfig() if args.churn else None,
-        faults=faults,
-        # Fault runs study recovery, so keep running after convergence
-        # (otherwise the run would stop before the plan fires).
-        stop_at_convergence=faults is None,
         # A traced run carries the full v2 observability: health
         # timeseries plus round-domain staleness attribution.
-        health=health_config,
-        attribution=bool(args.trace_out),
-        time_model=args.time_model,
-    )
-    from repro.sim.runner import make_simulation
+        if args.paths == 1:
+            observers = {"health": HealthConfig(), "attribution": True}
+    engine, result = execute(workload, spec.config(args.seed, **observers), probe)
+    report = _report_multipath if args.paths > 1 else _report_overlay
+    header, layers = report(args, engine, result)
+    if args.trace_out:
+        from repro.obs.export import write_trace
 
-    simulation = make_simulation(workload, config, probe=probe)
-    result = simulation.run()
+        count = write_trace(
+            args.trace_out,
+            probe.events,
+            registry=probe.registry,
+            header_extra={
+                "workload": workload.name,
+                "algorithm": args.algorithm,
+                "seed": args.seed,
+                "rounds": result.rounds_run,
+                **header,
+            },
+            **layers,
+        )
+        print(f"\nwrote {count} events to {args.trace_out}")
+    return 0 if result.converged else 1
+
+
+def _report_overlay(args, simulation, result):
+    """``repro build`` output for one overlay: ``(trace header, trace
+    layers)``."""
     print(
         ascii_table(
             ["converged", "rounds", "attaches", "detaches", "oracle misses"],
@@ -546,39 +484,25 @@ def _cmd_build(args: argparse.Namespace) -> int:
             ],
         )
     )
+    time_model = parse_time_model(args.time_model)
     if time_model.continuous:
-
-        def _ms(value):
-            return f"{value:.1f}" if value is not None else "-"
-
-        print(
-            ascii_table(
-                [
-                    "profile",
-                    "sim time (ms)",
-                    "events",
-                    "staleness p50 (ms)",
-                    "staleness p99 (ms)",
-                ],
-                [
-                    [
-                        time_model.profile,
-                        _ms(result.sim_time_ms),
-                        result.events_fired,
-                        _ms(result.staleness_ms_p50),
-                        _ms(result.staleness_ms_p99),
-                    ]
-                ],
+        sim_ms, p50_ms, p99_ms = (
+            f"{value:.1f}" if value is not None else "-"
+            for value in (
+                result.sim_time_ms,
+                result.staleness_ms_p50,
+                result.staleness_ms_p99,
             )
         )
-    if faults is not None:
-        recover = (
-            result.time_to_recover
-            if result.time_to_recover is not None
-            else "never"
+        print(
+            ascii_table(
+                ["profile", "sim time (ms)", "events"]
+                + ["staleness p50 (ms)", "staleness p99 (ms)"],
+                [[time_model.profile, sim_ms, result.events_fired, p50_ms, p99_ms]],
+            )
         )
-        if result.time_to_recover_ms is not None:
-            recover = f"{recover} ({result.time_to_recover_ms:.0f}ms)"
+    if args.faults:
+        recover = _recovery(result.time_to_recover, result.time_to_recover_ms)
         print(
             ascii_table(
                 ["fault events", "availability", "time to recover"],
@@ -592,7 +516,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         from repro.analysis.dot import overlay_to_dot
 
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(overlay_to_dot(simulation.overlay, workload.name))
+            handle.write(
+                overlay_to_dot(simulation.overlay, simulation.workload.name)
+            )
         print(f"\nwrote {args.dot}")
     tracer = None
     if args.deliver:
@@ -606,10 +532,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if time_model.continuous:
             # Delivery hops follow the same geo substrate the build ran
             # on, so the recorded spans carry real per-edge latencies.
+            from repro.locality.geo import get_profile
             from repro.sim.continuous import hop_delay_from_geo
 
             hop_model = hop_delay_from_geo(
-                simulation.geo, geo_profile.pull_period_ms
+                simulation.geo, get_profile(time_model.profile).pull_period_ms
             )
         report = disseminate(
             simulation.overlay,
@@ -622,64 +549,23 @@ def _cmd_build(args: argparse.Namespace) -> int:
             f"\ndelivery check: {report.satisfied_fraction:.0%} within "
             f"promise (worst violation {report.worst_violation():+.2f})"
         )
-    if args.trace_out:
-        from repro.obs.export import write_trace
-
-        count = write_trace(
-            args.trace_out,
-            probe.events,
-            phase_timings=simulation.timings.summary(),
-            registry=probe.registry,
-            header_extra={
-                "workload": workload.name,
-                "algorithm": args.algorithm,
-                "oracle": args.oracle,
-                "seed": args.seed,
-                "rounds": result.rounds_run,
-                "time_model": args.time_model,
-            },
-            health=(
-                simulation.health.records()
-                if simulation.health is not None
-                else None
-            ),
-            spans=tracer.records() if tracer is not None else None,
-            attribution=(
-                simulation.attributor.records()
-                if simulation.attributor is not None
-                else None
-            ),
-        )
-        print(f"\nwrote {count} events to {args.trace_out}")
-    return 0 if result.converged else 1
+    traced = args.trace_out is not None
+    return {"oracle": args.oracle, "time_model": args.time_model}, {
+        "phase_timings": simulation.timings.summary(),
+        # A traced single-overlay run carries both recorders.
+        "health": simulation.health.records() if traced else None,
+        "spans": tracer.records() if tracer is not None else None,
+        "attribution": simulation.attributor.records() if traced else None,
+    }
 
 
-def _build_multipath(args, workload, probe, faults, protocol) -> int:
-    """``repro build --paths K``: one multipath system, K>1 overlays."""
-    from repro.multipath import MultipathSystem
-
-    system = MultipathSystem(
-        workload,
-        paths=args.paths,
-        seed=args.seed,
-        protocol=protocol,
-        algorithm=args.algorithm,
-        faults=faults,
-        probe=probe,
-    )
-    system.run(
-        max_rounds=args.max_rounds, stop_at_convergence=faults is None
-    )
-    outcome = system.result()
+def _report_multipath(args, system, outcome):
+    """``repro build --paths K`` output for K>1 overlays: ``(trace
+    header, trace layers)``."""
     print(
         ascii_table(
-            [
-                "paths",
-                "converged",
-                "rounds",
-                "delivery avail",
-                "overlap repairs",
-            ],
+            ["paths", "converged", "rounds"]
+            + ["delivery avail", "overlap repairs"],
             [
                 [
                     outcome.paths,
@@ -691,12 +577,7 @@ def _build_multipath(args, workload, probe, faults, protocol) -> int:
             ],
         )
     )
-    if faults is not None:
-        recover = (
-            outcome.time_to_recover
-            if outcome.time_to_recover is not None
-            else "never"
-        )
+    if args.faults:
         surviving = ", ".join(
             f"{paths}p:{rounds}"
             for paths, rounds in sorted(outcome.paths_surviving.items())
@@ -704,7 +585,13 @@ def _build_multipath(args, workload, probe, faults, protocol) -> int:
         print(
             ascii_table(
                 ["fault events", "paths surviving (rounds)", "time to recover"],
-                [[outcome.fault_events, surviving or "-", recover]],
+                [
+                    [
+                        outcome.fault_events,
+                        surviving or "-",
+                        _recovery(outcome.time_to_recover),
+                    ]
+                ],
             )
         )
     if args.render:
@@ -716,25 +603,7 @@ def _build_multipath(args, workload, probe, faults, protocol) -> int:
             "\nnote: --deliver/--dot are single-overlay features; "
             "ignored with --paths > 1"
         )
-    if args.trace_out:
-        from repro.obs.export import write_trace
-
-        count = write_trace(
-            args.trace_out,
-            probe.events,
-            phase_timings={},
-            registry=probe.registry,
-            header_extra={
-                "workload": workload.name,
-                "algorithm": args.algorithm,
-                "oracle": "disjoint-delay",
-                "paths": args.paths,
-                "seed": args.seed,
-                "rounds": outcome.rounds_run,
-            },
-        )
-        print(f"\nwrote {count} events to {args.trace_out}")
-    return 0 if outcome.converged else 1
+    return {"oracle": "disjoint-delay", "paths": args.paths}, {"phase_timings": {}}
 
 
 def _parse_sweep_families(text: str) -> List[str]:
@@ -764,45 +633,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     families = _parse_sweep_families(args.families)
     oracles = _parse_sweep_oracles(args.oracles)
-    if args.paths > 1 and args.churn:
-        print(
-            "error: --churn is not supported with --paths > 1 "
-            "(multipath membership dynamics come from --faults plans)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.sim.timemodel import parse_time_model
-
-    time_model = parse_time_model(args.time_model)
-    ms_per_round = None
-    if time_model.continuous:
-        from repro.locality.geo import get_profile
-
-        ms_per_round = get_profile(time_model.profile).round_ms
-    faults = None
-    if args.faults:
-        from repro.faults import parse_fault_plan
-
-        faults = parse_fault_plan(args.faults, ms_per_round=ms_per_round)
     keys = [(family, oracle) for family in families for oracle in oracles]
     items = []
     for family, oracle in keys:
-        config = SimulationConfig(
-            algorithm=args.algorithm,
-            oracle=oracle,
-            max_rounds=args.max_rounds,
-            churn=ChurnConfig() if args.churn else None,
-            faults=faults,
-            # As in build: fault runs study recovery, so keep running
-            # past convergence (otherwise the plan would never fire).
-            stop_at_convergence=faults is None,
-            paths=args.paths,
-            time_model=args.time_model,
-        )
+        spec = _run_spec(args, workload=family, oracle=oracle)
         items.extend(
             repeat_items(
                 family,
-                config,
+                spec.config(args.base_seed),
                 args.size,
                 args.repeats,
                 base_seed=args.base_seed,
@@ -918,97 +756,42 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_soak(args: argparse.Namespace) -> int:
-    import dataclasses as _dataclasses
     import json
 
     from repro.core.errors import ConfigurationError
-    from repro.faults.plan import parse_fault_plan
-    from repro.multifeed.soak import (
-        ServiceSoak,
-        SoakConfig,
-        parse_timeline,
-        run_soak,
-    )
-
-    feed_ids = tuple(
-        chunk.strip() for chunk in args.feeds.split(",") if chunk.strip()
-    )
-    from repro.sim.timemodel import parse_time_model
+    from repro.par import Task, make_executor
 
     try:
-        time_model = parse_time_model(args.time_model)
-        ms_per_round = None
-        if time_model.continuous:
-            from repro.locality.geo import get_profile
-
-            # One soak round advances feed time by one pull period, so
-            # that is the wall-clock length of a round here.
-            ms_per_round = get_profile(time_model.profile).pull_period_ms
-        timeline = (
-            () if args.timeline == "none" else parse_timeline(args.timeline)
-        )
-        faults = (
-            parse_fault_plan(args.faults, ms_per_round=ms_per_round)
-            if args.faults
-            else None
-        )
-        base = SoakConfig(
-            feed_ids=feed_ids,
-            consumer_count=args.consumers,
-            seed=args.seed,
-            rounds=args.rounds,
-            warmup_rounds=args.warmup,
-            timeline=timeline,
-            faults=faults,
-            pull_period=args.pull_period,
-            publish_rate=args.publish_rate,
-            burst_size=args.burst_size,
-            reuse_bias=args.reuse_bias,
-            recover_threshold=args.recover_threshold,
-            time_model=args.time_model,
+        spec = _run_spec(
+            args,
+            size=args.consumers,
+            timeline=None if args.timeline == "none" else args.timeline,
         )
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    configs = [
-        _dataclasses.replace(base, seed=base.seed + offset)
-        for offset in range(max(1, args.repeats))
-    ]
-
-    probe = None
+    seeds = [args.seed + offset for offset in range(max(1, args.repeats))]
+    probe, summaries = None, []
     if args.trace_out:
         from repro.obs import RecordingProbe
 
         probe = RecordingProbe()
-        summaries = [ServiceSoak(configs[0], probe).run()]
-        remaining = configs[1:]
-    else:
-        summaries = []
-        remaining = configs
-    if remaining:
-        if args.workers:
-            from repro.par import Task, make_executor
+        summaries.append(run(spec, seeds[0], probe))
+    outcomes = make_executor(args.workers).run_tasks(
+        [
+            Task(run, (spec, seed), label=f"soak@seed={seed}")
+            for seed in seeds[len(summaries):]
+        ]
+    )
+    for outcome in outcomes:
+        if not outcome.ok:
+            print(f"error: {outcome.label}: {outcome.error}", file=sys.stderr)
+            return 1
+        summaries.append(outcome.value)
 
-            outcomes = make_executor(args.workers).run_tasks(
-                [
-                    Task(run_soak, (config,), label=f"soak@seed={config.seed}")
-                    for config in remaining
-                ]
-            )
-            for outcome in outcomes:
-                if not outcome.ok:
-                    print(
-                        f"error: {outcome.label}: {outcome.error}",
-                        file=sys.stderr,
-                    )
-                    return 1
-                summaries.append(outcome.value)
-        else:
-            summaries.extend(run_soak(config) for config in remaining)
-
-    for config, summary in zip(configs, summaries):
+    for seed, summary in zip(seeds, summaries):
         print(
-            f"seed {config.seed}: {summary.service_rounds} service rounds "
+            f"seed {seed}: {summary.service_rounds} service rounds "
             f"over {len(summary.feeds)} feeds, availability "
             f"{summary.availability:.1%}, "
             + (
@@ -1059,11 +842,11 @@ def _cmd_serve_soak(args: argparse.Namespace) -> int:
         )
 
     if args.json:
-        payload = [_dataclasses.asdict(summary) for summary in summaries]
+        payload = [dataclasses.asdict(summary) for summary in summaries]
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote {len(payload)} summaries to {args.json}")
-    if args.trace_out and probe is not None:
+    if probe is not None:
         from repro.obs.export import write_trace
 
         count = write_trace(
@@ -1071,9 +854,9 @@ def _cmd_serve_soak(args: argparse.Namespace) -> int:
             probe.events,
             registry=probe.registry,
             header_extra={
-                "feeds": ",".join(feed_ids),
-                "seed": base.seed,
-                "rounds": base.rounds,
+                "feeds": spec.feeds,
+                "seed": args.seed,
+                "rounds": args.rounds,
                 "timeline": args.timeline,
             },
         )
@@ -1305,35 +1088,29 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    if args.obs_command == "summarize":
-        return _cmd_obs_summarize(args)
-    if args.obs_command == "report":
-        return _cmd_obs_report(args)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
-    raise AssertionError(f"unhandled obs subcommand {args.obs_command!r}")
+    return {
+        "summarize": _cmd_obs_summarize,
+        "report": _cmd_obs_report,
+        "top": _cmd_obs_top,
+    }[args.obs_command](args)
+
+
+_COMMANDS = {
+    "build": _cmd_build,
+    "sweep": _cmd_sweep,
+    "workload": _cmd_workload,
+    "feasibility": _cmd_feasibility,
+    "experiment": _cmd_experiment,
+    "serve-soak": _cmd_serve_soak,
+    "latency": _cmd_latency,
+    "obs": _cmd_obs,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "build":
-        return _cmd_build(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "workload":
-        return _cmd_workload(args)
-    if args.command == "feasibility":
-        return _cmd_feasibility(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "serve-soak":
-        return _cmd_serve_soak(args)
-    if args.command == "latency":
-        return _cmd_latency(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -330,17 +330,16 @@ class Overlay:
 
         This is the convergence criterion behind the paper's "construction
         latency" metric; fanout bounds hold by construction (enforced on
-        every attach).
+        every attach).  O(1): a read of the chain index's satisfied
+        counter, which ``check_integrity()`` compares with a scan.
         """
-        return all(self.meets_latency(n) for n in self.online_consumers)
+        return self.chain_index.satisfied == len(self._online)
 
     def satisfied_fraction(self) -> float:
-        """Fraction of online consumers whose latency constraint is met."""
-        online = self.online_consumers
-        if not online:
-            return 1.0
-        satisfied = sum(1 for n in online if self.meets_latency(n))
-        return satisfied / len(online)
+        """Fraction of online consumers whose latency constraint is met
+        (O(1), off the chain index's satisfied counter)."""
+        online = len(self._online)
+        return self.chain_index.satisfied / online if online else 1.0
 
     # ------------------------------------------------------------------
     # subtree traversal

@@ -795,7 +795,7 @@ class ServiceSoak:
             availability = sum(series) / len(series) if series else 1.0
             availabilities.append(availability)
             # Final rooted/satisfied counts come from the chain index's
-            # quality counters; is_converged() stays the live reference.
+            # quality counters, as does is_converged().
             quality = measure(overlay)
             # Continuous clock: one pull period is pull_period_ms of
             # wall time, so the pull-period percentiles convert to ms

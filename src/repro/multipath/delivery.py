@@ -198,6 +198,40 @@ class MultipathResult:
     overlap_repairs: int
     per_path: Tuple[SimulationResult, ...]
 
+    def summary(self) -> SimulationResult:
+        """A single-overlay-shaped summary for the sweep machinery:
+        convergence and recovery are the *system* notions (all paths
+        whole and disjoint; delivery = ≥ 1 rooted chain), quality and
+        series take the worst path per round, counts sum over paths."""
+        per_path = self.per_path
+        worst = min(
+            per_path, key=lambda r: r.final_quality.satisfied_fraction
+        )
+        series = [
+            min(values) for values in zip(*(r.satisfied_series for r in per_path))
+        ]
+        return SimulationResult(
+            workload_name=per_path[0].workload_name,
+            algorithm=self.algorithm,
+            oracle="disjoint-delay",
+            seed=self.seed,
+            converged=self.converged,
+            construction_rounds=self.construction_rounds,
+            rounds_run=self.rounds_run,
+            final_quality=worst.final_quality,
+            satisfied_series=series,
+            attaches=sum(r.attaches for r in per_path),
+            detaches=sum(r.detaches for r in per_path),
+            oracle_misses=sum(r.oracle_misses for r in per_path),
+            departures=0,
+            rejoins=0,
+            phase_timings={},
+            availability=self.delivery_availability,
+            time_to_recover=self.time_to_recover,
+            fault_events=self.fault_events,
+            recovery_series=self.delivery_recovery_series,
+        )
+
 
 class MultipathSystem:
     """k LagOvers carrying k descriptions of one stream."""
@@ -629,45 +663,6 @@ class MultipathSystem:
             per_path=tuple(
                 self._path_result(path) for path in range(self.paths)
             ),
-        )
-
-    def summary_result(self) -> SimulationResult:
-        """A single-overlay-shaped summary for the sweep machinery.
-
-        Convergence and recovery are the *system* notions (all paths
-        whole and disjoint; delivery = ≥ 1 rooted chain), the quality
-        and series fields take the worst path per round, and the count
-        fields sum over paths — so ``repro sweep --paths K`` cells
-        aggregate exactly like single-path cells.
-        """
-        multipath = self.result()
-        per_path = multipath.per_path
-        worst = min(
-            per_path, key=lambda r: r.final_quality.satisfied_fraction
-        )
-        series = [
-            min(values) for values in zip(*(r.satisfied_series for r in per_path))
-        ]
-        return SimulationResult(
-            workload_name=self.workload.name,
-            algorithm=self.algorithm_name,
-            oracle="disjoint-delay",
-            seed=self.seed,
-            converged=multipath.converged,
-            construction_rounds=multipath.construction_rounds,
-            rounds_run=self.now,
-            final_quality=worst.final_quality,
-            satisfied_series=series,
-            attaches=sum(r.attaches for r in per_path),
-            detaches=sum(r.detaches for r in per_path),
-            oracle_misses=sum(r.oracle_misses for r in per_path),
-            departures=0,
-            rejoins=0,
-            phase_timings={},
-            availability=multipath.delivery_availability,
-            time_to_recover=multipath.time_to_recover,
-            fault_events=multipath.fault_events,
-            recovery_series=multipath.delivery_recovery_series,
         )
 
     # ------------------------------------------------------------------

@@ -72,60 +72,37 @@ def execute_item(
     bit-identical.  ``position`` is the item's submission index, used
     only to keep trace filenames unique.
 
-    ``config.paths > 1`` routes the item through
-    :class:`~repro.multipath.delivery.MultipathSystem` and reports its
-    :meth:`~repro.multipath.delivery.MultipathSystem.summary_result`
-    (worst-path quality, summed traffic counters, delivery-availability
-    metrics); the flight-recorder health timeseries is single-overlay
-    machinery and stays off for multipath items.
+    The run goes through :func:`repro.spec.execute`; a ``paths > 1``
+    item reports :meth:`~repro.multipath.delivery.MultipathResult.summary`
+    and keeps the single-overlay health timeseries off.
     """
     # Imported here so a pool started with the "spawn" method can still
     # resolve everything after a bare interpreter boot.
+    from repro.multipath.delivery import MultipathResult
     from repro.obs.export import write_trace
     from repro.obs.health import HealthConfig
     from repro.obs.probe import RecordingProbe
-    from repro.sim.runner import make_simulation
+    from repro.spec import execute
 
     if memo is None:
         memo = _PROCESS_MEMO
     try:
         workload = _workload_for(item, memo)
+        # with_() re-validates, so an item no config could describe
+        # (say paths > 1 with churn) fails here instead of running.
         config = item.config.with_(seed=item.seed)
         if collect_health and config.health is None and config.paths == 1:
             config = config.with_(health=HealthConfig())
         probe = RecordingProbe() if (collect_obs or trace_dir) else None
-        if config.paths > 1:
-            from repro.multipath.delivery import MultipathSystem
-
-            system = MultipathSystem(
-                workload,
-                paths=config.paths,
-                seed=config.seed,
-                protocol=config.protocol,
-                algorithm=config.algorithm,
-                faults=config.faults,
-                probe=probe,
-            )
-            system.run(
-                max_rounds=config.max_rounds,
-                stop_at_convergence=config.stop_at_convergence,
-            )
-            result = system.summary_result()
-            phase_timings: Dict[str, Dict[str, float]] = {}
-            health = None
+        engine, result = execute(workload, config, probe)
+        phase_timings: Dict[str, Dict[str, float]] = {}
+        health = None
+        if isinstance(result, MultipathResult):
+            result = result.summary()
         else:
-            # Dispatches on config.time_model: the rounds engine or the
-            # continuous one — either way the run is bit-identical
-            # between serial and pooled execution (pinned by
-            # tests/test_continuous_time.py for the continuous clock).
-            simulation = make_simulation(workload, config, probe=probe)
-            result = simulation.run()
-            phase_timings = simulation.timings.summary()
-            health = (
-                simulation.health.records()
-                if collect_health and simulation.health is not None
-                else None
-            )
+            phase_timings = engine.timings.summary()
+            if collect_health and engine.health is not None:
+                health = engine.health.records()
         trace_path = None
         if trace_dir is not None:
             trace_path = _trace_path(trace_dir, position, item)

@@ -132,9 +132,8 @@ class SimulationConfig:
         ``>1`` routes the run through
         :class:`repro.multipath.delivery.MultipathSystem`, which splits
         each consumer's fanout budget across the paths and enforces
-        upstream disjointness at attach time.  The sweep worker reports
-        a multipath run through
-        :meth:`~repro.multipath.delivery.MultipathSystem.summary_result`.
+        upstream disjointness at attach time (dispatched by
+        :func:`repro.spec.execute`; no ``churn`` or ``asynchrony``).
     time_model:
         ``"rounds"`` (default, the paper's synchronous clock —
         bit-identical to pre-continuous behavior) or
@@ -195,6 +194,11 @@ class SimulationConfig:
             )
         if self.paths < 1:
             raise ConfigurationError("paths must be >= 1")
+        if self.paths > 1 and (self.churn, self.asynchrony) != (None, None):
+            raise ConfigurationError(
+                "churn and asynchrony are single-overlay models; paths > 1 "
+                "takes its membership dynamics from a fault plan"
+            )
         from repro.sim.timemodel import parse_time_model
 
         if parse_time_model(self.time_model).continuous:

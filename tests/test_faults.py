@@ -42,8 +42,8 @@ from repro.oracles.base import RandomDelayOracle
 from repro.oracles.sharded import ShardedOracle
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig, run_simulation
+from repro.spec import RunSpec
 from repro.workloads import make
-from repro.workloads.random_workload import rand_workload
 
 from tests.conftest import load_tool, spec
 
@@ -796,17 +796,9 @@ class TestChaosRecovery:
         """A 20 % crash rejoining as a burst, a source outage and a stale
         oracle view over N=120, integrity checked every 10 rounds: the
         overlay re-converges after the last fault."""
-        workload, _ = rand_workload(size=120, seed=0, source_fanout=4)
-        config = SimulationConfig(
-            algorithm="hybrid",
-            oracle="random-delay",
-            seed=0,
-            faults=parse_fault_plan(ledger_tool.CHAOS_PLAN),
-            max_rounds=220,
-            stop_at_convergence=False,
-        )
-        simulation = Simulation(workload, config)
-        while simulation.now < config.max_rounds:
+        spec = RunSpec.parse(ledger_tool.CHAOS)  # the quick/chaos_soak run
+        simulation = Simulation(spec.make_workload(0), spec.config(0))
+        while simulation.now < spec.rounds:
             simulation.run_round()
             if simulation.now % 10 == 0:
                 simulation.overlay.check_integrity()

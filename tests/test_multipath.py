@@ -12,6 +12,7 @@ import dataclasses
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.tree import Overlay
 from repro.faults import parse_fault_plan
 from repro.multipath import (
     DisjointDelayOracle,
@@ -241,13 +242,35 @@ class TestFaultComposition:
     def test_summary_result_shape(self):
         system = self.faulted_system()
         result = system.result()
-        summary = system.summary_result()
+        summary = result.summary()
         assert summary.oracle == "disjoint-delay"
         assert summary.availability == pytest.approx(
             result.delivery_availability
         )
         assert summary.attaches == sum(p.attaches for p in result.per_path)
         assert summary.fault_events == result.fault_events
+
+    def test_a_converged_round_reads_no_node_predicate(self, monkeypatch):
+        """Convergence is the chain index's counter: one round of a
+        converged two-path system under a (not yet due) fault plan makes
+        no per-node ``meets_latency`` call."""
+        system = MultipathSystem(
+            make_workload("Rand", size=40, seed=2),
+            paths=2,
+            seed=2,
+            faults=parse_fault_plan("crash@500:0.2"),
+        )
+        assert system.run(max_rounds=400, stop_at_convergence=True)
+        calls = []
+        meets_latency = Overlay.meets_latency
+        monkeypatch.setattr(
+            Overlay,
+            "meets_latency",
+            lambda self, node: calls.append(node) or meets_latency(self, node),
+        )
+        system.run_round()
+        assert system.all_converged()
+        assert calls == []
 
 
 class TestDeterminism:

@@ -408,7 +408,7 @@ class TestRoundsModeDifferential:
             system.run(max_rounds=60)
             return (
                 [overlay.snapshot() for overlay in system.overlays],
-                dataclasses.replace(system.summary_result(), algorithm=algorithm),
+                dataclasses.replace(system.result().summary(), algorithm=algorithm),
                 system.overlap_repairs,
                 system.unblock_repairs,
             )

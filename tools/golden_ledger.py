@@ -8,40 +8,28 @@ excludes from its own equality (``SimulationResult.phase_timings``, the
 wall-clock breakdown) are left out, so the digest covers exactly what
 ``==`` compares.
 
-The scenarios are the runs whose outcomes were once pinned only by an
-equality between two live runs of the same seed on the two node-state
-layouts (the column store and the object-per-node layout), so the pin
-outlives either side of it:
-
-* a churned N=36 construction, greedy/hybrid under each of the four
-  paper oracles, each of six fault plans, each of the four distributed
-  oracle realizations, and the sharded realization under faults;
-* a quick multi-feed service soak;
-* a faulted two-path multipath build;
-* a corrupted overlay's self-stabilization (the outcome plus the sorted
-  final parent map).
-
-Beside those, one row per round loop the layouts never split, so every
-loop that drives the construction rules is pinned:
-
-* the continuous clock on ``geo-3region``, as a static build and under
-  churn plus a fault plan;
-* the rounds clock with ``AsynchronyConfig(1, 4)`` under churn;
-* a static greedy build stopped at convergence (the paper grid's path);
-* a reuse-biased multi-feed system driven by ``run()`` and by
-  ``run_sequential()`` (convergence by feed, rounds run and the sorted
-  parent map of every feed);
-* a small multi-feed service soak on the continuous clock over
-  ``geo-3region`` with a flash crowd, an exodus and a crash, the one
-  row whose feed delivery runs on a per-edge hop-delay model.
+**Rows are spec strings.**  Every single-run row is one ``(scenario,
+seed, spec)`` entry of :data:`RUNS`: a :class:`repro.spec.RunSpec` in
+its text form, pinned as ``repro.spec.run(RunSpec.parse(spec), seed)``
+— the same call the CLI and the sweep worker make.  They cover a
+churned N=36 construction (greedy/hybrid under the four paper oracles
+and six fault plans, the four distributed oracle realizations, the
+sharded one under faults), the continuous clock on ``geo-3region``
+static and under churn plus faults, asynchrony under churn, a static
+greedy build stopped at convergence (the paper grid's path), two
+multi-feed service soaks (one on the continuous clock, the one row
+whose feed delivery runs on a per-edge hop-delay model) and a faulted
+two-path multipath build.  Three rows stay code: a reuse-biased
+multi-feed system driven by ``run()`` and by ``run_sequential()``, and
+a corrupted overlay's self-stabilization (each with its sorted final
+parent maps).
 
 Last, twelve ``quick/<record>`` rows keep the seeded outcomes of the
-former quick benchmark suite: each row's value is the dict of one
-record's exact metrics (the smoke-scale Fig. 2-4 medians, availability
-and recovery under layered faults, the source-backoff A/B, satisfied
-fractions on the sharded directory, the continuous clock's events and
-ms staleness, multipath delivery, probe event and flight-recorder
-sample counts, the service soak's SLO numbers and stabilization rounds).
+former quick benchmark suite, each the dict of one record's exact
+metrics.  The plain-run records (``chain_index.churn``,
+``chaos_soak.soak``, ``scale.columnar``, ``time.continuous``,
+``soak.service``) read them off spec runs; the figure, backoff,
+multipath, obs and stabilize records drive their harnesses in code.
 
 A change that only makes the code faster or smaller leaves
 ``tests/golden/ledger.json`` byte-identical.  A change that moves an
@@ -59,22 +47,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 import random
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.spec import RunSpec, execute, run
+
 LEDGER_PATH = Path(__file__).resolve().parent.parent / "tests" / "golden" / "ledger.json"
 
-ORACLES = (
-    "random",
-    "random-capacity",
-    "random-delay",
-    "random-delay-capacity",
-)
-
+ORACLES = ("random", "random-capacity", "random-delay", "random-delay-capacity")
 FAULT_PLANS = (
     "crash@20:0.3:rejoin=10",
     "leave@15:0.2, crash@40:0.15",
@@ -83,17 +69,60 @@ FAULT_PLANS = (
     "partition@12:15:2",
     "stale-view@10:12:4",
 )
-
 REALIZATIONS = (
-    ("dht", "random-delay"),
-    ("sharded", "random-delay"),
-    ("sharded", "random-delay-capacity"),
-    ("random-walk", "random"),
+    ("dht", "random-delay"), ("sharded", "random-delay"),
+    ("sharded", "random-delay-capacity"), ("random-walk", "random"),
 )
+
+#: A churned N=36 construction, hybrid x Random-Delay unless the row's
+#: own keys (``{}``) say otherwise, run for its whole round budget (as a
+#: fault plan does by itself); N=40 builds; 36 consumers on three feeds.
+CHURN36 = "size=36;workload-seed=5;{};churn=1;rounds=120;stop=budget"
+FAULTED36 = "size=36;workload-seed=5;{};churn=1;faults={};rounds=120"
+N40 = "size=40;workload-seed=5;{}"
+SOAK36 = "size=36;feeds=news,sports,tech;{};warmup=20;rounds=70"
+GEO = "time-model=continuous:geo-3region"
+
+#: Every single-run row: ``(scenario, seed, spec)``; the pinned value is
+#: ``repro.spec.run(RunSpec.parse(spec), seed)``.
+RUNS: List[Tuple[str, int, str]] = [
+    *(
+        (f"construction/churn/{a}/{o}", 17, CHURN36.format(f"algorithm={a};oracle={o}"))
+        for a in ("greedy", "hybrid") for o in ORACLES
+    ),
+    *(
+        (f"construction/faults/{a}/{p}", 17, FAULTED36.format(f"algorithm={a}", p))
+        for a in ("greedy", "hybrid") for p in FAULT_PLANS
+    ),
+    *(
+        (f"construction/realization/{r}/{o}", 17,
+         CHURN36.format(f"oracle={o};oracle-realization={r}"))
+        for r, o in REALIZATIONS
+    ),
+    ("construction/sharded+faults", 17, FAULTED36.format(
+        "oracle-realization=sharded", "crash@18:0.25:rejoin=8, oracle-outage@30:5")),
+    ("continuous/static/geo-3region", 17, N40.format(f"{GEO};rounds=150")),
+    ("continuous/churn+faults/geo-3region", 17, N40.format(
+        f"{GEO};churn=1;faults=crash@20:0.2:rejoin=10, source-outage@35:4;rounds=80")),
+    ("construction/asynchrony/churn", 17,
+     "size=36;workload-seed=5;churn=1;asynchrony=1:4;rounds=120;stop=budget"),
+    ("construction/static/greedy", 17, N40.format("algorithm=greedy;rounds=8000")),
+    ("soak/quick", 11, SOAK36.format(
+        "timeline=flash@30:news:x4:ramp=2,exodus@50:sports:0.4,rejoin@60:sports")),
+    ("soak/geo-3region", 11, SOAK36.format(
+        f"{GEO};faults=crash@40:0.15:rejoin=8;"
+        "timeline=flash@30:news:x4:ramp=2,exodus@45:news:0.4,rejoin@55:news")),
+    ("multipath/2-paths+crash", 5,
+     "size=30;workload-seed=5;faults=crash@40:0.2:rejoin=10;paths=2;rounds=200"),
+]
 
 #: One ledger scenario: ``(name, seed, run)``; ``run(seed)`` returns the
 #: value whose digest is pinned.
 Scenario = Tuple[str, int, Callable[[int], object]]
+
+
+def _run(spec: str, seed: int):
+    return run(RunSpec.parse(spec), seed)
 
 
 def digest(value: object) -> str:
@@ -112,89 +141,11 @@ def digest(value: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _construction(seed: int, **config_kwargs):
-    """One churned N=36 construction run (hybrid x Random-Delay unless
-    overridden), run for its whole round budget."""
-    from repro.sim.churn import ChurnConfig
-    from repro.sim.runner import SimulationConfig, run_simulation
-    from repro.workloads.random_workload import rand_workload
-
-    workload, _ = rand_workload(size=36, seed=5, source_fanout=3)
-    settings = dict(
-        algorithm="hybrid",
-        oracle="random-delay",
-        seed=seed,
-        max_rounds=120,
-        churn=ChurnConfig(),
-        stop_at_convergence=False,
-    )
-    settings.update(config_kwargs)
-    return run_simulation(workload, SimulationConfig(**settings))
-
-
-def _faulted(plan: str, **config_kwargs):
-    from repro.faults.plan import parse_fault_plan
-
-    return lambda seed: _construction(
-        seed, faults=parse_fault_plan(plan), **config_kwargs
-    )
-
-
-def _continuous(seed: int, **config_kwargs):
-    """One N=40 hybrid build on the continuous clock over the
-    ``geo-3region`` profile."""
-    from repro.sim.runner import SimulationConfig, run_simulation
-    from repro.workloads.random_workload import rand_workload
-
-    workload, _ = rand_workload(size=40, seed=5, source_fanout=3)
-    settings = dict(
-        algorithm="hybrid",
-        oracle="random-delay",
-        seed=seed,
-        max_rounds=150,
-        time_model="continuous:geo-3region",
-    )
-    settings.update(config_kwargs)
-    return run_simulation(workload, SimulationConfig(**settings))
-
-
-def _continuous_churn_faults(seed: int):
-    from repro.faults.plan import parse_fault_plan
-    from repro.sim.churn import ChurnConfig
-
-    return _continuous(
-        seed,
-        churn=ChurnConfig(),
-        faults=parse_fault_plan("crash@20:0.2:rejoin=10, source-outage@35:4"),
-        max_rounds=80,
-        stop_at_convergence=False,
-    )
-
-
-def _asynchrony(seed: int):
-    from repro.sim.asynchrony import AsynchronyConfig
-
-    return _construction(seed, asynchrony=AsynchronyConfig(1, 4))
-
-
-def _static_greedy(seed: int):
-    """A static N=40 greedy build run to its first converged round."""
-    from repro.sim.runner import SimulationConfig, run_simulation
-    from repro.workloads import make
-
-    return run_simulation(
-        make("Rand", size=40, seed=5),
-        SimulationConfig(
-            algorithm="greedy", oracle="random-delay", seed=seed, max_rounds=8000
-        ),
-    )
-
-
 def _multifeed(sequential: bool):
     """Three feeds over 30 shared consumers with the reuse-biased oracle,
     built interleaved (``run()``) or one feed after another."""
 
-    def run(seed: int):
+    def build(seed: int):
         from repro.multifeed.reuse import reuse_oracle_factory
         from repro.multifeed.system import MultiFeedSystem
 
@@ -220,86 +171,38 @@ def _multifeed(sequential: bool):
             },
         }
 
-    return run
+    return build
 
 
-def _soak(seed: int):
-    from repro.multifeed.soak import SoakConfig, parse_timeline, run_soak
-
-    return run_soak(
-        SoakConfig(
-            consumer_count=36,
-            seed=seed,
-            rounds=70,
-            warmup_rounds=20,
-            timeline=parse_timeline(
-                "flash@30:news:x4:ramp=2,exodus@50:sports:0.4,rejoin@60:sports"
-            ),
-        )
-    )
-
-
-def _soak_geo(seed: int):
-    """A small three-feed soak on the continuous clock over
-    ``geo-3region``: a flash crowd, an exodus with its rejoin, and a
-    crash burst, so feed items cross re-parented overlays with pushes
-    from former parents still in flight."""
-    from repro.faults.plan import parse_fault_plan
-    from repro.multifeed.soak import SoakConfig, parse_timeline, run_soak
-
-    return run_soak(
-        SoakConfig(
-            consumer_count=36,
-            seed=seed,
-            rounds=70,
-            warmup_rounds=20,
-            timeline=parse_timeline(
-                "flash@30:news:x4:ramp=2,exodus@45:news:0.4,rejoin@55:news"
-            ),
-            faults=parse_fault_plan("crash@40:0.15:rejoin=8"),
-            time_model="continuous:geo-3region",
-        )
-    )
-
-
-def _multipath(seed: int):
-    from repro.faults.plan import parse_fault_plan
-    from repro.multipath import MultipathSystem
-    from repro.workloads import make
-
-    system = MultipathSystem(
-        make("Rand", size=30, seed=5),
-        paths=2,
-        seed=seed,
-        faults=parse_fault_plan("crash@40:0.2:rejoin=10"),
-    )
-    system.run(max_rounds=200)
-    return system.result()
-
-
-def _stabilize(seed: int):
-    """Build and converge an N=24 overlay, corrupt it with ``seed``, and
-    stabilize it again."""
+def _restabilized(build_seed, algorithm, realization, corrupt_seed, **corruption):
+    """Converge an N=24 ``Rand`` overlay (``build_seed`` seeds both the
+    draw and the run), corrupt it with ``corrupt_seed`` and stabilize it
+    again: ``(overlay, outcome)``."""
     from repro.core.tree import Overlay
     from repro.stabilize import corrupt_overlay, stabilize
     from repro.stabilize.harness import converge
     from repro.workloads import make
 
-    workload = make("Rand", size=24, seed=3)
+    workload = make("Rand", size=24, seed=build_seed)
     overlay = Overlay(source_fanout=workload.source_fanout)
     overlay.add_population(workload.population)
-    converged, _ = converge(
+    built, _ = converge(
         overlay,
-        algorithm="hybrid",
-        oracle="random-delay",
-        realization="omniscient",
-        seed=3,
+        algorithm=algorithm,
+        realization=realization,
+        seed=build_seed,
         max_rounds=4000,
     )
-    if not converged:
+    if not built:
         raise RuntimeError("construction must converge before corruption")
-    corrupt_overlay(overlay, random.Random(seed))
-    outcome = stabilize(overlay, algorithm="hybrid", seed=seed)
+    corrupt_overlay(overlay, random.Random(corrupt_seed), **corruption)
+    return overlay, stabilize(
+        overlay, algorithm=algorithm, realization=realization, seed=corrupt_seed
+    )
+
+
+def _stabilize(seed: int):
+    overlay, outcome = _restabilized(3, "hybrid", "omniscient", seed)
     return {
         "outcome": dataclasses.asdict(outcome),
         "parents": sorted(
@@ -351,31 +254,45 @@ def _quick_figure4(seed: int):
     return {f"rounds.{a}.{r}": runs.median for (a, r), runs in grid.items()}
 
 
-def _churned(size: int, seed: int, rounds: int, **config_kwargs):
-    """A churned hybrid x Random-Delay run of ``rounds`` rounds over
-    ``Rand`` with source fanout 4: ``(workload, config)``."""
-    from repro.sim.churn import ChurnConfig
-    from repro.sim.runner import SimulationConfig
-    from repro.workloads.random_workload import rand_workload
+#: An N=300 churned run of 8 rounds over ``Rand`` with source fanout 4.
+CHURN300 = "size=300;source-fanout=4;churn=1;rounds=8;stop=budget"
+#: ``Rand`` with slack a sampled directory can serve (latency budgets up
+#: to 40, fanout 2..8, source fanout 32), on the sharded directory, run
+#: for its whole round budget: ``{}`` is the size, ``{}`` the rest.
+SLACK = (
+    "size={};source-fanout=32;max-latency=40;min-fanout=2;"
+    "oracle-realization=sharded;{};stop=budget"
+)
+#: The chaos soak's layered plan over N=120: a 20 % crash rejoining as a
+#: burst, a source outage and a stale oracle view.
+CHAOS_PLAN = "crash@40:0.2:rejoin=20, source-outage@130:12, stale-view@200:15:6"
+CHAOS = f"size=120;source-fanout=4;faults={CHAOS_PLAN};rounds=220"
+#: The service soak at quick scale: 40 consumers, a 10x flash crowd on
+#: the hot feed, its exodus and a source outage.
+SOAK40 = (
+    "size=40;feeds=news,sports,tech;faults=source-outage@48:4;"
+    "timeline=flash@36:news:x10:ramp=3,exodus@60:news:0.4;warmup=24;rounds=90"
+)
 
-    workload, _ = rand_workload(size=size, seed=seed, source_fanout=4)
-    settings = dict(
-        algorithm="hybrid",
-        oracle="random-delay",
-        seed=seed,
-        churn=ChurnConfig(),
-        max_rounds=rounds,
-        stop_at_convergence=False,
-    )
-    settings.update(config_kwargs)
-    return workload, SimulationConfig(**settings)
+
+def _read(spec: str, *paths: str) -> Callable[[int], Dict[str, object]]:
+    """A quick row read off one spec run: the value at each attribute
+    path of its result, keyed by the path's last name."""
+
+    def row(seed: int) -> Dict[str, object]:
+        result = _run(spec, seed)
+        return {p.rsplit(".", 1)[-1]: operator.attrgetter(p)(result) for p in paths}
+
+    return row
 
 
-def _quick_chain_index(seed: int):
-    from repro.sim.runner import run_simulation
-
-    result = run_simulation(*_churned(300, seed, 8))
-    return {"satisfied_fraction": result.final_quality.satisfied_fraction}
+def _quick_scale(seed: int):
+    build = _run(SLACK.format(2000, "rounds=60"), seed)
+    churned = _run(SLACK.format(2000, "churn=1;rounds=30"), seed)
+    return {
+        "satisfied_fraction.build.n2000": build.final_quality.satisfied_fraction,
+        "satisfied_fraction.churn.n2000": churned.final_quality.satisfied_fraction,
+    }
 
 
 def _quick_obs_overhead(seed: int):
@@ -383,101 +300,15 @@ def _quick_obs_overhead(seed: int):
     recorder holds on one N=300 churned run of 8 rounds."""
     from repro.obs.health import HealthConfig
     from repro.obs.probe import RecordingProbe
-    from repro.sim.runner import Simulation
 
+    spec = RunSpec.parse(CHURN300)
     probe = RecordingProbe()
-    Simulation(*_churned(300, seed, 8), probe=probe).run()
-    ring = Simulation(
-        *_churned(300, seed, 8, health=HealthConfig(), attribution=True)
-    )
-    ring.run()
+    run(spec, seed, probe)
+    config = spec.config(seed, health=HealthConfig(), attribution=True)
+    ring, _ = execute(spec.make_workload(seed), config)
     return {
         "events_total": len(probe.events),
         "health_samples": len(ring.health.samples),
-    }
-
-
-def _slack_workload(size: int, seed: int):
-    """``Rand`` with slack a sampled directory can serve: latency budgets
-    up to 40, fanout 2..8, source fanout 32."""
-    from repro.workloads.random_workload import rand_workload
-
-    workload, _ = rand_workload(
-        size=size,
-        seed=seed,
-        source_fanout=32,
-        max_latency=40,
-        min_fanout=2,
-        max_fanout=8,
-    )
-    return workload
-
-
-def _sharded(size: int, seed: int, rounds: int, **config_kwargs):
-    """A hybrid x Random-Delay run on the sharded directory over
-    :func:`_slack_workload`, run for its whole round budget."""
-    from repro.sim.runner import SimulationConfig, run_simulation
-
-    return run_simulation(
-        _slack_workload(size, seed),
-        SimulationConfig(
-            algorithm="hybrid",
-            oracle="random-delay",
-            oracle_realization="sharded",
-            seed=seed,
-            max_rounds=rounds,
-            stop_at_convergence=False,
-            **config_kwargs,
-        ),
-    )
-
-
-def _quick_scale(seed: int):
-    from repro.sim.churn import ChurnConfig
-
-    build = _sharded(2000, seed, 60)
-    churned = _sharded(2000, seed, 30, churn=ChurnConfig())
-    return {
-        "satisfied_fraction.build.n2000": build.final_quality.satisfied_fraction,
-        "satisfied_fraction.churn.n2000": churned.final_quality.satisfied_fraction,
-    }
-
-
-def _quick_continuous(seed: int):
-    result = _sharded(600, seed, 40, time_model="continuous:geo-3region")
-    return {
-        "events_fired": result.events_fired,
-        "staleness_ms_p50": result.staleness_ms_p50,
-        "staleness_ms_p99": result.staleness_ms_p99,
-        "satisfied_fraction": result.final_quality.satisfied_fraction,
-    }
-
-
-#: The chaos soak's layered plan: a 20 % crash rejoining as a burst, a
-#: source outage and a stale oracle view.
-CHAOS_PLAN = "crash@40:0.2:rejoin=20, source-outage@130:12, stale-view@200:15:6"
-
-
-def _quick_chaos_soak(seed: int):
-    from repro.faults.plan import parse_fault_plan
-    from repro.sim.runner import SimulationConfig, run_simulation
-    from repro.workloads.random_workload import rand_workload
-
-    workload, _ = rand_workload(size=120, seed=seed, source_fanout=4)
-    result = run_simulation(
-        workload,
-        SimulationConfig(
-            algorithm="hybrid",
-            oracle="random-delay",
-            seed=seed,
-            faults=parse_fault_plan(CHAOS_PLAN),
-            max_rounds=220,
-            stop_at_convergence=False,
-        ),
-    )
-    return {
-        "availability": result.availability,
-        "time_to_recover": result.time_to_recover,
     }
 
 
@@ -490,29 +321,17 @@ def thundering_herd(seed: int, backoff: bool) -> Dict[str, object]:
     """One arm of the source-backoff A/B: the herd's source contacts
     inside the outage window, and the round construction converged."""
     from repro.core.protocol import ProtocolConfig
-    from repro.faults.plan import parse_fault_plan
     from repro.obs.probe import RecordingProbe
-    from repro.sim.runner import SimulationConfig, run_simulation
-    from repro.workloads.random_workload import rand_workload
 
-    workload, _ = rand_workload(size=120, seed=seed, source_fanout=4)
-    probe = RecordingProbe()
-    result = run_simulation(
-        workload,
-        SimulationConfig(
-            algorithm="hybrid",
-            oracle="random-delay",
-            seed=seed,
-            protocol=ProtocolConfig(source_backoff=backoff),
-            faults=parse_fault_plan(
-                f"crash@60:0.4:rejoin=10, "
-                f"source-outage@{HERD_REJOIN}:{HERD_WINDOW}"
-            ),
-            max_rounds=HERD_REJOIN + HERD_WINDOW,
-            stop_at_convergence=False,
-            probe=probe,
-        ),
+    spec = RunSpec.parse(
+        f"size=120;source-fanout=4;faults=crash@60:0.4:rejoin=10, "
+        f"source-outage@{HERD_REJOIN}:{HERD_WINDOW};"
+        f"rounds={HERD_REJOIN + HERD_WINDOW}"
     )
+    probe = RecordingProbe()
+    # Source backoff alone: the spec's `harden` also requeues referrals.
+    config = spec.config(seed).with_(protocol=ProtocolConfig(source_backoff=backoff))
+    _, result = execute(spec.make_workload(seed), config, probe)
     per_round: Dict[int, int] = {}
     per_node: Dict[object, int] = {}
     for event in probe.events_of("source-contact"):
@@ -567,59 +386,14 @@ def _quick_multipath(seed: int):
     return out
 
 
-def _quick_soak(seed: int):
-    """The service soak at quick scale: 40 consumers, a 10x flash crowd
-    on the hot feed, its exodus and a source outage."""
-    from repro.faults.plan import parse_fault_plan
-    from repro.multifeed.soak import SoakConfig, parse_timeline, run_soak
-
-    summary = run_soak(
-        SoakConfig(
-            consumer_count=40,
-            seed=seed,
-            rounds=90,
-            warmup_rounds=24,
-            timeline=parse_timeline("flash@36:news:x10:ramp=3,exodus@60:news:0.4"),
-            faults=parse_fault_plan("source-outage@48:4"),
-        )
-    )
-    return {
-        "hot_reconverge_rounds": summary.hot_reconverge_rounds,
-        "hot_p99_after": summary.hot_p99_after,
-        "availability": summary.availability,
-        "time_to_recover": summary.time_to_recover,
-        "reuse_fraction": summary.reuse.reuse_fraction,
-    }
-
-
 def _quick_stabilize(seed: int):
     """Recovery rounds from corruption seed 7 (intensity 0.25) of a
     converged N=24 overlay, greedy/hybrid x omniscient/sharded; ``None``
     for a cell that misses its round bound."""
-    from repro.core.tree import Overlay
-    from repro.stabilize import corrupt_overlay, stabilize
-    from repro.stabilize.harness import converge
-    from repro.workloads import make
-
     out = {}
     for algorithm in ("greedy", "hybrid"):
         for realization in ("omniscient", "sharded"):
-            workload = make("Rand", size=24, seed=seed)
-            overlay = Overlay(source_fanout=workload.source_fanout)
-            overlay.add_population(workload.population)
-            built, _ = converge(
-                overlay,
-                algorithm=algorithm,
-                realization=realization,
-                seed=seed,
-                max_rounds=4000,
-            )
-            if not built:
-                raise RuntimeError("construction must converge before corruption")
-            corrupt_overlay(overlay, random.Random(7), intensity=0.25)
-            outcome = stabilize(
-                overlay, algorithm=algorithm, realization=realization, seed=7
-            )
+            _, outcome = _restabilized(seed, algorithm, realization, 7, intensity=0.25)
             out[f"rounds.{algorithm}.{realization}"] = (
                 outcome.rounds if outcome.converged else None
             )
@@ -627,80 +401,34 @@ def _quick_stabilize(seed: int):
 
 
 QUICK: List[Scenario] = [
-    ("quick/chain_index.churn", 0, _quick_chain_index),
+    ("quick/chain_index.churn", 0, _read(CHURN300, "final_quality.satisfied_fraction")),
     ("quick/chaos_soak.backoff_ab", 0, _quick_backoff_ab),
-    ("quick/chaos_soak.soak", 0, _quick_chaos_soak),
+    ("quick/chaos_soak.soak", 0, _read(CHAOS, "availability", "time_to_recover")),
     ("quick/figure2.spread", 0, _quick_figure2),
     ("quick/figure3.oracle_grid", 0, _quick_figure3),
     ("quick/figure4.greedy_vs_hybrid", 0, _quick_figure4),
     ("quick/multipath.avail", 2, _quick_multipath),
     ("quick/obs.overhead", 0, _quick_obs_overhead),
     ("quick/scale.columnar", 0, _quick_scale),
-    ("quick/soak.service", 0, _quick_soak),
+    ("quick/soak.service", 0, _read(
+        SOAK40, "hot_reconverge_rounds", "hot_p99_after", "availability",
+        "time_to_recover", "reuse.reuse_fraction")),
     ("quick/stabilize.converge", 3, _quick_stabilize),
-    ("quick/time.continuous", 0, _quick_continuous),
+    ("quick/time.continuous", 0, _read(
+        SLACK.format(600, f"{GEO};rounds=40"), "events_fired", "staleness_ms_p50",
+        "staleness_ms_p99", "final_quality.satisfied_fraction")),
 ]
 
 
 def scenarios() -> List[Scenario]:
     """Every ledger scenario, in ledger order."""
-    out: List[Scenario] = []
-    for algorithm in ("greedy", "hybrid"):
-        for oracle in ORACLES:
-            out.append(
-                (
-                    f"construction/churn/{algorithm}/{oracle}",
-                    17,
-                    lambda seed, a=algorithm, o=oracle: _construction(
-                        seed, algorithm=a, oracle=o
-                    ),
-                )
-            )
-    for algorithm in ("greedy", "hybrid"):
-        for plan in FAULT_PLANS:
-            out.append(
-                (
-                    f"construction/faults/{algorithm}/{plan}",
-                    17,
-                    _faulted(plan, algorithm=algorithm),
-                )
-            )
-    for realization, oracle in REALIZATIONS:
-        out.append(
-            (
-                f"construction/realization/{realization}/{oracle}",
-                17,
-                lambda seed, r=realization, o=oracle: _construction(
-                    seed, oracle=o, oracle_realization=r
-                ),
-            )
-        )
-    out.append(
-        (
-            "construction/sharded+faults",
-            17,
-            _faulted(
-                "crash@18:0.25:rejoin=8, oracle-outage@30:5",
-                oracle_realization="sharded",
-            ),
-        )
-    )
-    out.append(("continuous/static/geo-3region", 17, _continuous))
-    out.append(
-        ("continuous/churn+faults/geo-3region", 17, _continuous_churn_faults)
-    )
-    out.append(("construction/asynchrony/churn", 17, _asynchrony))
-    out.append(("construction/static/greedy", 17, _static_greedy))
-    out.append(("multifeed/run/reuse", 13, _multifeed(sequential=False)))
-    out.append(
-        ("multifeed/run_sequential/reuse", 13, _multifeed(sequential=True))
-    )
-    out.append(("soak/quick", 11, _soak))
-    out.append(("soak/geo-3region", 11, _soak_geo))
-    out.append(("multipath/2-paths+crash", 5, _multipath))
-    out.append(("stabilize/hybrid/omniscient", 99, _stabilize))
-    out.extend(QUICK)
-    return out
+    return [
+        *((name, seed, functools.partial(_run, text)) for name, seed, text in RUNS),
+        ("multifeed/run/reuse", 13, _multifeed(sequential=False)),
+        ("multifeed/run_sequential/reuse", 13, _multifeed(sequential=True)),
+        ("stabilize/hybrid/omniscient", 99, _stabilize),
+        *QUICK,
+    ]
 
 
 def compute(names: Optional[List[str]] = None) -> Dict[str, Dict[str, str]]:
