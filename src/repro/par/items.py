@@ -8,19 +8,25 @@ process boundaries and two equal sweeps describe bit-identical work.
 
 The determinism contract: an item fully describes its run.  The worker
 (serial or pooled) constructs the workload from ``(family, population,
-workload_seed)`` and the simulation RNG streams from ``config.seed``
-exactly as :func:`repro.experiments.runner.run_repeats` always has, so
-*where* an item runs can never change *what* it computes (pinned by
-``tests/test_par.py``).
+workload_seed)`` — or from the item's ``recipe``, the
+:class:`~repro.spec.RunSpec` a spec-described sweep carries, exactly as
+:func:`repro.spec.run` does — and the simulation RNG streams from
+``config.seed`` exactly as :func:`repro.experiments.runner.run_repeats`
+always has, so *where* an item runs can never change *what* it computes
+(pinned by ``tests/test_par.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import MedianOfRuns
+from repro.core.errors import ConfigurationError
 from repro.sim.runner import SimulationConfig, SimulationResult
+
+if TYPE_CHECKING:  # repro.spec imports the engines; the worker needs none
+    from repro.spec import RunSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,6 +38,12 @@ class SweepItem:
     the sweep's base seed instead, isolating protocol randomness as in
     Fig. 2.  ``config.seed`` is ignored — the worker applies
     ``config.with_(seed=seed)``, mirroring ``run_repeats``.
+
+    ``recipe`` is the population recipe of a sweep described by a
+    :class:`~repro.spec.RunSpec`: the worker then builds
+    ``recipe.make_workload(workload_seed)``, ``Rand``'s budget
+    arguments and source fanout included, instead of the family's
+    default draw.  Its family and size must be the item's.
     """
 
     family: str
@@ -39,10 +51,19 @@ class SweepItem:
     population: int
     seed: int
     workload_seed: Optional[int] = None
+    recipe: Optional["RunSpec"] = None
 
     def __post_init__(self) -> None:
         if self.workload_seed is None:
             object.__setattr__(self, "workload_seed", self.seed)
+        if self.recipe is not None and (self.recipe.workload, self.recipe.size) != (
+            self.family,
+            self.population,
+        ):
+            raise ConfigurationError(
+                f"recipe {self.recipe} does not describe "
+                f"{self.family} at n={self.population}"
+            )
 
     def describe(self) -> str:
         """Compact identification used by failure reports and traces."""
@@ -139,8 +160,10 @@ def repeat_items(
     repeats: int,
     base_seed: int = 0,
     vary_workload: bool = True,
+    recipe: Optional["RunSpec"] = None,
 ) -> List[SweepItem]:
-    """The items of one ``run_repeats`` cell, in seed order."""
+    """The items of one ``run_repeats`` cell, in seed order (each
+    carrying ``recipe``, see :class:`SweepItem`)."""
     return [
         SweepItem(
             family=family,
@@ -148,6 +171,7 @@ def repeat_items(
             population=population,
             seed=base_seed + offset,
             workload_seed=(base_seed + offset) if vary_workload else base_seed,
+            recipe=recipe,
         )
         for offset in range(repeats)
     ]

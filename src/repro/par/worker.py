@@ -4,8 +4,9 @@ This is the *only* code that executes sweep work, for every backend —
 the serial executor calls :func:`execute_item` in-process and the pooled
 executor calls it inside worker processes — so the two paths cannot
 drift apart.  The body reproduces ``run_repeats``'s per-repeat protocol
-verbatim: build the workload from ``(family, population, workload_seed)``,
-then run the simulation with ``config.with_(seed=seed)``.
+verbatim: build the workload from ``(family, population, workload_seed)``
+(or from the item's ``recipe``, as :func:`repro.spec.run` does), then
+run the simulation with ``config.with_(seed=seed)``.
 
 Failures never propagate: any exception raised while running an item is
 captured into the returned :class:`~repro.par.items.SweepOutcome` with
@@ -35,13 +36,17 @@ _PROCESS_MEMO: Dict[str, Any] = {}
 
 
 def _workload_for(item: SweepItem, memo: Dict[str, Any]):
-    """The item's workload, via the size-one memo."""
-    key = (item.family, item.population, item.workload_seed)
+    """The item's workload (its recipe's, when it carries one), via the
+    size-one memo."""
+    key = (item.family, item.population, item.workload_seed, item.recipe)
     if memo.get("key") != key:
         memo["key"] = key
-        memo["workload"] = make_workload(
-            item.family, size=item.population, seed=item.workload_seed
-        )
+        if item.recipe is not None:
+            memo["workload"] = item.recipe.make_workload(item.workload_seed)
+        else:
+            memo["workload"] = make_workload(
+                item.family, size=item.population, seed=item.workload_seed
+            )
     return memo["workload"]
 
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import MutableSequence
+from math import ceil, log
+from typing import List, MutableSequence, Sequence
 
 
 def derive_seed(root_seed: int, stream: str) -> int:
@@ -68,6 +69,48 @@ def shuffle(rng: random.Random, items: MutableSequence) -> None:
         while j > i:
             j = getrandbits(width)
         items[i], items[j] = items[j], items[i]
+
+
+def sample(rng: random.Random, population: Sequence, k: int) -> List:
+    """``k`` distinct picks from ``population``, draw for draw as
+    ``rng.sample(population, k)``.
+
+    The sharded directory draws each shard's batch with this once per
+    round.  It is :meth:`random.Random.sample` — the same pool-or-set
+    choice, the same selection order — with the ``_randbelow_with_
+    getrandbits`` draw inlined like :func:`shuffle`'s, so the picks and
+    the generator state afterwards are the stdlib's, minus two Python
+    frames per pick.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [None] * k
+    setsize = 21  # size of a small set minus size of an empty list
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))  # table size for big sets
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            left = n - i
+            width = left.bit_length()
+            j = getrandbits(width)
+            while j >= left:
+                j = getrandbits(width)
+            result[i] = pool[j]
+            pool[j] = pool[left - 1]  # move non-selected item into vacancy
+    else:
+        width = n.bit_length()
+        selected = set()
+        selected_add = selected.add
+        for i in range(k):
+            j = getrandbits(width)
+            while j >= n or j in selected:
+                j = getrandbits(width)
+            selected_add(j)
+            result[i] = population[j]
+    return result
 
 
 class StreamFactory:

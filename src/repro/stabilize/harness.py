@@ -85,10 +85,16 @@ def sanitize(overlay: Overlay, algorithm: str = "hybrid") -> SanitizeReport:
     consumers = overlay.consumers  # id-ordered copy
     # 1. Liveness roster: recompute from the per-node online bits (the
     #    corruption generator leaves the roster stale on purpose).
+    #    Every id the rewrite moves in or out goes to the liveness feeds.
     fixed_roster = [n for n in consumers if n.online]
     roster_fixes = 0 if overlay._online == fixed_roster else 1
+    if roster_fixes:
+        overlay.notify_liveness(
+            {n.node_id for n in overlay._online}.symmetric_difference(
+                n.node_id for n in fixed_roster
+            )
+        )
     overlay._online = fixed_roster
-    overlay.liveness_version += 1
     # 2. Sever every edge with an offline endpoint: an offline node
     #    neither serves nor receives the stream.
     offline_severed = 0

@@ -43,6 +43,18 @@ class TestBuild:
         assert "delay=" in out
         assert "delivery check" in out
 
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_an_invalid_run_is_a_usage_error(self, command, capsys):
+        """A flag combination no run satisfies prints ``error: ...`` and
+        exits 2, like serve-soak and latency, instead of a traceback."""
+        assert main([command, "--size", "30", "--paths", "2", "--churn"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: churn and asynchrony are single-overlay models; paths > 1 "
+            "takes its membership dynamics from a fault plan\n"
+        )
+        assert captured.out == ""
+
     def test_build_failure_exit_code(self, capsys):
         code = main(
             [

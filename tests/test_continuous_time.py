@@ -678,19 +678,25 @@ class TestContinuousCli:
         assert "staleness p50 (ms)" in out
         assert "geo-3region" in out
 
-    def test_build_rejects_unknown_profile(self):
-        # Configuration errors propagate out of build, as for bad fault
-        # plans (pinned in tests/test_faults.py).
+    def test_build_rejects_unknown_profile(self, capsys):
+        # A configuration error is a usage error: ``error: ...`` on
+        # stderr and exit 2, as for bad fault plans (pinned in
+        # tests/test_faults.py) and in serve-soak and latency.
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError, match="unknown latency"):
-            main(["build", "--time-model", "continuous:nope"])
+        assert main(["build", "--time-model", "continuous:nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: time-model: unknown latency profile")
+        assert captured.out == ""
 
-    def test_build_rejects_ms_faults_without_continuous(self):
+    def test_build_rejects_ms_faults_without_continuous(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError, match="no wall clock"):
-            main(["build", "--size", "30", "--faults", "crash@500ms:0.2"])
+        assert main(["build", "--size", "30", "--faults", "crash@500ms:0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: faults: ")
+        assert "no wall clock" in captured.err
+        assert captured.out == ""
 
     def test_latency_rejects_unknown_profile(self, capsys):
         from repro.cli import main

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownNodeError
 from repro.dht.chord import ChordRing
@@ -119,6 +121,32 @@ class TestChordRing:
     def test_empty_ring_lookup_raises(self):
         with pytest.raises(UnknownNodeError):
             ChordRing().find_successor(1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        peers=st.integers(1, 24),
+        bits=st.sampled_from([8, 16, 32]),
+        keys=st.lists(
+            st.one_of(st.integers(), st.text(max_size=6)), min_size=1, max_size=24
+        ),
+    )
+    def test_owner_is_where_routing_lands(self, peers, bits, keys):
+        """``owner(k)`` (a bisect) is ``find_successor(hash_key(k))[0]``
+        (Chord routing), for any ring, including keys that land exactly
+        on a peer's identifier; and it leaves the hop statistics alone."""
+        ring = ChordRing(bits=bits)
+        names = [f"peer-{i}" for i in range(peers)]
+        for name in names:
+            ring.add_peer(name)
+        for key in keys + names:
+            lookups, hops = ring.lookups, ring.total_hops
+            owner = ring.owner(key)
+            assert (ring.lookups, ring.total_hops) == (lookups, hops)
+            assert owner is ring.find_successor(hash_key(key, bits))[0]
+
+    def test_owner_on_an_empty_ring_raises(self):
+        with pytest.raises(UnknownNodeError):
+            ChordRing().owner("key")
 
     def test_statistics_accumulate(self):
         ring = self._ring(16)

@@ -867,16 +867,13 @@ class TestFaultsCli:
         assert code == 0
         assert "fault events" in out and "availability" in out
 
-    def test_bad_fault_plan_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            main(
-                [
-                    "build",
-                    "--workload",
-                    "Rand",
-                    "--size",
-                    "10",
-                    "--faults",
-                    "warp-drive@5:1",
-                ]
+    def test_bad_fault_plan_is_rejected(self, capsys):
+        argv = ["--size", "10", "--faults", "warp-drive@5:1"]
+        for command in (["build", "--workload", "Rand"], ["sweep"]):
+            assert main(command + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: faults: cannot parse fault spec 'warp-drive@5:1': "
+                "unknown fault 'warp-drive'\n"
             )
+            assert captured.out == ""

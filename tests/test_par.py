@@ -176,6 +176,47 @@ class TestSerialEquivalence:
             assert getattr(serial, name) == getattr(pooled, name)
 
 
+class TestSpecRecipe:
+    """An item carries its spec's population recipe: swept or run
+    directly, ``Rand``'s budget arguments build the same workload."""
+
+    SPEC = "size=40;source-fanout=6;max-latency=30;rounds=400"
+
+    def test_a_swept_spec_builds_the_workload_spec_run_builds(self):
+        from repro.par import execute_item
+        from repro.spec import RunSpec, run
+
+        spec = RunSpec.parse(self.SPEC)
+        direct = run(spec, 3)
+        item = SweepItem("Rand", spec.config(3), 40, 3, recipe=spec)
+        swept = execute_item(item, memo={}).result
+        assert swept.converged and direct.converged
+        assert swept.construction_rounds == direct.construction_rounds
+        assert swept == direct
+        # Without the recipe the item is the family's default draw.
+        plain = execute_item(SweepItem("Rand", spec.config(3), 40, 3), memo={})
+        assert plain.result != direct
+
+    def test_serial_and_pooled_sweeps_of_a_recipe_agree(self):
+        from repro.spec import RunSpec
+
+        spec = RunSpec.parse(self.SPEC)
+        items = repeat_items("Rand", spec.config(0), 40, repeats=3, recipe=spec)
+        assert all(item.recipe is spec for item in items)
+        assert_outcomes_identical(
+            SerialExecutor().run(items), ProcessPoolSweepExecutor(2).run(items)
+        )
+
+    def test_a_recipe_must_describe_the_item(self):
+        from repro.spec import RunSpec
+
+        spec = RunSpec.parse(self.SPEC)
+        with pytest.raises(ConfigurationError):
+            SweepItem("BiCorr", spec.config(0), 40, 0, recipe=spec)
+        with pytest.raises(ConfigurationError):
+            SweepItem("Rand", spec.config(0), 41, 0, recipe=spec)
+
+
 class TestFailureSemantics:
     @pytest.mark.parametrize(
         "executor",

@@ -1,11 +1,13 @@
-"""The order kernel draws exactly what ``random.Random.shuffle`` draws.
+"""The draw kernels draw exactly what ``random.Random`` draws.
 
 All five round sweeps order their roster with ``repro.sim.rng.shuffle``
-instead of ``rng.shuffle``.  Every seeded outcome in the repo depends on
-the two being interchangeable: the same permutation *and* the same
-generator state afterwards, for any length, on a generator that has
-already been used — so that is what is pinned here, together with the
-shape of the kernel's one piece of state, the bit-length table.
+instead of ``rng.shuffle``, and the sharded directory draws its batches
+with ``repro.sim.rng.sample`` instead of ``rng.sample``.  Every seeded
+outcome in the repo depends on each pair being interchangeable: the same
+result *and* the same generator state afterwards, for any size, on a
+generator that has already been used — so that is what is pinned here,
+together with the shape of the shuffle's one piece of state, the
+bit-length table.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import rng as rng_module
-from repro.sim.rng import make_stream, shuffle
+from repro.sim.rng import make_stream, sample, shuffle
 
 LENGTHS = list(range(301)) + [9_000, 10_001]
 SEEDS = range(20)
@@ -122,3 +126,46 @@ class TestBitLengthTable:
         longer = rng_module._BIT_LENGTHS
         assert len(shorter) == 99 and len(longer) == 299
         assert longer.startswith(shorter)
+
+
+class TestSample:
+    """``sample(rng, population, k)`` is ``rng.sample(population, k)``:
+    both of the stdlib's branches (a pool list while ``n`` is small
+    against ``k``, a selected-index set otherwise), the same picks in
+    the same order, the same state afterwards."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        warmup=st.integers(0, 3),
+        n=st.integers(0, 2_000),
+        data=st.data(),
+    )
+    def test_it_draws_what_the_stdlib_draws(self, seed, warmup, n, data):
+        k = data.draw(st.integers(0, n), label="k")
+        ours, stdlib = _pair(seed)
+        for _ in range(warmup):  # a generator that has been used
+            assert ours.random() == stdlib.random()
+        population = [_Item() for _ in range(n)]
+        picks = sample(ours, population, k)
+        expected = stdlib.sample(population, k)
+        assert len(picks) == k
+        assert all(a is b for a, b in zip(picks, expected))
+        assert ours.getstate() == stdlib.getstate()
+
+    def test_the_directory_shape_one_stream_many_shards(self):
+        """156 of 1,250 per shard, shard after shard, as the sharded
+        directory draws at N=10k — then a small shard in the pool branch."""
+        ours, stdlib = _pair(11)
+        population = list(range(1_250))
+        for _ in range(8):
+            assert sample(ours, population, 156) == stdlib.sample(population, 156)
+        assert sample(ours, population[:36], 36) == stdlib.sample(population[:36], 36)
+        assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("n, k", [(3, 4), (0, 1), (5, -1)])
+    def test_it_refuses_what_the_stdlib_refuses(self, n, k):
+        with pytest.raises(ValueError):
+            random.Random(0).sample(range(n), k)
+        with pytest.raises(ValueError):
+            sample(random.Random(0), range(n), k)

@@ -4,9 +4,11 @@ What makes :mod:`repro.oracles.sharded` the scale path is *how little*
 work it does per query, so the tests pin the mechanics, not just the
 outcomes:
 
-* one reservoir draw (``rng.sample``) per populated shard per round —
-  and **zero** RNG consumption while serving, so the hybrid requeue
-  path reuses the round's batch instead of re-sampling;
+* one reservoir draw (:func:`repro.sim.rng.sample`) per populated
+  shard per round — and **zero** RNG consumption while serving, so the
+  hybrid requeue path reuses the round's batch instead of re-sampling;
+* serving scans plain records against two bounds (a latency bound and
+  a free-fanout floor), no callback;
 * Algorithm R reservoirs: bounded size, lazily pruned on departure;
 * deterministic cross-shard rebalance keeps pool sizes within a batch
   of each other and is honored by ``shard_of``;
@@ -25,8 +27,10 @@ import pytest
 from repro.core.constraints import NodeSpec
 from repro.core.errors import ConfigurationError
 from repro.core.tree import Overlay
+from repro.oracles import sharded
 from repro.oracles.distributed import realize_oracle
 from repro.oracles.sharded import (
+    NO_BOUND,
     SHARD_FILTERS,
     ShardedDirectory,
     ShardedOracle,
@@ -35,23 +39,6 @@ from repro.oracles.sharded import (
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import SimulationConfig, run_simulation
 from repro.workloads.random_workload import rand_workload
-
-
-class CountingRandom(random.Random):
-    """A PRNG that counts its ``sample``/``randrange`` invocations."""
-
-    def __init__(self, seed=0):
-        super().__init__(seed)
-        self.sample_calls = 0
-        self.randrange_calls = 0
-
-    def sample(self, *args, **kwargs):
-        self.sample_calls += 1
-        return super().sample(*args, **kwargs)
-
-    def randrange(self, *args, **kwargs):
-        self.randrange_calls += 1
-        return super().randrange(*args, **kwargs)
 
 
 def build_overlay(size: int = 40, attach: bool = True) -> Overlay:
@@ -95,15 +82,24 @@ class TestAutoscaleSizing:
 
 
 class TestShardedDirectory:
-    def test_one_reservoir_draw_per_shard_per_round(self):
+    def test_one_reservoir_draw_per_shard_per_round(self, monkeypatch):
         overlay = build_overlay(40)
-        rng = CountingRandom(7)
+        rng = random.Random(7)
         directory = ShardedDirectory(overlay, rng, shards=4)
         directory.on_round(0)
-        rng.sample_calls = 0
+        draws = []
+        draw = sharded.sample
+
+        def counting_sample(stream, population, k):
+            draws.append((stream, len(population), k))
+            return draw(stream, population, k)
+
+        monkeypatch.setattr(sharded, "sample", counting_sample)
         directory.on_round(1)  # steady state: no joins, no rebalance due
-        populated = sum(1 for r in directory._reservoirs if r)
-        assert rng.sample_calls == populated
+        populated = [r for r in directory._reservoirs if r]
+        assert draws == [
+            (rng, len(r), min(directory.batch_size, len(r))) for r in populated
+        ]
 
     def test_serve_consumes_no_rng(self):
         overlay = build_overlay(40)
@@ -112,8 +108,8 @@ class TestShardedDirectory:
         directory.on_round(0)
         state = rng.getstate()
         enquirer = overlay.consumers[0]
-        for _ in range(10):
-            directory.serve(enquirer, lambda record: True)
+        served = [directory.serve(enquirer, NO_BOUND, -NO_BOUND) for _ in range(10)]
+        assert all(record is not None for record in served)
         assert rng.getstate() == state
 
     def test_serve_rotates_through_the_batch(self):
@@ -123,22 +119,51 @@ class TestShardedDirectory:
         batch = directory._batches[0]
         enquirer = overlay.consumers[0]
         served = [
-            directory.serve(enquirer, lambda record: True).node_id
-            for _ in range(len(batch) - 1)
+            directory.serve(enquirer, NO_BOUND, -NO_BOUND)
+            for _ in range(2 * len(batch))
         ]
-        # Distinct until the cursor wraps (the enquirer's own record is
-        # skipped, so a full lap yields len(batch)-1 distinct answers).
-        assert len(set(served)) == len(served)
+        # The unbounded scan serves the batch in cursor order, skipping
+        # the enquirer's own record, and wraps to the front: each lap
+        # is the batch minus the enquirer, in batch order.
+        lap = [record for record in batch if record.node_id != enquirer.node_id]
+        assert served[: len(lap)] == lap
+        assert served[len(lap) : 2 * len(lap)] == lap
+
+    def test_serve_applies_the_delay_bound_and_the_fanout_floor(self):
+        overlay = build_overlay(40)
+        directory = ShardedDirectory(overlay, random.Random(7), shards=1)
+        directory.on_round(0)
+        enquirer = overlay.consumers[0]
+        records = directory._batches[0]
+        for delay_bound in (1, 2, 3, NO_BOUND):
+            for fanout_floor in (-NO_BOUND, 1, 3):
+                expected = {
+                    r.node_id
+                    for r in records
+                    if r.delay < delay_bound
+                    and r.free_fanout >= fanout_floor
+                    and r.node_id != enquirer.node_id
+                }
+                served = set()
+                for _ in range(len(records) + 1):
+                    record = directory.serve(enquirer, delay_bound, fanout_floor)
+                    if record is None:
+                        break
+                    served.add(record.node_id)
+                assert served == expected
+                if not expected:
+                    assert directory.serve(enquirer, delay_bound, fanout_floor) is None
 
     def test_never_serves_the_enquirer_itself(self):
         overlay = build_overlay(8)
         directory = ShardedDirectory(overlay, random.Random(3), shards=1)
         directory.on_round(0)
         for enquirer in overlay.consumers:
-            for _ in range(16):
-                record = directory.serve(enquirer, lambda r: True)
-                if record is not None:
-                    assert record.node_id != enquirer.node_id
+            served = [
+                directory.serve(enquirer, NO_BOUND, -NO_BOUND) for _ in range(16)
+            ]
+            assert all(record is not None for record in served)
+            assert enquirer.node_id not in {record.node_id for record in served}
 
     def test_departed_members_are_pruned_from_reservoirs(self):
         overlay = build_overlay(40, attach=False)
@@ -230,7 +255,7 @@ class TestShardedOracle:
         """Repeated same-round samples (the hybrid requeue path) cost
         zero RNG draws: they walk the already-drawn batch."""
         overlay = build_overlay(40)
-        rng = CountingRandom(7)
+        rng = random.Random(7)
         oracle = ShardedOracle(overlay, rng, filter_mode="random", shards=2)
         oracle.on_round(0)
         before = rng.getstate()
