@@ -74,7 +74,7 @@ class TestScribe:
     def test_rendezvous_is_key_owner(self):
         ring = self._ring(20)
         tree = ScribeMulticast(ring).build_tree("g", ["p1", "p2"])
-        assert tree.rendezvous == ring.owner_of("g").name
+        assert tree.rendezvous == ring.owner("g").name
 
     def test_forwarders_are_non_subscribers(self):
         ring = self._ring(50)
