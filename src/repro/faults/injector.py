@@ -1,10 +1,26 @@
 """The fault injector: applies a :class:`~repro.faults.plan.FaultPlan`.
 
-One :class:`FaultInjector` belongs to one simulation run.  The runner
-calls :meth:`FaultInjector.inject` once per round — *after* the round's
-action roster has been shuffled, so crash victims can land mid-schedule
-and the runner's ``if not node.online`` guard is what keeps them from
-acting posthumously (a tested behaviour, not a defensive nicety).
+One :class:`FaultInjector` and one :class:`~repro.faults.state.FaultState`
+belong to one run, whatever the run drives: the single overlay of a
+:class:`~repro.sim.runner.Simulation`, the k path overlays of a
+:class:`~repro.multipath.delivery.MultipathSystem`, or every feed overlay
+of a :class:`~repro.multifeed.soak.ServiceSoak`.  The three differ only
+in who a fault strikes, and a :class:`Members` view says that: the
+consumers by name, in victim-selection order, each with its node in
+every overlay it belongs to.  A crash takes a member down in all of
+them at once (one peer failing, paper §5.3 — the source never leaves,
+§2.1.2) and a rejoin burst brings it back in all of them.  Window
+faults (source/oracle outage, stale view, partition) land in the one
+``FaultState`` that every overlay's gated oracle and construction
+algorithm read, so they are correlated across overlays by construction;
+partition sides are keyed by consumer name, so a member sits on one
+side everywhere.
+
+The runner calls :meth:`FaultInjector.inject` once per round — *after*
+the round's action roster has been shuffled, so crash victims can land
+mid-schedule and the sweep's ``if not node.online`` guard is what keeps
+them from acting posthumously (a tested behaviour, not a defensive
+nicety).
 
 Every random choice the injector makes (crash victims, partition sides)
 comes from the dedicated ``"faults"`` RNG stream handed in by the
@@ -13,20 +29,24 @@ nothing draws nothing, which is what makes a
 :class:`~repro.faults.plan.NullFaultPlan` run bit-identical to a run
 with no plan installed.
 
-Injections are reported twice: as :class:`~repro.obs.events.FaultInjected`
-protocol events through the overlay's probe, and as fault rounds to the
-``on_fault`` callback (the runner wires it to
-:meth:`repro.sim.metrics.MetricsCollector.note_fault`) from which the
-recovery metrics — time-to-recover, availability, per-fault recovery
-series — are derived.
+Injections are reported as :class:`~repro.obs.events.FaultInjected`
+protocol events through the overlays' probe, recorded in
+:attr:`FaultInjector.fault_rounds`, and passed to the ``on_fault``
+callbacks (the runner wires its
+:meth:`repro.sim.metrics.MetricsCollector.note_fault`, multipath every
+path's), from which the recovery metrics — time-to-recover,
+availability, per-fault recovery series — are derived.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.core.errors import ConfigurationError
+from repro.core.node import Node
 from repro.core.tree import Overlay
+from repro.faults.oracle import FaultGatedOracle
 from repro.faults.plan import (
     CrashNodes,
     FaultPlan,
@@ -40,35 +60,126 @@ from repro.faults.plan import (
 from repro.faults.state import FaultState
 
 
-class FaultInjector:
-    """Applies one fault plan to one overlay, round by round."""
+class Members:
+    """Who a fault plan strikes: consumers by name, each with its node
+    in every overlay it belongs to.
+
+    ``names`` is the victim-selection order and may grow as the run goes
+    (a soak's flash crowd appends to it); ``tables[i]`` maps a name to
+    its node in ``overlays[i]`` and leaves out names that are not in
+    that overlay.  The names present at construction are the starting
+    population: a :class:`~repro.faults.plan.CrashNodes` id is a
+    consumer's node id in an overlay built from it, i.e. its 1-based
+    position.
+    """
 
     def __init__(
         self,
-        overlay: Overlay,
+        overlays: Sequence[Overlay],
+        names: List[str],
+        tables: Sequence[Dict[str, Node]],
+    ) -> None:
+        self.overlays = list(overlays)
+        self.names = names
+        self.tables = list(tables)
+        self.starting = len(names)
+
+    @classmethod
+    def of_overlay(cls, overlay: Overlay) -> "Members":
+        """The consumers of one overlay, in id order."""
+        consumers = overlay.consumers
+        table = {node.name: node for node in consumers}
+        if len(table) != len(consumers):
+            raise ConfigurationError(
+                "fault plans tell consumers apart by name; "
+                "this overlay repeats one"
+            )
+        return cls([overlay], [node.name for node in consumers], [table])
+
+    def nodes(self, name: str) -> List[Tuple[Overlay, Node]]:
+        """``(overlay, node)`` for every overlay ``name`` belongs to."""
+        return [
+            (overlay, table[name])
+            for overlay, table in zip(self.overlays, self.tables)
+            if name in table
+        ]
+
+    def is_online(self, name: str) -> bool:
+        """Whether the member is online in any overlay."""
+        return any(node.online for _, node in self.nodes(name))
+
+    def online(self) -> List[str]:
+        """The members online anywhere, in victim-selection order."""
+        return [name for name in self.names if self.is_online(name)]
+
+    def take_down(self, name: str, graceful: bool) -> None:
+        """Take the member offline in every overlay it is online in."""
+        reason = "leave" if graceful else "crash"
+        for overlay, node in self.nodes(name):
+            if node.online:
+                overlay.go_offline(node, graceful=graceful, reason=reason)
+
+    def bring_up(self, name: str) -> bool:
+        """Bring the member back in every overlay it is offline in;
+        returns whether it was offline anywhere."""
+        revived = False
+        for overlay, node in self.nodes(name):
+            if not node.online:
+                overlay.go_online(node)
+                revived = True
+        return revived
+
+
+class FaultInjector:
+    """Applies one fault plan to one run's members, round by round."""
+
+    def __init__(
+        self,
+        members: Members,
         plan: FaultPlan,
         rng: random.Random,
-        on_fault: Optional[Callable[[int], None]] = None,
+        on_fault: Sequence[Callable[[int], None]] = (),
     ) -> None:
-        self.overlay = overlay
+        self.members = members
         self.plan = plan
         self.rng = rng
-        self.on_fault = on_fault
+        self.on_fault = tuple(on_fault)
         self.state = FaultState()
-        #: Lifetime counts, surfaced on the simulation result.
+        #: Lifetime counts, surfaced on the run's result; crashes and
+        #: rejoins count members, not overlay participations.
         self.injected = 0
         self.crashes = 0
         self.rejoins = 0
+        #: The round of every injection, in order.
+        self.fault_rounds: List[int] = []
         self._by_round: Dict[int, List[FaultSpec]] = {}
         for spec in plan.specs:
             self._by_round.setdefault(spec.round, []).append(spec)
-        #: round -> node ids due to rejoin in a burst that round.
-        self._pending_rejoins: Dict[int, List[int]] = {}
+            if isinstance(spec, CrashNodes):
+                for node_id in spec.node_ids:
+                    if not 1 <= node_id <= members.starting:
+                        raise ConfigurationError(
+                            f"CrashNodes id {node_id} names no consumer "
+                            f"(ids are 1..{members.starting})"
+                        )
+        #: round -> member names due to rejoin in a burst that round.
+        self._pending_rejoins: Dict[int, List[str]] = {}
 
-    @property
-    def probe(self):
-        """The run's observability probe (shared through the overlay)."""
-        return self.overlay.probe
+    def gate(self, algorithm, rng: random.Random) -> FaultGatedOracle:
+        """Wrap ``algorithm``'s oracle in a :class:`FaultGatedOracle` on
+        this run's fault state (degraded answers draw from ``rng``), let
+        the algorithm see the source-outage window, and return the
+        gated oracle."""
+        oracle = FaultGatedOracle(
+            algorithm.oracle,
+            algorithm.overlay,
+            self.state,
+            rng,
+            history=self.plan.max_staleness(),
+        )
+        algorithm.oracle = oracle
+        algorithm.faults = self.state
+        return oracle
 
     # ------------------------------------------------------------------
 
@@ -85,13 +196,16 @@ class FaultInjector:
 
     def _fired(self, now: int, fault: str, affected: int) -> None:
         self.injected += 1
-        self.probe.fault_injected(fault, affected)
-        if self.on_fault is not None:
-            self.on_fault(now)
+        self.fault_rounds.append(now)
+        # The run's probe, shared through its overlays.
+        self.members.overlays[0].probe.fault_injected(fault, affected)
+        for callback in self.on_fault:
+            callback(now)
 
     def _apply(self, spec: FaultSpec, now: int) -> None:
+        members = self.members
         if isinstance(spec, MassCrash):
-            online = self.overlay.online_consumers  # id order: deterministic
+            online = members.online()  # selection order: deterministic
             count = max(1, round(len(online) * spec.fraction)) if online else 0
             victims = self.rng.sample(online, count) if count else []
             self._crash(now, victims, spec.graceful, spec.rejoin_after)
@@ -99,11 +213,8 @@ class FaultInjector:
                 now, "mass-leave" if spec.graceful else "mass-crash", len(victims)
             )
         elif isinstance(spec, CrashNodes):
-            victims = [
-                self.overlay.node(node_id)
-                for node_id in spec.node_ids
-                if self.overlay.node(node_id).online
-            ]
+            named = [members.names[node_id - 1] for node_id in spec.node_ids]
+            victims = [name for name in named if members.is_online(name)]
             self._crash(now, victims, spec.graceful, spec.rejoin_after)
             self._fired(now, "crash-nodes", len(victims))
         elif isinstance(spec, SourceOutage):
@@ -123,11 +234,10 @@ class FaultInjector:
             self.state.staleness = spec.staleness
             self._fired(now, "stale-view", spec.duration)
         elif isinstance(spec, ViewPartition):
-            # Every consumer gets a side, online or not — a peer that
+            # Every member gets a side, online or not — a peer that
             # rejoins mid-partition lands on its assigned side.
             self.state.side_of = {
-                node.node_id: self.rng.randrange(spec.sides)
-                for node in self.overlay.consumers
+                name: self.rng.randrange(spec.sides) for name in members.names
             }
             self.state.partition_until = max(
                 self.state.partition_until, now + spec.duration
@@ -136,23 +246,19 @@ class FaultInjector:
         else:  # pragma: no cover - plan validation rejects unknown specs
             raise TypeError(f"unhandled fault spec {spec!r}")
 
-    def _crash(self, now, victims, graceful: bool, rejoin_after) -> None:
-        reason = "leave" if graceful else "crash"
-        for node in victims:
-            self.overlay.go_offline(node, graceful=graceful, reason=reason)
+    def _crash(self, now, victims: List[str], graceful: bool, rejoin_after) -> None:
+        for name in victims:
+            self.members.take_down(name, graceful)
             self.crashes += 1
         if rejoin_after is not None and victims:
-            self._pending_rejoins.setdefault(now + rejoin_after, []).extend(
-                node.node_id for node in victims
-            )
+            self._pending_rejoins.setdefault(now + rejoin_after, []).extend(victims)
 
-    def _mass_rejoin(self, now: int, node_ids: List[int]) -> None:
+    def _mass_rejoin(self, now: int, names: List[str]) -> None:
         """Bring a crash cohort back in one burst (thundering herd)."""
         revived = 0
-        for node_id in node_ids:
-            node = self.overlay.node(node_id)
-            if not node.online:  # churn may have beaten us to the rejoin
-                self.overlay.go_online(node)
+        for name in names:
+            # Churn may have beaten the burst to the rejoin.
+            if self.members.bring_up(name):
                 revived += 1
                 self.rejoins += 1
         if revived:

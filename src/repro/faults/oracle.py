@@ -192,7 +192,7 @@ class FaultGatedOracle:
             node
             for node in self.overlay.online_consumers
             if node is not enquirer
-            and state.same_side(enquirer.node_id, node.node_id)
+            and state.same_side(enquirer.name, node.name)
             and admits(enquirer, node)
         ]
         if not candidates:

@@ -1,7 +1,8 @@
 """Live fault conditions shared between the injector and the protocol.
 
 A :class:`FaultState` is the single mutable object through which active
-fault windows are visible to the rest of the stack: the
+fault windows are visible to the rest of the stack — one per run, shared
+by every overlay the run drives: the
 :class:`~repro.faults.injector.FaultInjector` writes it once per round,
 the construction protocol consults :meth:`FaultState.source_available`
 before a source contact, and the
@@ -37,8 +38,10 @@ class FaultState:
         #: Oracle only samples same-side partners while
         #: ``now < partition_until``.
         self.partition_until = 0
-        #: node_id -> partition side (assigned at injection time).
-        self.side_of: Dict[int, int] = {}
+        #: consumer name -> partition side (assigned at injection
+        #: time); names are stable across a run's overlays, so one map
+        #: serves every overlay.
+        self.side_of: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -58,8 +61,8 @@ class FaultState:
         """Whether the oracle view is currently partitioned."""
         return self.now < self.partition_until
 
-    def same_side(self, a: int, b: int) -> bool:
-        """Whether two node ids are on the same partition side."""
+    def same_side(self, a: str, b: str) -> bool:
+        """Whether two consumers (by name) are on the same partition side."""
         return self.side_of.get(a, 0) == self.side_of.get(b, 0)
 
     def any_active(self) -> bool:

@@ -9,7 +9,6 @@ from repro.multifeed.soak import (
     ServiceSoak,
     SoakAct,
     SoakConfig,
-    SoakFaultInjector,
     SoakSummary,
     parse_timeline,
     run_soak,
@@ -31,7 +30,6 @@ __all__ = [
     "ServiceSoak",
     "SoakAct",
     "SoakConfig",
-    "SoakFaultInjector",
     "SoakSummary",
     "Subscription",
     "parse_timeline",

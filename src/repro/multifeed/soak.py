@@ -21,8 +21,11 @@ publishing) under one scripted timeline:
 * **rejoin** — the departed audience floods back
   (``rejoin@100:news``);
 * **correlated faults** — any :func:`repro.faults.plan.parse_fault_plan`
-  DSL plan, applied *across feeds* by the name-keyed
-  :class:`SoakFaultInjector`.
+  DSL plan, applied *across feeds* by the run's one
+  :class:`~repro.faults.injector.FaultInjector`: a member is a consumer
+  name, taken down in every feed it subscribes to, and every window
+  lands in the one :class:`~repro.faults.state.FaultState` all feeds
+  read.
 
 The soak reports a :class:`SoakSummary`: per-feed staleness percentiles
 (nearest-rank p50/p99/p999 over the service phase), availability,
@@ -43,18 +46,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.constraints import NodeSpec
 from repro.core.convergence import measure
 from repro.core.errors import ConfigurationError
-from repro.faults.oracle import FaultGatedOracle
-from repro.faults.plan import (
-    CrashNodes,
-    FaultPlan,
-    FaultSpec,
-    MassCrash,
-    OracleOutage,
-    SourceOutage,
-    StaleOracleView,
-    ViewPartition,
-)
-from repro.faults.state import FaultState
+from repro.faults.injector import FaultInjector, Members
+from repro.faults.plan import FaultPlan
 from repro.feeds.dissemination import LagOverDissemination
 from repro.feeds.source import FeedSource, bursty
 from repro.feeds.staleness import staleness_percentiles
@@ -296,163 +289,6 @@ class SoakSummary:
 
 
 # ----------------------------------------------------------------------
-# cross-feed fault injection
-# ----------------------------------------------------------------------
-
-
-class SoakFaultInjector:
-    """Applies one :class:`FaultPlan` across every feed of a soak.
-
-    The single-overlay :class:`~repro.faults.injector.FaultInjector`
-    picks victims by node id; node ids are *per overlay*, so an id-keyed
-    injector over a multi-feed system would crash a different user in
-    every feed.  This injector selects by consumer **name** over the
-    shared population and takes the whole user down in every feed it
-    subscribes to — a machine failure, not a per-feed accident.  Window
-    faults (source/oracle outage, stale view, partition) are written
-    into every feed's :class:`FaultState` so outages are *correlated*
-    across feeds, the regime a service soak is meant to stress.
-
-    ``CrashNodes.node_ids`` are interpreted as indexes into the shared
-    population (``system.consumers``), not overlay node ids.
-    """
-
-    def __init__(
-        self,
-        system: MultiFeedSystem,
-        plan: FaultPlan,
-        rng,
-        probe: Probe = NULL_PROBE,
-    ) -> None:
-        self.system = system
-        self.plan = plan
-        self.rng = rng
-        self.probe = probe
-        self.states: Dict[str, FaultState] = {
-            feed: FaultState() for feed in system.feed_ids
-        }
-        self.injected = 0
-        self.crashes = 0
-        self.rejoins = 0
-        self.fault_rounds: List[int] = []
-        self._by_round: Dict[int, List[FaultSpec]] = {}
-        for spec in plan.specs:
-            self._by_round.setdefault(spec.round, []).append(spec)
-        #: round -> consumer names due to rejoin in a burst that round.
-        self._pending_rejoins: Dict[int, List[str]] = {}
-
-    # ------------------------------------------------------------------
-
-    def inject(self, now: int) -> None:
-        """Advance every feed's fault state and fire due specs."""
-        for state in self.states.values():
-            state.now = now
-        due = self._pending_rejoins.pop(now, None)
-        if due:
-            self._mass_rejoin(now, due)
-        for spec in self._by_round.pop(now, ()):
-            self._apply(spec, now)
-
-    def _fired(self, now: int, fault: str, affected: int) -> None:
-        self.injected += 1
-        self.fault_rounds.append(now)
-        self.probe.fault_injected(fault, affected)
-
-    def _online_anywhere(self, name: str) -> bool:
-        return any(
-            self.system.online_in(name, feed)
-            for feed in self.system.subscriptions[name]
-        )
-
-    def _apply(self, spec: FaultSpec, now: int) -> None:
-        if isinstance(spec, MassCrash):
-            online = [
-                name
-                for name in self.system.consumers
-                if self._online_anywhere(name)
-            ]
-            count = max(1, round(len(online) * spec.fraction)) if online else 0
-            victims = self.rng.sample(online, count) if count else []
-            self._crash(now, victims, spec.graceful, spec.rejoin_after)
-            self._fired(
-                now,
-                "mass-leave" if spec.graceful else "mass-crash",
-                len(victims),
-            )
-        elif isinstance(spec, CrashNodes):
-            population = self.system.consumers
-            victims = [
-                population[index]
-                for index in spec.node_ids
-                if index < len(population)
-                and self._online_anywhere(population[index])
-            ]
-            self._crash(now, victims, spec.graceful, spec.rejoin_after)
-            self._fired(now, "crash-nodes", len(victims))
-        elif isinstance(spec, SourceOutage):
-            for state in self.states.values():
-                state.source_down_until = max(
-                    state.source_down_until, now + spec.duration
-                )
-            self._fired(now, "source-outage", spec.duration)
-        elif isinstance(spec, OracleOutage):
-            for state in self.states.values():
-                state.oracle_down_until = max(
-                    state.oracle_down_until, now + spec.duration
-                )
-            self._fired(now, "oracle-outage", spec.duration)
-        elif isinstance(spec, StaleOracleView):
-            for state in self.states.values():
-                state.stale_until = max(state.stale_until, now + spec.duration)
-                state.staleness = spec.staleness
-            self._fired(now, "stale-view", spec.duration)
-        elif isinstance(spec, ViewPartition):
-            # One side per *user*, mapped onto each feed's node ids, so a
-            # consumer is on the same side of the split everywhere.
-            side_by_name = {
-                name: self.rng.randrange(spec.sides)
-                for name in self.system.consumers
-            }
-            for feed, state in self.states.items():
-                state.side_of = {
-                    node.node_id: side_by_name[name]
-                    for name, node in self.system._nodes[feed].items()
-                }
-                state.partition_until = max(
-                    state.partition_until, now + spec.duration
-                )
-            self._fired(now, "partition", spec.sides)
-        else:  # pragma: no cover - plan validation rejects unknown specs
-            raise TypeError(f"unhandled fault spec {spec!r}")
-
-    def _crash(
-        self,
-        now: int,
-        victims: List[str],
-        graceful: bool,
-        rejoin_after: Optional[int],
-    ) -> None:
-        for name in victims:
-            for feed in self.system.subscriptions[name]:
-                if self.system.leave_feed(name, feed, graceful=graceful):
-                    self.crashes += 1
-        if rejoin_after is not None and victims:
-            self._pending_rejoins.setdefault(now + rejoin_after, []).extend(
-                victims
-            )
-
-    def _mass_rejoin(self, now: int, names: List[str]) -> None:
-        revived = 0
-        for name in names:
-            for feed in self.system.subscriptions[name]:
-                if self.system.rejoin_feed(name, feed):
-                    revived += 1
-                    self.rejoins += 1
-        if revived:
-            self._fired(now, "mass-rejoin", revived)
-
-
-# ----------------------------------------------------------------------
 # the soak itself
 # ----------------------------------------------------------------------
 
@@ -487,25 +323,26 @@ class ServiceSoak:
 
         # Fault machinery — mirrors Simulation: installed whenever a
         # plan is present (a NullFaultPlan installs everything and is
-        # bit-identical to installing nothing; pinned in tests).
-        self.injector: Optional[SoakFaultInjector] = None
+        # bit-identical to installing nothing; pinned in tests).  A
+        # member is a user by name, with a node in each feed it
+        # subscribes to; the live name list and node tables take in
+        # flash-crowd joiners as they arrive.
+        self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
-            self.injector = SoakFaultInjector(
-                self.system, config.faults, streams.get("faults"), probe
+            system = self.system
+            self.injector = FaultInjector(
+                Members(
+                    [system.overlays[feed] for feed in system.feed_ids],
+                    system.consumers,
+                    [system._nodes[feed] for feed in system.feed_ids],
+                ),
+                config.faults,
+                streams.get("faults"),
             )
-            history = config.faults.max_staleness()
             for feed in config.feed_ids:
-                state = self.injector.states[feed]
-                gated = FaultGatedOracle(
-                    self.system.oracles[feed],
-                    self.system.overlays[feed],
-                    state,
-                    streams.get(f"faults-oracle/{feed}"),
-                    history=history,
+                system.oracles[feed] = self.injector.gate(
+                    system.algorithms[feed], streams.get(f"faults-oracle/{feed}")
                 )
-                self.system.oracles[feed] = gated
-                self.system.algorithms[feed].oracle = gated
-                self.system.algorithms[feed].faults = state
 
         # Continuous time model: one geo latency model for the whole
         # soak, keyed by consumer *name* (stable across feeds — one user

@@ -7,11 +7,9 @@ from repro.multipath.delivery import (
     ResilienceRow,
     delivery_under_failures,
 )
-from repro.multipath.faults import MultipathFaultInjector
 
 __all__ = [
     "DisjointDelayOracle",
-    "MultipathFaultInjector",
     "MultipathResult",
     "MultipathSystem",
     "ResilienceRow",

@@ -37,11 +37,13 @@ guarantee instead of a bias: upstream disjointness is *enforced*.
   :meth:`MultipathSystem.all_converged` requires zero overlaps, so a
   converged system is vertex-disjoint by construction *and* by check.
 
-Fault plans compose: one :class:`MultipathFaultInjector` drives all k
-overlays from a single seeded plan (a peer crashes out of every path at
-once), each path's oracle is wrapped in a
-:class:`~repro.faults.oracle.FaultGatedOracle` sharing one
-:class:`~repro.faults.state.FaultState`, and per-path
+Fault plans compose: the run's one
+:class:`~repro.faults.injector.FaultInjector` sees a consumer as one
+member with a twin on every path, so a single seeded plan drives all k
+overlays (a peer crashes out of every path at once); given a plan, each
+path's oracle is wrapped in a
+:class:`~repro.faults.oracle.FaultGatedOracle` sharing the injector's
+one :class:`~repro.faults.state.FaultState`, and per-path
 :class:`~repro.sim.metrics.MetricsCollector`\\ s feed per-path
 :class:`~repro.sim.runner.SimulationResult`\\ s plus system-level
 delivery metrics (availability of "≥ 1 rooted path",
@@ -91,9 +93,8 @@ from repro.core.errors import ConfigurationError
 from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
 from repro.core.tree import Overlay
-from repro.faults.oracle import FaultGatedOracle
-from repro.faults.plan import FaultPlan, NullFaultPlan
-from repro.multipath.faults import MultipathFaultInjector
+from repro.faults.injector import FaultInjector, Members
+from repro.faults.plan import FaultPlan
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.oracles.base import Oracle
 from repro.sim.metrics import MetricsCollector
@@ -262,13 +263,10 @@ class MultipathSystem:
         self.seed = seed
         self.algorithm_name = algorithm
         self.probe: Probe = probe if probe is not None else NULL_PROBE
-        self.fault_plan: FaultPlan = (
-            faults if faults is not None else NullFaultPlan()
-        )
         self.streams = StreamFactory(seed)
         self.overlays: List[Overlay] = []
         self.algorithms = []
-        self.oracles: List[FaultGatedOracle] = []
+        self.oracles: List[Oracle] = []
         self._nodes: List[Dict[str, Node]] = []
         self._names: List[str] = [name for name, _ in workload.population]
         algorithm_cls = ALGORITHMS[algorithm]
@@ -298,40 +296,38 @@ class MultipathSystem:
             nodes = overlay.add_population(population)
             self.overlays.append(overlay)
             self._nodes.append({node.name: node for node in nodes})
-        # Injector after all overlays exist: it (and its FaultState) is
-        # shared by every path's gated oracle and algorithm.
-        self.injector = MultipathFaultInjector(
-            self.overlays,
-            self.fault_plan,
-            self.streams.get("faults"),
-            on_fault=self._note_fault,
-        )
+        self.collectors = [MetricsCollector(o) for o in self.overlays]
+        # Injector after all overlays exist: a peer is one member with a
+        # twin on every path, and the injector's FaultState is shared by
+        # every path's gated oracle and algorithm.
+        self.injector: Optional[FaultInjector] = None
+        if faults is not None:
+            self.injector = FaultInjector(
+                Members(self.overlays, self._names, self._nodes),
+                faults,
+                self.streams.get("faults"),
+                on_fault=[c.note_fault for c in self.collectors],
+            )
         for path in range(paths):
             overlay = self.overlays[path]
-            inner = DisjointDelayOracle(
+            oracle: Oracle = DisjointDelayOracle(
                 overlay, self.streams.get(f"oracle/{path}"), self, path
             )
-            oracle = FaultGatedOracle(
-                inner,
-                overlay,
-                self.injector.state,
-                self.streams.get(f"faults-oracle/{path}"),
-                history=self.fault_plan.max_staleness(),
-            )
-            self.oracles.append(oracle)
             construction = algorithm_cls(
                 overlay, oracle, protocol or ProtocolConfig()
             )
             construction.edge_ok = self._disjoint_edge(path, base_edge)
-            construction.faults = self.injector.state
             construction.backoff_rng = self.streams.get(f"backoff/{path}")
+            if self.injector is not None:
+                oracle = self.injector.gate(
+                    construction, self.streams.get(f"faults-oracle/{path}")
+                )
+            self.oracles.append(oracle)
             self.algorithms.append(construction)
-        self.collectors = [MetricsCollector(o) for o in self.overlays]
         self.now = 0
         self.overlap_repairs = 0
         self._last_overlaps = 0
         self._first_converged: Optional[int] = None
-        self._system_fault_rounds: List[int] = []
         self._delivery_rows: List[Tuple[int, int, int]] = []
         self._order_rng = self.streams.get("order")
         #: Consecutive parentless rounds per (path, consumer) — the
@@ -511,11 +507,6 @@ class MultipathSystem:
     # round loop
     # ------------------------------------------------------------------
 
-    def _note_fault(self, now: int) -> None:
-        self._system_fault_rounds.append(now)
-        for collector in self.collectors:
-            collector.note_fault(now)
-
     def run_round(self) -> None:
         self.now += 1
         now = self.now
@@ -527,7 +518,8 @@ class MultipathSystem:
             roster = overlay.online_consumers
             shuffle(self._order_rng, roster)
             rosters.append(roster)
-        self.injector.inject(now)
+        if self.injector is not None:
+            self.injector.inject(now)
         for algorithm, roster in zip(self.algorithms, rosters):
             algorithm.sweep(roster)
         self._last_overlaps = self._repair_overlaps()
@@ -565,7 +557,7 @@ class MultipathSystem:
         ``stop_at_convergence`` convention.
         """
         if stop_at_convergence is None:
-            stop_at_convergence = self.fault_plan.empty
+            stop_at_convergence = not self.injector or self.injector.plan.empty
         while self.now < max_rounds:
             self.run_round()
             if stop_at_convergence and self.all_converged():
@@ -594,7 +586,7 @@ class MultipathSystem:
         """Per fault event: rounds until full delivery (every online
         consumer had ≥ 1 rooted chain again); ``None`` if never."""
         series: List[Optional[int]] = []
-        for fault in self._system_fault_rounds:
+        for fault in self.injector.fault_rounds if self.injector else ():
             recovered: Optional[int] = None
             for now, delivered, online in self._delivery_rows:
                 if now >= fault and delivered == online:
@@ -637,7 +629,7 @@ class MultipathSystem:
             phase_timings={},
             availability=collector.availability(),
             time_to_recover=collector.time_to_recover(),
-            fault_events=self.injector.injected,
+            fault_events=len(collector.fault_rounds),
             recovery_series=collector.recovery_series(),
         )
 
@@ -658,7 +650,7 @@ class MultipathSystem:
             paths_surviving=self.paths_surviving(),
             delivery_recovery_series=recovery,
             time_to_recover=time_to_recover,
-            fault_events=self.injector.injected,
+            fault_events=len(recovery),
             overlap_repairs=self.overlap_repairs,
             per_path=tuple(
                 self._path_result(path) for path in range(self.paths)

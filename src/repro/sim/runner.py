@@ -28,8 +28,7 @@ from repro.core.greedy import GreedyConstruction
 from repro.core.hybrid import HybridConstruction
 from repro.core.protocol import ConstructionAlgorithm, ProtocolConfig
 from repro.core.tree import Overlay
-from repro.faults.injector import FaultInjector
-from repro.faults.oracle import FaultGatedOracle
+from repro.faults.injector import FaultInjector, Members
 from repro.faults.plan import FaultPlan
 from repro.obs.health import HealthConfig, HealthRecorder
 from repro.obs.probe import NULL_PROBE, Probe
@@ -325,34 +324,28 @@ class Simulation:
                 self.streams.get("oracle"),
             )
         self.metrics = MetricsCollector(self.overlay)
-        # Fault plan: the injector applies the specs from its own RNG
-        # stream, and the oracle is decorated so outage / stale-view /
-        # partition windows degrade its answers.  With no plan there is
-        # no injector and no wrapper — and with a NullFaultPlan neither
-        # ever draws, so both setups are bit-identical to each other.
-        self.injector: Optional[FaultInjector] = None
-        if config.faults is not None:
-            self.injector = FaultInjector(
-                self.overlay,
-                config.faults,
-                self.streams.get("faults"),
-                on_fault=self.metrics.note_fault,
-            )
-            self.oracle = FaultGatedOracle(
-                self.oracle,
-                self.overlay,
-                self.injector.state,
-                self.streams.get("faults-oracle"),
-                history=config.faults.max_staleness(),
-            )
         algorithm_cls = ALGORITHMS[config.algorithm]
         self.algorithm: ConstructionAlgorithm = algorithm_cls(
             self.overlay, self.oracle, config.protocol
         )
-        # Post-construction wiring (keeps the 3-argument construction
-        # idiom working for every registered algorithm variant).
-        if self.injector is not None:
-            self.algorithm.faults = self.injector.state
+        # Fault plan: the injector applies the specs from its own RNG
+        # stream, and gates the algorithm's oracle so outage / stale-view
+        # / partition windows degrade its answers.  With no plan there is
+        # no injector and no wrapper — and with a NullFaultPlan neither
+        # ever draws, so both setups are bit-identical to each other.
+        # Post-construction wiring keeps the 3-argument construction
+        # idiom working for every registered algorithm variant.
+        self.injector: Optional[FaultInjector] = None
+        if config.faults is not None:
+            self.injector = FaultInjector(
+                Members.of_overlay(self.overlay),
+                config.faults,
+                self.streams.get("faults"),
+                on_fault=(self.metrics.note_fault,),
+            )
+            self.oracle = self.injector.gate(
+                self.algorithm, self.streams.get("faults-oracle")
+            )
         self.algorithm.backoff_rng = self.streams.get("backoff")
         self.churn = (
             ChurnProcess(self.overlay, config.churn, self.streams.get("churn"))

@@ -123,7 +123,7 @@ class TestDisjointnessEnforcement:
     def test_oracle_never_samples_blocked_candidates(self):
         system = built_system(paths=2, seed=3)
         for path in range(2):
-            oracle = system.oracles[path].inner
+            oracle = system.oracles[path]  # no plan, so not fault-gated
             assert isinstance(oracle, DisjointDelayOracle)
             for name, _ in system.workload.population[:10]:
                 enquirer = system._nodes[path][name]
@@ -221,7 +221,7 @@ class TestFaultComposition:
         assert 0.0 < result.delivery_availability <= 1.0
         assert result.time_to_recover is not None
         assert len(result.delivery_recovery_series) == len(
-            system._system_fault_rounds
+            system.injector.fault_rounds
         )
         # Final-state histogram over consumers: after the rejoin window
         # every consumer is back to both paths rooted.

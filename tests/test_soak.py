@@ -12,26 +12,20 @@ from repro.core.errors import ConfigurationError
 from repro.faults import (
     CrashNodes,
     FaultPlan,
-    MassCrash,
     NullFaultPlan,
-    SourceOutage,
-    ViewPartition,
     parse_fault_plan,
 )
-from repro.multifeed import MultiFeedSystem
 from repro.multifeed.soak import (
     FlashCrowd,
     MassExodus,
     Rejoin,
     ServiceSoak,
     SoakConfig,
-    SoakFaultInjector,
     parse_timeline,
     run_soak,
 )
 from repro.obs import NULL_PROBE, RecordingProbe, event_from_dict
 from repro.par import Task, make_executor
-from repro.sim.rng import StreamFactory
 
 TIMELINE = parse_timeline(
     "flash@30:news:x4:ramp=2,exodus@50:sports:0.4,rejoin@60:sports"
@@ -347,79 +341,15 @@ class TestObservability:
         assert rounds and all(r % 10 == 0 for r in rounds)
 
 
-class TestSoakFaultInjector:
-    def build(self, plan):
-        system = MultiFeedSystem(["a", "b"], consumer_count=20, seed=2)
-        system.run(max_rounds=2000)
-        rng = StreamFactory(2).get("faults")
-        return system, SoakFaultInjector(system, plan, rng)
-
-    def test_mass_crash_takes_whole_user_down_everywhere(self):
-        system, injector = self.build(
-            FaultPlan.of(MassCrash(round=1, fraction=0.3))
-        )
-        injector.inject(1)
-        assert injector.injected == 1
-        victims = [
-            name
-            for name in system.consumers
-            if not any(
-                system.online_in(name, feed)
-                for feed in system.subscriptions[name]
-            )
-        ]
-        assert len(victims) == round(len(system.consumers) * 0.3)
-
-    def test_crash_rejoin_burst_revives_all_participations(self):
-        system, injector = self.build(
-            FaultPlan.of(MassCrash(round=1, fraction=0.3, rejoin_after=5))
-        )
-        injector.inject(1)
-        assert injector.crashes > 0
-        for now in range(2, 7):
-            injector.inject(now)
-        assert injector.rejoins == injector.crashes
-        for name in system.consumers:
-            for feed in system.subscriptions[name]:
-                assert system.online_in(name, feed)
-
-    def test_crash_nodes_indexes_shared_population(self):
-        system, injector = self.build(
-            FaultPlan.of(CrashNodes(round=1, node_ids=(0, 1)))
-        )
-        injector.inject(1)
-        for name in system.consumers[:2]:
-            for feed in system.subscriptions[name]:
-                assert not system.online_in(name, feed)
-
-    def test_window_faults_are_correlated_across_feeds(self):
-        system, injector = self.build(
-            FaultPlan.of(SourceOutage(round=1, duration=5))
-        )
-        injector.inject(1)
-        for state in injector.states.values():
-            assert not state.source_available()
-            assert state.source_down_until == 6
-
-    def test_partition_sides_are_consistent_per_user(self):
-        system, injector = self.build(
-            FaultPlan.of(ViewPartition(round=1, duration=5, sides=2))
-        )
-        injector.inject(1)
-        for name in system.consumers:
-            sides = set()
-            for feed in system.subscriptions[name]:
-                node = system._nodes[feed][name]
-                sides.add(injector.states[feed].side_of[node.node_id])
-            assert len(sides) == 1
-
-    def test_null_plan_draws_and_fires_nothing(self):
-        system, injector = self.build(NullFaultPlan())
-        rng_state = injector.rng.getstate()
-        for now in range(1, 10):
-            injector.inject(now)
-        assert injector.injected == 0
-        assert injector.rng.getstate() == rng_state
+def test_crash_nodes_indexes_shared_population():
+    """A CrashNodes id is a 1-based position in the shared population."""
+    plan = FaultPlan.of(CrashNodes(round=1, node_ids=(1, 2)))
+    soak = ServiceSoak(quick_config(timeline=(), faults=plan))
+    soak.run()
+    system = soak.system
+    for index, name in enumerate(system.consumers):
+        for feed in system.subscriptions[name]:
+            assert system.online_in(name, feed) == (index >= 2)
 
 
 class TestServeSoakCLI:
