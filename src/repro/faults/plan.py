@@ -25,11 +25,11 @@ A :class:`FaultPlan` composes any number of these specs.  Everything
 here is *declarative* and immutable — frozen dataclasses with value
 equality, so a plan can sit inside the frozen
 :class:`~repro.sim.runner.SimulationConfig` and two configs with equal
-plans compare equal.  The runtime that applies a plan to an overlay is
-:class:`repro.faults.injector.FaultInjector`; it draws every random
-choice (crash victims, partition sides) from a dedicated ``"faults"``
-RNG stream, so a :class:`NullFaultPlan` run is bit-identical to a run
-with no plan at all.
+plans compare equal.  The runtime that applies a plan to a run's
+overlays is :class:`repro.faults.injector.FaultInjector`; it draws every
+random choice (crash victims, partition sides) from a dedicated
+``"faults"`` RNG stream, so a :class:`NullFaultPlan` run is
+bit-identical to a run with no plan at all.
 """
 
 from __future__ import annotations
@@ -98,8 +98,12 @@ class CrashNodes(FaultSpec):
 
     The deterministic sibling of :class:`MassCrash` — no RNG is consumed
     selecting victims, which makes it the right spec for regression
-    tests and walkthrough examples.  Ids of nodes already offline at
-    injection time are skipped.
+    tests and walkthrough examples.  An id is a consumer's node id in an
+    overlay built from the run's starting population, i.e. its 1-based
+    position in it, in every configuration (one overlay, k paths, a
+    soak's feeds); an id naming no consumer is rejected when the
+    injector is built.  Consumers already offline at injection time are
+    skipped.
     """
 
     fault = "crash-nodes"
