@@ -30,18 +30,16 @@ nothing draws nothing, which is what makes a
 with no plan installed.
 
 Injections are reported as :class:`~repro.obs.events.FaultInjected`
-protocol events through the overlays' probe, recorded in
-:attr:`FaultInjector.fault_rounds`, and passed to the ``on_fault``
-callbacks (the runner wires its
-:meth:`repro.sim.metrics.MetricsCollector.note_fault`, multipath every
-path's), from which the recovery metrics — time-to-recover,
-availability, per-fault recovery series — are derived.
+protocol events through the overlays' probe and recorded in
+:attr:`FaultInjector.fault_rounds`, which a
+:class:`~repro.sim.metrics.RecoveryTracker` reads directly for the
+recovery metrics — time-to-recover and the per-fault recovery series.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.node import Node
@@ -138,12 +136,10 @@ class FaultInjector:
         members: Members,
         plan: FaultPlan,
         rng: random.Random,
-        on_fault: Sequence[Callable[[int], None]] = (),
     ) -> None:
         self.members = members
         self.plan = plan
         self.rng = rng
-        self.on_fault = tuple(on_fault)
         self.state = FaultState()
         #: Lifetime counts, surfaced on the run's result; crashes and
         #: rejoins count members, not overlay participations.
@@ -167,15 +163,16 @@ class FaultInjector:
 
     def gate(self, algorithm, rng: random.Random) -> FaultGatedOracle:
         """Wrap ``algorithm``'s oracle in a :class:`FaultGatedOracle` on
-        this run's fault state (degraded answers draw from ``rng``), let
-        the algorithm see the source-outage window, and return the
-        gated oracle."""
+        this run's fault state (degraded answers draw from ``rng``, stale
+        ones from snapshots of the rounds the plan's stale windows can
+        read), let the algorithm see the source-outage window, and
+        return the gated oracle."""
         oracle = FaultGatedOracle(
             algorithm.oracle,
             algorithm.overlay,
             self.state,
             rng,
-            history=self.plan.max_staleness(),
+            self.plan,
         )
         algorithm.oracle = oracle
         algorithm.faults = self.state
@@ -199,8 +196,6 @@ class FaultInjector:
         self.fault_rounds.append(now)
         # The run's probe, shared through its overlays.
         self.members.overlays[0].probe.fault_injected(fault, affected)
-        for callback in self.on_fault:
-            callback(now)
 
     def _apply(self, spec: FaultSpec, now: int) -> None:
         members = self.members

@@ -35,6 +35,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.node import Node
 from repro.core.tree import Overlay
+from repro.faults.plan import FaultPlan
 from repro.faults.state import FaultState
 
 #: Inner-oracle name -> record filter mode (mirrors
@@ -62,16 +63,17 @@ class FaultGatedOracle:
         overlay: Overlay,
         state: FaultState,
         rng: random.Random,
-        history: int = 0,
+        plan: FaultPlan = FaultPlan(),
     ) -> None:
         self.inner = inner
         self.overlay = overlay
         self.state = state
         self.rng = rng
-        #: Rounds of snapshot history to keep (0 = stale view unused).
-        self.history = history
+        #: The rounds a stale window of ``plan`` can read: the only
+        #: rounds snapshotted, the last ``max_staleness() + 1`` kept.
+        self.snapshot_rounds = plan.snapshot_rounds()
         self._snapshots: Deque[Tuple[int, Dict[int, _Row]]] = deque(
-            maxlen=history + 1
+            maxlen=plan.max_staleness() + 1
         )
         #: Stale answers that pointed at a peer found dead at query time
         #: would be the enquirer's problem; this counts every answer
@@ -99,9 +101,10 @@ class FaultGatedOracle:
     # ------------------------------------------------------------------
 
     def on_round(self, now: int) -> None:
-        """Inner upkeep, plus a view snapshot when stale faults loom."""
+        """Inner upkeep, plus a view snapshot when a stale window can
+        read this round."""
         self.inner.on_round(now)
-        if self.history:
+        if now in self.snapshot_rounds:
             self._snapshots.append(
                 (
                     now,

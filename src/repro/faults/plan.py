@@ -35,7 +35,7 @@ bit-identical to a run with no plan at all.
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, FrozenSet, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -226,6 +226,19 @@ class FaultPlan:
         return max(
             (s.staleness for s in self.specs if isinstance(s, StaleOracleView)),
             default=0,
+        )
+
+    def snapshot_rounds(self) -> FrozenSet[int]:
+        """The rounds whose view a stale window can read: ``[w - H, w + d)``
+        around every stale-view spec of round ``w`` and duration ``d``,
+        with ``H`` = :meth:`max_staleness` (a query in round ``t`` reads
+        round ``t - staleness``, or the oldest round kept)."""
+        history = self.max_staleness()
+        return frozenset(
+            now
+            for s in self.specs
+            if isinstance(s, StaleOracleView)
+            for now in range(max(1, s.round - history), s.round + s.duration)
         )
 
 

@@ -55,6 +55,7 @@ from repro.locality.geo import GeoLatencyModel, get_profile
 from repro.multifeed.reuse import reuse_oracle_factory
 from repro.multifeed.system import MultiFeedSystem, ReuseMetrics
 from repro.obs.probe import NULL_PROBE, Probe
+from repro.sim.metrics import RecoveryTracker
 from repro.sim.rng import derive_seed
 from repro.sim.timemodel import parse_time_model
 
@@ -401,10 +402,10 @@ class ServiceSoak:
         self._satisfied_series: Dict[str, List[float]] = {
             feed: [] for feed in config.feed_ids
         }
-        self._disruption_rounds: List[int] = []
-        self._recovered_round: Optional[int] = None
-        self._flash_round: Optional[int] = None
-        self._hot_reconverged_round: Optional[int] = None
+        #: Every feed at the recovery threshold again, after each timeline
+        #: act and fault; and the hot feed again after its first flash.
+        self.recovery = RecoveryTracker([])
+        self.hot_recovery = RecoveryTracker([])
         self.flash_joined = 0
         self.exodus_departures = 0
 
@@ -425,6 +426,7 @@ class ServiceSoak:
                 self._rejoin(now, act)
             else:  # pragma: no cover - config validation rejects unknowns
                 raise TypeError(f"unhandled timeline act {act!r}")
+            self.recovery.disruptions.append(now)
 
     def _flash_crowd(self, now: int, act: FlashCrowd) -> None:
         base = len(self.system.subscriber_names(act.feed, online_only=True))
@@ -440,11 +442,8 @@ class ServiceSoak:
                 self._admit_joiners(batch)
             else:
                 self._pending_joins.setdefault(now + offset, []).extend(batch)
-        self._disruption_rounds.append(now)
-        self._recovered_round = None
-        if act.feed == self.config.hot_feed and self._flash_round is None:
-            self._flash_round = now
-            self._hot_reconverged_round = None
+        if act.feed == self.config.hot_feed and not self.hot_recovery.disruptions:
+            self.hot_recovery.disruptions.append(now)
         self.probe.soak_phase("flash-crowd", act.feed, newcomers)
 
     def _admit_joiners(self, batches: List[Tuple[str, int]]) -> None:
@@ -473,8 +472,6 @@ class ServiceSoak:
         for name in leavers:
             if self.system.leave_feed(name, act.feed, graceful=act.graceful):
                 self.exodus_departures += 1
-        self._disruption_rounds.append(now)
-        self._recovered_round = None
         self.probe.soak_phase(
             "exodus" if act.graceful else "exodus-crash", act.feed, len(leavers)
         )
@@ -484,8 +481,6 @@ class ServiceSoak:
         for name in self.system.subscriber_names(act.feed):
             if self.system.rejoin_feed(name, act.feed):
                 revived += 1
-        self._disruption_rounds.append(now)
-        self._recovered_round = None
         self.probe.soak_phase("rejoin", act.feed, revived)
 
     # ------------------------------------------------------------------
@@ -501,7 +496,11 @@ class ServiceSoak:
             self.probe.begin_round(now)
             self._apply_timeline(now)
             if self.injector is not None:
+                fired = len(self.injector.fault_rounds)
                 self.injector.inject(now)
+                self.recovery.disruptions.extend(
+                    self.injector.fault_rounds[fired:]
+                )
             for feed in config.feed_ids:
                 self.system.step_feed(feed)
             if now > config.warmup_rounds:
@@ -520,6 +519,7 @@ class ServiceSoak:
     def _sample(self, now: int) -> None:
         in_service = now > self.config.warmup_rounds
         emit = self.probe.enabled and now % self.config.health_every == 0
+        threshold = self.config.recover_threshold
         all_recovered = True
         for feed in self.config.feed_ids:
             # Read off the chain index's quality counters: O(1) per
@@ -528,16 +528,12 @@ class ServiceSoak:
             satisfied_fraction = quality.satisfied_fraction
             if in_service:
                 self._satisfied_series[feed].append(satisfied_fraction)
-            if satisfied_fraction < self.config.recover_threshold:
+            if satisfied_fraction < threshold:
                 all_recovered = False
-            if (
-                feed == self.config.hot_feed
-                and self._flash_round is not None
-                and self._hot_reconverged_round is None
-                and now > self._flash_round
-                and satisfied_fraction >= self.config.recover_threshold
-            ):
-                self._hot_reconverged_round = now
+            if feed == self.config.hot_feed:
+                _observe_after(
+                    self.hot_recovery, now, satisfied_fraction >= threshold
+                )
             if emit:
                 deliveries = sum(
                     c.received_count()
@@ -550,31 +546,7 @@ class ServiceSoak:
                     quality.satisfied,
                     deliveries,
                 )
-        disrupted_now = (
-            bool(self._disruption_rounds)
-            and self._disruption_rounds[-1] == now
-        ) or (
-            self.injector is not None
-            and bool(self.injector.fault_rounds)
-            and self.injector.fault_rounds[-1] == now
-        )
-        if disrupted_now:
-            self._recovered_round = None
-            return
-        last = self._last_disruption()
-        if (
-            all_recovered
-            and self._recovered_round is None
-            and last is not None
-            and now > last
-        ):
-            self._recovered_round = now
-
-    def _last_disruption(self) -> Optional[int]:
-        rounds = list(self._disruption_rounds)
-        if self.injector is not None:
-            rounds.extend(self.injector.fault_rounds)
-        return max(rounds) if rounds else None
+        _observe_after(self.recovery, now, all_recovered)
 
     # ------------------------------------------------------------------
     # the summary
@@ -585,15 +557,11 @@ class ServiceSoak:
         hot_feed = config.hot_feed
         pull_period = config.pull_period
         service_start = config.warmup_rounds * pull_period
-        flash_time = (
-            self._flash_round * pull_period
-            if self._flash_round is not None
-            else None
-        )
+        flash = self.hot_recovery.disruptions
+        hot_recovered = self.hot_recovery.recovered
+        flash_time = flash[0] * pull_period if flash else None
         recover_time = (
-            self._hot_reconverged_round * pull_period
-            if self._hot_reconverged_round is not None
-            else None
+            hot_recovered[0] * pull_period if hot_recovered else None
         )
         feeds: List[FeedSoakStats] = []
         availabilities: List[float] = []
@@ -667,18 +635,10 @@ class ServiceSoak:
                     ),
                 )
             )
-        last_disruption = self._last_disruption()
-        time_to_recover = (
-            self._recovered_round - last_disruption
-            if self._recovered_round is not None and last_disruption is not None
-            else None
-        )
-        hot_reconverge = (
-            self._hot_reconverged_round - self._flash_round
-            if self._hot_reconverged_round is not None
-            and self._flash_round is not None
-            else None
-        )
+        disruptions = self.recovery.disruptions
+        # Recovery from the last disruption, which covers the ones before.
+        time_to_recover = self.recovery.series()[-1] if disruptions else None
+        hot_reconverge = self.hot_recovery.time_to_recover()
         return SoakSummary(
             rounds=config.rounds,
             service_rounds=config.rounds - config.warmup_rounds,
@@ -688,7 +648,7 @@ class ServiceSoak:
                 if availabilities
                 else 1.0
             ),
-            last_disruption_round=last_disruption,
+            last_disruption_round=disruptions[-1] if disruptions else None,
             time_to_recover=time_to_recover,
             hot_feed=hot_feed,
             hot_reconverge_rounds=hot_reconverge,
@@ -708,6 +668,13 @@ class ServiceSoak:
                 else None
             ),
         )
+
+
+def _observe_after(tracker: RecoveryTracker, now: int, whole: bool) -> None:
+    """Feed ``tracker`` round ``now``'s reading unless one of its
+    disruptions landed this round: a soak recovers strictly after."""
+    if tracker.disruptions[-1:] != [now]:
+        tracker.observe(now, whole)
 
 
 def run_soak(config: SoakConfig) -> SoakSummary:

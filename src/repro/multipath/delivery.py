@@ -88,7 +88,6 @@ import random
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.constraints import NodeSpec
-from repro.core.convergence import measure
 from repro.core.errors import ConfigurationError
 from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
@@ -97,9 +96,9 @@ from repro.faults.injector import FaultInjector, Members
 from repro.faults.plan import FaultPlan
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.oracles.base import Oracle
-from repro.sim.metrics import MetricsCollector
+from repro.sim.metrics import MetricsCollector, RecoveryTracker
 from repro.sim.rng import StreamFactory, shuffle
-from repro.sim.runner import ALGORITHMS, SimulationResult
+from repro.sim.runner import ALGORITHMS, SimulationResult, overlay_result
 from repro.workloads.base import Workload
 from repro.workloads.repair import repair_population
 
@@ -306,8 +305,13 @@ class MultipathSystem:
                 Members(self.overlays, self._names, self._nodes),
                 faults,
                 self.streams.get("faults"),
-                on_fault=[c.note_fault for c in self.collectors],
             )
+            for collector in self.collectors:
+                collector.track(self.injector.fault_rounds)
+        #: Full delivery again: every online consumer has >= 1 rooted chain.
+        self.delivery_recovery = RecoveryTracker(
+            self.injector.fault_rounds if self.injector else []
+        )
         for path in range(paths):
             overlay = self.overlays[path]
             oracle: Oracle = DisjointDelayOracle(
@@ -541,6 +545,7 @@ class MultipathSystem:
                     delivered += 1
                     break
         self._delivery_rows.append((now, delivered, len(online)))
+        self.delivery_recovery.observe(now, delivered == len(online))
         if self.probe.enabled:
             self.probe.multipath_delivery(delivered, len(online), self.paths)
 
@@ -582,19 +587,6 @@ class MultipathSystem:
         online = sum(row[2] for row in self._delivery_rows)
         return delivered / online if online else 1.0
 
-    def delivery_recovery_series(self) -> List[Optional[int]]:
-        """Per fault event: rounds until full delivery (every online
-        consumer had ≥ 1 rooted chain again); ``None`` if never."""
-        series: List[Optional[int]] = []
-        for fault in self.injector.fault_rounds if self.injector else ():
-            recovered: Optional[int] = None
-            for now, delivered, online in self._delivery_rows:
-                if now >= fault and delivered == online:
-                    recovered = now - fault
-                    break
-            series.append(recovered)
-        return series
-
     def paths_surviving(self) -> Dict[int, int]:
         """Final-state histogram: rooted-path count -> online consumers."""
         dist: Dict[int, int] = {}
@@ -607,38 +599,9 @@ class MultipathSystem:
             dist[count] = dist.get(count, 0) + 1
         return dict(sorted(dist.items()))
 
-    def _path_result(self, path: int) -> SimulationResult:
-        collector = self.collectors[path]
-        overlay = self.overlays[path]
-        first = collector.first_converged_round()
-        return SimulationResult(
-            workload_name=self.workload.name,
-            algorithm=self.algorithm_name,
-            oracle=f"disjoint-delay/{path}",
-            seed=self.seed,
-            converged=first is not None,
-            construction_rounds=first,
-            rounds_run=self.now,
-            final_quality=measure(overlay),
-            satisfied_series=collector.satisfied_series(),
-            attaches=overlay.attach_count,
-            detaches=overlay.detach_count,
-            oracle_misses=self.oracles[path].misses,
-            departures=0,
-            rejoins=0,
-            phase_timings={},
-            availability=collector.availability(),
-            time_to_recover=collector.time_to_recover(),
-            fault_events=len(collector.fault_rounds),
-            recovery_series=collector.recovery_series(),
-        )
-
     def result(self) -> MultipathResult:
         """Package the current state as a :class:`MultipathResult`."""
-        recovery = self.delivery_recovery_series()
-        time_to_recover: Optional[int] = None
-        if recovery and all(r is not None for r in recovery):
-            time_to_recover = max(recovery)  # type: ignore[type-var]
+        recovery = self.delivery_recovery.series()
         return MultipathResult(
             paths=self.paths,
             algorithm=self.algorithm_name,
@@ -649,11 +612,17 @@ class MultipathSystem:
             delivery_availability=self.delivery_availability(),
             paths_surviving=self.paths_surviving(),
             delivery_recovery_series=recovery,
-            time_to_recover=time_to_recover,
+            time_to_recover=self.delivery_recovery.time_to_recover(),
             fault_events=len(recovery),
             overlap_repairs=self.overlap_repairs,
             per_path=tuple(
-                self._path_result(path) for path in range(self.paths)
+                overlay_result(
+                    self,
+                    self.collectors[path],
+                    self.algorithms[path],
+                    f"disjoint-delay/{path}",
+                )
+                for path in range(self.paths)
             ),
         )
 

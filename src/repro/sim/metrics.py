@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from repro.core.convergence import OverlayQuality, measure
 from repro.core.tree import Overlay
+from repro.obs.probe import Probe
 
 
 @dataclasses.dataclass(frozen=True)
@@ -21,30 +22,81 @@ class RoundRecord:
     rejoins: int
 
 
+class RecoveryTracker:
+    """When a run came back after each disruption (``docs/RESILIENCE.md``).
+
+    ``disruptions`` is the owner's list of disruption rounds, appended in
+    order as they happen (the fault injector's ``fault_rounds``, a soak's
+    timeline acts and faults); the disruptions of round ``t`` are listed
+    before :meth:`observe` takes round ``t``'s reading.  Each observed
+    round brings one reading, ``whole``: is the run whole again?  The
+    one rule: a disruption in round ``d`` recovers in the first observed
+    whole round ``>= d``.  Which rounds are observed is the owner's
+    choice — a soak does not observe the rounds it was disrupted in, so
+    its recoveries come strictly after.
+
+    A whole reading recovers every outstanding disruption at once, so
+    the recovery rounds are kept for a prefix of ``disruptions`` and a
+    reading costs O(1) while none is outstanding.
+    """
+
+    def __init__(
+        self, disruptions: List[int], probe: Optional[Probe] = None
+    ) -> None:
+        self.disruptions = disruptions
+        #: Emits one :class:`~repro.obs.events.Recovery` per disruption
+        #: as it recovers (``None``: emit nothing).
+        self.probe = probe
+        #: The recovery round of each recovered disruption, in order.
+        self.recovered: List[int] = []
+
+    def observe(self, now: int, whole: bool) -> None:
+        """Take round ``now``'s reading."""
+        if whole and len(self.recovered) < len(self.disruptions):
+            for disruption in self.disruptions[len(self.recovered):]:
+                self.recovered.append(now)
+                if self.probe is not None:
+                    self.probe.recovery(disruption, now - disruption)
+
+    def series(self) -> List[Optional[int]]:
+        """Rounds to recover per disruption, in order: ``0`` when the
+        disruption did not even dent the reading, ``None`` when the run
+        never came back from it."""
+        series: List[Optional[int]] = [
+            recovered - disruption
+            for disruption, recovered in zip(self.disruptions, self.recovered)
+        ]
+        series.extend([None] * (len(self.disruptions) - len(self.recovered)))
+        return series
+
+    def time_to_recover(self) -> Optional[int]:
+        """The worst entry of :meth:`series`; ``None`` when nothing
+        disrupted the run or it never came back from some disruption
+        (``converged`` tells the two apart)."""
+        series = self.series()
+        if not series or None in series:
+            return None
+        return max(series)  # type: ignore[type-var]
+
+
 class MetricsCollector:
     """Accumulates one :class:`RoundRecord` per round of a run.
 
-    Besides the per-round quality series, the collector derives the
-    recovery metrics of the fault regime (``docs/RESILIENCE.md``): the
-    fault injector reports each injection through :meth:`note_fault`, and
-    :meth:`record` detects the subsequent return to convergence —
-    emitting one :class:`~repro.obs.events.Recovery` event per
-    outstanding fault the moment the overlay is whole again.
+    Under a fault plan, :meth:`track` points a :class:`RecoveryTracker`
+    at the injector's fault rounds; every record is then its reading,
+    whole meaning converged, and recoveries emit
+    :class:`~repro.obs.events.Recovery` events through the overlay's
+    probe.
     """
 
     def __init__(self, overlay: Overlay) -> None:
         self.overlay = overlay
         self.records: List[RoundRecord] = []
-        #: Rounds in which a fault plan injected something (in order).
-        self.fault_rounds: List[int] = []
-        #: Fault rounds not yet followed by a converged measurement.
-        self._unrecovered: List[int] = []
+        self.recovery: Optional[RecoveryTracker] = None
 
-    def note_fault(self, now: int) -> None:
-        """A fault fired in round ``now`` (called by the fault injector
-        *before* this round's measurement)."""
-        self.fault_rounds.append(now)
-        self._unrecovered.append(now)
+    def track(self, fault_rounds: List[int]) -> None:
+        """Track recovery from the faults of ``fault_rounds``."""
+        self.recovery = RecoveryTracker(fault_rounds, self.overlay.probe)
 
     def record(self, now: int, departures: int = 0, rejoins: int = 0) -> RoundRecord:
         """Measure the overlay and append a record for round ``now``.
@@ -62,10 +114,8 @@ class MetricsCollector:
             rejoins=rejoins,
         )
         self.records.append(record)
-        if self._unrecovered and record.quality.converged:
-            for fault_round in self._unrecovered:
-                self.overlay.probe.recovery(fault_round, now - fault_round)
-            self._unrecovered.clear()
+        if self.recovery is not None:
+            self.recovery.observe(now, record.quality.converged)
         return record
 
     # ------------------------------------------------------------------
@@ -76,51 +126,12 @@ class MetricsCollector:
         """Satisfied fraction per round."""
         return [r.quality.satisfied_fraction for r in self.records]
 
-    def fragments_series(self) -> List[int]:
-        """Number of disjoint fragments per round (coalescence progress)."""
-        return [r.quality.fragments for r in self.records]
-
     def first_converged_round(self) -> Optional[int]:
         """First round at which all online consumers were satisfied."""
         for record in self.records:
             if record.quality.converged:
                 return record.round
         return None
-
-    # ------------------------------------------------------------------
-    # recovery metrics (fault regime)
-    # ------------------------------------------------------------------
-
-    def recovery_series(self) -> List[Optional[int]]:
-        """Rounds-to-reconverge per fault event, in injection order.
-
-        For a fault injected in round ``f`` this is ``r - f`` where ``r``
-        is the first measured round ``>= f`` with a converged overlay
-        (``0`` when the fault didn't even dent convergence), or ``None``
-        if the overlay never re-converged within the run.
-        """
-        series: List[Optional[int]] = []
-        for fault_round in self.fault_rounds:
-            recovered: Optional[int] = None
-            for record in self.records:
-                if record.round >= fault_round and record.quality.converged:
-                    recovered = record.round - fault_round
-                    break
-            series.append(recovered)
-        return series
-
-    def time_to_recover(self) -> Optional[int]:
-        """Worst rounds-to-reconverge over all fault events.
-
-        ``None`` when no fault fired, and ``None`` when any fault was
-        never recovered from within the run (an infinite recovery time is
-        reported as absent, with ``converged`` telling the two cases
-        apart).
-        """
-        series = self.recovery_series()
-        if not series or any(r is None for r in series):
-            return None
-        return max(series)
 
     def availability(self) -> float:
         """Fraction of satisfied node-rounds over the whole run:

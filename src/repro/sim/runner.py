@@ -341,8 +341,8 @@ class Simulation:
                 Members.of_overlay(self.overlay),
                 config.faults,
                 self.streams.get("faults"),
-                on_fault=(self.metrics.note_fault,),
             )
+            self.metrics.track(self.injector.fault_rounds)
             self.oracle = self.injector.gate(
                 self.algorithm, self.streams.get("faults-oracle")
             )
@@ -450,28 +450,54 @@ class Simulation:
 
     def result(self) -> SimulationResult:
         """Package the current state as a :class:`SimulationResult`."""
-        first = self.metrics.first_converged_round()
-        return SimulationResult(
-            workload_name=self.workload.name,
-            algorithm=self.config.algorithm,
-            oracle=self.config.oracle,
-            seed=self.config.seed,
-            converged=first is not None,
-            construction_rounds=first,
-            rounds_run=self.now,
-            final_quality=measure(self.overlay),
-            satisfied_series=self.metrics.satisfied_series(),
-            attaches=self.overlay.attach_count,
-            detaches=self.overlay.detach_count,
-            oracle_misses=self.oracle.misses,
+        return overlay_result(
+            self,
+            self.metrics,
+            self.algorithm,
+            self.config.oracle,
             departures=self.churn.total_departures if self.churn else 0,
             rejoins=self.churn.total_rejoins if self.churn else 0,
             phase_timings=self.timings.summary(),
-            availability=self.metrics.availability(),
-            time_to_recover=self.metrics.time_to_recover(),
-            fault_events=self.injector.injected if self.injector else 0,
-            recovery_series=self.metrics.recovery_series(),
         )
+
+
+def overlay_result(
+    run,
+    metrics: MetricsCollector,
+    algorithm: ConstructionAlgorithm,
+    oracle: str,
+    departures: int = 0,
+    rejoins: int = 0,
+    phase_timings: Optional[Dict[str, Dict[str, float]]] = None,
+) -> SimulationResult:
+    """The result of one overlay of ``run`` (a :class:`Simulation` or a
+    :class:`~repro.multipath.delivery.MultipathSystem`): ``run`` gives
+    the workload, seed and round count, ``algorithm`` its name and its
+    (gated) oracle's misses, ``metrics`` the rest."""
+    overlay = metrics.overlay
+    recovery = metrics.recovery
+    first = metrics.first_converged_round()
+    return SimulationResult(
+        workload_name=run.workload.name,
+        algorithm=algorithm.name,
+        oracle=oracle,
+        seed=run.streams.root_seed,
+        converged=first is not None,
+        construction_rounds=first,
+        rounds_run=run.now,
+        final_quality=measure(overlay),
+        satisfied_series=metrics.satisfied_series(),
+        attaches=overlay.attach_count,
+        detaches=overlay.detach_count,
+        oracle_misses=algorithm.oracle.misses,
+        departures=departures,
+        rejoins=rejoins,
+        phase_timings=phase_timings or {},
+        availability=metrics.availability(),
+        time_to_recover=recovery.time_to_recover() if recovery else None,
+        fault_events=len(recovery.disruptions) if recovery else 0,
+        recovery_series=recovery.series() if recovery else [],
+    )
 
 
 def make_simulation(

@@ -16,6 +16,7 @@ the recovery metrics — and the two guarantees everything else leans on:
 
 import dataclasses
 import random
+from collections import deque
 
 import pytest
 
@@ -466,13 +467,13 @@ class TestOneInjector:
 
 
 class TestFaultGatedOracle:
-    def _setup(self, n=6, history=0):
+    def _setup(self, n=6, plan=FaultPlan()):
         overlay = Overlay(source_fanout=2)
         nodes = [overlay.add_consumer(spec(4, 2), f"n{i}") for i in range(n)]
         inner = RandomDelayOracle(overlay, random.Random(3))
         state = FaultState()
         gated = FaultGatedOracle(
-            inner, overlay, state, random.Random(7), history=history
+            inner, overlay, state, random.Random(7), plan
         )
         return overlay, nodes, inner, state, gated
 
@@ -489,7 +490,9 @@ class TestFaultGatedOracle:
         assert inner.misses == 1 and inner.hits == 0
 
     def test_stale_view_serves_a_departed_peer(self):
-        overlay, nodes, inner, state, gated = self._setup(history=5)
+        overlay, nodes, inner, state, gated = self._setup(
+            plan=parse_fault_plan("stale-view@4:6:3")
+        )
         victim = nodes[1]
         for extra in nodes[2:]:
             overlay.go_offline(extra)  # snapshot will hold only n0 and n1
@@ -505,7 +508,9 @@ class TestFaultGatedOracle:
         assert inner.hits == 1  # accounting stays on the inner oracle
 
     def test_stale_view_applies_the_recorded_filter(self):
-        overlay, nodes, inner, state, gated = self._setup(history=5)
+        overlay, nodes, inner, state, gated = self._setup(
+            plan=parse_fault_plan("stale-view@2:8:1")
+        )
         # Make every candidate's recorded delay violate the enquirer's
         # constraint: chain them deep under the source.
         tight = overlay.add_consumer(spec(1, 2), "tight")
@@ -540,6 +545,76 @@ class TestFaultGatedOracle:
         assert gated.sample(tight) is None  # nobody passes delay < 1
 
 
+class TestStaleViewSnapshots:
+    """A stale window can read only rounds ``[w - H, w + d)``: the gated
+    oracle snapshots those and answers as a recorder that snapshots
+    every round (the reference, kept here) does."""
+
+    def _run(self, every_round):
+        config = SimulationConfig(
+            seed=1,
+            max_rounds=150,
+            stop_at_convergence=False,
+            churn=ChurnConfig(),
+            faults=parse_fault_plan("stale-view@145:3:2"),
+        )
+        simulation = Simulation(make("Rand", size=2000, seed=1), config)
+        gated, overlay = simulation.oracle, simulation.overlay
+        recorded, answers = [], []
+
+        class Recorded(deque):
+            def append(self, snapshot):
+                recorded.append(snapshot[0])
+                super().append(snapshot)
+
+        gated._snapshots = Recorded(maxlen=gated._snapshots.maxlen)
+        sample = gated.sample
+
+        def answer(enquirer):
+            partner = sample(enquirer)
+            answers.append(
+                (simulation.now, enquirer.node_id, partner and partner.node_id)
+            )
+            return partner
+
+        def every_round_on_round(now):
+            gated.inner.on_round(now)
+            gated._snapshots.append(
+                (
+                    now,
+                    {
+                        node.node_id: (
+                            node.online,
+                            overlay.is_rooted(node),
+                            overlay.delay_at(node),
+                            node.free_fanout,
+                        )
+                        for node in overlay.consumers
+                    },
+                )
+            )
+
+        gated.sample = answer
+        if every_round:
+            gated.on_round = every_round_on_round
+        result = simulation.run()
+        return recorded, answers, gated.stale_answers, result
+
+    def test_plan_names_the_rounds_a_window_reads(self):
+        plan = parse_fault_plan("stale-view@145:3:2, stale-view@2:2:1")
+        # H = 2: [143, 148) and [0, 4) clipped to round 1.
+        assert plan.snapshot_rounds() == {1, 2, 3, 143, 144, 145, 146, 147}
+        assert parse_fault_plan("crash@5:0.2").snapshot_rounds() == set()
+
+    def test_only_the_rounds_a_window_reads(self):
+        recorded, *outcome = self._run(every_round=False)
+        assert recorded == [143, 144, 145, 146, 147]
+        reference, *reference_outcome = self._run(every_round=True)
+        assert reference == list(range(1, 151))
+        assert outcome[1] > 0  # the window served stale answers
+        assert outcome == reference_outcome
+
+
 # ----------------------------------------------------------------------
 # fault gating × the sharded realization
 # ----------------------------------------------------------------------
@@ -558,13 +633,13 @@ class TestShardedFaultGating:
     live-value filter that bypasses the batches.
     """
 
-    def _setup(self, n=12, history=0, rounds=3):
+    def _setup(self, n=12, plan=FaultPlan(), rounds=3):
         overlay = Overlay(source_fanout=2)
         nodes = [overlay.add_consumer(spec(6, 2), f"n{i}") for i in range(n)]
         inner = ShardedOracle(overlay, random.Random(3), filter_mode="delay")
         state = FaultState()
         gated = FaultGatedOracle(
-            inner, overlay, state, random.Random(7), history=history
+            inner, overlay, state, random.Random(7), plan
         )
         for now in range(1, rounds + 1):
             state.now = now
@@ -592,7 +667,9 @@ class TestShardedFaultGating:
         assert inner.hits == 1 and inner.misses == 1
 
     def test_stale_view_serves_a_departed_peer(self):
-        overlay, nodes, inner, state, gated = self._setup(history=5, rounds=0)
+        overlay, nodes, inner, state, gated = self._setup(
+            plan=parse_fault_plan("stale-view@4:6:3"), rounds=0
+        )
         victim = nodes[1]
         for extra in nodes[2:]:
             overlay.go_offline(extra)  # snapshot will hold only n0 and n1
@@ -607,7 +684,9 @@ class TestShardedFaultGating:
         assert gated.stale_answers == 1
 
     def test_stale_view_reads_the_sharded_filter_mode(self):
-        overlay, nodes, inner, state, gated = self._setup(history=5, rounds=0)
+        overlay, nodes, inner, state, gated = self._setup(
+            plan=parse_fault_plan("stale-view@2:8:1"), rounds=0
+        )
         # Chain everyone so every recorded delay violates tight's l=1.
         tight = overlay.add_consumer(spec(1, 2), "tight")
         overlay.attach(nodes[0], overlay.source)
@@ -645,7 +724,8 @@ class TestShardedFaultGating:
         simulation = Simulation(make("Rand", size=24, seed=11), config)
         assert isinstance(simulation.oracle, FaultGatedOracle)
         assert simulation.oracle.inner.realization == "sharded"
-        assert simulation.oracle.history >= 5  # sized for the stale spec
+        # Sized for the stale spec: rounds 80 - 5 .. 80 + 10 - 1.
+        assert simulation.oracle.snapshot_rounds == set(range(75, 90))
         result = simulation.run()
         assert result.fault_events == 2
         assert simulation.injector.injected == 2
