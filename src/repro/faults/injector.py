@@ -59,8 +59,9 @@ from repro.faults.state import FaultState
 
 
 class Members:
-    """Who a fault plan strikes: consumers by name, each with its node
-    in every overlay it belongs to.
+    """A run's consumers by name, each with its node in every overlay it
+    belongs to: the one mechanism that takes a member down or brings it
+    back, for churn, fault plans and a soak's exodus and rejoin acts.
 
     ``names`` is the victim-selection order and may grow as the run goes
     (a soak's flash crowd appends to it); ``tables[i]`` maps a name to
@@ -89,7 +90,7 @@ class Members:
         table = {node.name: node for node in consumers}
         if len(table) != len(consumers):
             raise ConfigurationError(
-                "fault plans tell consumers apart by name; "
+                "churn and fault plans tell consumers apart by name; "
                 "this overlay repeats one"
             )
         return cls([overlay], [node.name for node in consumers], [table])
@@ -104,18 +105,27 @@ class Members:
 
     def is_online(self, name: str) -> bool:
         """Whether the member is online in any overlay."""
-        return any(node.online for _, node in self.nodes(name))
+        for table in self.tables:
+            node = table.get(name)
+            if node is not None and node.online:
+                return True
+        return False
 
     def online(self) -> List[str]:
         """The members online anywhere, in victim-selection order."""
         return [name for name in self.names if self.is_online(name)]
 
-    def take_down(self, name: str, graceful: bool) -> None:
-        """Take the member offline in every overlay it is online in."""
-        reason = "leave" if graceful else "crash"
+    def take_down(self, name: str, graceful: bool = True, reason: str = "") -> bool:
+        """Take the member offline in every overlay it is online in;
+        returns whether it was online anywhere.  ``reason`` labels the
+        detaches (default: ``leave``, or ``crash`` if not graceful)."""
+        reason = reason or ("leave" if graceful else "crash")
+        left = False
         for overlay, node in self.nodes(name):
             if node.online:
                 overlay.go_offline(node, graceful=graceful, reason=reason)
+                left = True
+        return left
 
     def bring_up(self, name: str) -> bool:
         """Bring the member back in every overlay it is offline in;

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.constraints import NodeSpec
 from repro.core.convergence import measure
 from repro.core.errors import ConfigurationError
-from repro.faults.injector import FaultInjector, Members
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.feeds.dissemination import LagOverDissemination
 from repro.feeds.source import FeedSource, bursty
@@ -326,19 +326,13 @@ class ServiceSoak:
         # plan is present (a NullFaultPlan installs everything and is
         # bit-identical to installing nothing; pinned in tests).  A
         # member is a user by name, with a node in each feed it
-        # subscribes to; the live name list and node tables take in
-        # flash-crowd joiners as they arrive.
+        # subscribes to; the system's live view takes in flash-crowd
+        # joiners as they arrive.
+        system = self.system
         self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
-            system = self.system
             self.injector = FaultInjector(
-                Members(
-                    [system.overlays[feed] for feed in system.feed_ids],
-                    system.consumers,
-                    [system._nodes[feed] for feed in system.feed_ids],
-                ),
-                config.faults,
-                streams.get("faults"),
+                system.members(), config.faults, streams.get("faults")
             )
             for feed in config.feed_ids:
                 system.oracles[feed] = self.injector.gate(
@@ -469,8 +463,9 @@ class ServiceSoak:
         audience = self.system.subscriber_names(act.feed, online_only=True)
         count = min(len(audience), max(1, round(len(audience) * act.fraction)))
         leavers = self._exodus_rng.sample(audience, count) if count else []
+        feed = self.system.members([act.feed])
         for name in leavers:
-            if self.system.leave_feed(name, act.feed, graceful=act.graceful):
+            if feed.take_down(name, graceful=act.graceful):
                 self.exodus_departures += 1
         self.probe.soak_phase(
             "exodus" if act.graceful else "exodus-crash", act.feed, len(leavers)
@@ -478,8 +473,9 @@ class ServiceSoak:
 
     def _rejoin(self, now: int, act: Rejoin) -> None:
         revived = 0
+        feed = self.system.members([act.feed])
         for name in self.system.subscriber_names(act.feed):
-            if self.system.rejoin_feed(name, act.feed):
+            if feed.bring_up(name):
                 revived += 1
         self.probe.soak_phase("rejoin", act.feed, revived)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import NodeSpec
 from repro.core.errors import ConfigurationError
@@ -29,6 +29,7 @@ from repro.core.hybrid import HybridConstruction
 from repro.core.node import Node
 from repro.core.protocol import ProtocolConfig
 from repro.core.tree import Overlay
+from repro.faults.injector import Members
 from repro.oracles.base import Oracle, RandomDelayOracle
 from repro.sim.rng import StreamFactory, shuffle
 from repro.workloads.repair import repair_population
@@ -242,40 +243,22 @@ class MultiFeedSystem:
             created[feed] = node
         return created
 
-    def leave_feed(self, name: str, feed_id: str, graceful: bool = True) -> bool:
-        """Take ``name`` offline in one feed's overlay (audience exodus).
-
-        The subscription record survives — an exodus models the audience
-        tuning out, not unsubscribing forever — and the consumer keeps
-        serving any other feeds it participates in.  Returns whether the
-        consumer was online there (``False`` is a no-op).
-        """
-        node = self.participation(name, feed_id)
-        if node is None or not node.online:
-            return False
-        self.overlays[feed_id].go_offline(
-            node, graceful=graceful, reason="leave" if graceful else "crash"
-        )
-        return True
-
-    def rejoin_feed(self, name: str, feed_id: str) -> bool:
-        """Bring an offline participation back (rejoin after an exodus
-        or crash burst).  Returns whether anything changed."""
-        node = self.participation(name, feed_id)
-        if node is None or node.online:
-            return False
-        self.overlays[feed_id].go_online(node)
-        return True
-
     def participation(self, name: str, feed_id: str) -> Optional[Node]:
         """``name``'s node in one feed's overlay, online or not; ``None``
         if it does not subscribe to the feed."""
         return self._nodes.get(feed_id, {}).get(name)
 
-    def online_in(self, name: str, feed_id: str) -> bool:
-        """Whether ``name`` currently participates online in the feed."""
-        node = self.participation(name, feed_id)
-        return node is not None and node.online
+    def members(self, feed_ids: Optional[Sequence[str]] = None) -> Members:
+        """The consumers as a live :class:`~repro.faults.injector.Members`
+        view over ``feed_ids``' overlays (default: every feed); taking a
+        member down in a one-feed view (an exodus: the audience tunes
+        out, it does not unsubscribe) leaves its other feeds serving."""
+        feeds = self.feed_ids if feed_ids is None else feed_ids
+        return Members(
+            [self.overlays[feed] for feed in feeds],
+            self.consumers,
+            [self._nodes[feed] for feed in feeds],
+        )
 
     def subscriber_names(self, feed_id: str, online_only: bool = False) -> List[str]:
         """The feed's audience, in stable subscription order."""

@@ -37,10 +37,11 @@ guarantee instead of a bias: upstream disjointness is *enforced*.
   :meth:`MultipathSystem.all_converged` requires zero overlaps, so a
   converged system is vertex-disjoint by construction *and* by check.
 
-Fault plans compose: the run's one
-:class:`~repro.faults.injector.FaultInjector` sees a consumer as one
-member with a twin on every path, so a single seeded plan drives all k
-overlays (a peer crashes out of every path at once); given a plan, each
+Churn and fault plans compose: the run's one
+:class:`~repro.faults.injector.Members` view sees a consumer as one
+member with a twin on every path, so one churn chain and one
+:class:`~repro.faults.injector.FaultInjector` drive all k overlays (a
+peer leaves or crashes out of every path at once); given a plan, each
 path's oracle is wrapped in a
 :class:`~repro.faults.oracle.FaultGatedOracle` sharing the injector's
 one :class:`~repro.faults.state.FaultState`, and per-path
@@ -96,6 +97,7 @@ from repro.faults.injector import FaultInjector, Members
 from repro.faults.plan import FaultPlan
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.oracles.base import Oracle
+from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.metrics import MetricsCollector, RecoveryTracker
 from repro.sim.rng import StreamFactory, shuffle
 from repro.sim.runner import ALGORITHMS, SimulationResult, overlay_result
@@ -202,7 +204,8 @@ class MultipathResult:
         """A single-overlay-shaped summary for the sweep machinery:
         convergence and recovery are the *system* notions (all paths
         whole and disjoint; delivery = ≥ 1 rooted chain), quality and
-        series take the worst path per round, counts sum over paths."""
+        series take the worst path per round, counts sum over paths
+        (but departures and rejoins count members)."""
         per_path = self.per_path
         worst = min(
             per_path, key=lambda r: r.final_quality.satisfied_fraction
@@ -223,8 +226,8 @@ class MultipathResult:
             attaches=sum(r.attaches for r in per_path),
             detaches=sum(r.detaches for r in per_path),
             oracle_misses=sum(r.oracle_misses for r in per_path),
-            departures=0,
-            rejoins=0,
+            departures=per_path[0].departures,
+            rejoins=per_path[0].rejoins,
             phase_timings={},
             availability=self.delivery_availability,
             time_to_recover=self.time_to_recover,
@@ -245,6 +248,7 @@ class MultipathSystem:
         algorithm: str = "hybrid",
         faults: Optional[FaultPlan] = None,
         probe: Optional[Probe] = None,
+        churn: Optional[ChurnConfig] = None,
     ) -> None:
         if paths < 1:
             raise ConfigurationError("need at least one path")
@@ -296,15 +300,17 @@ class MultipathSystem:
             self.overlays.append(overlay)
             self._nodes.append({node.name: node for node in nodes})
         self.collectors = [MetricsCollector(o) for o in self.overlays]
-        # Injector after all overlays exist: a peer is one member with a
-        # twin on every path, and the injector's FaultState is shared by
-        # every path's gated oracle and algorithm.
+        # Churn and injector after all overlays exist: a peer is one
+        # member with a twin on every path, and the injector's FaultState
+        # is shared by every path's gated oracle and algorithm.
+        members = Members(self.overlays, self._names, self._nodes)
+        self.churn: Optional[ChurnProcess] = None
+        if churn is not None:
+            self.churn = ChurnProcess(members, churn, self.streams.get("churn"))
         self.injector: Optional[FaultInjector] = None
         if faults is not None:
             self.injector = FaultInjector(
-                Members(self.overlays, self._names, self._nodes),
-                faults,
-                self.streams.get("faults"),
+                members, faults, self.streams.get("faults")
             )
             for collector in self.collectors:
                 collector.track(self.injector.fault_rounds)
@@ -515,6 +521,9 @@ class MultipathSystem:
         self.now += 1
         now = self.now
         self.probe.begin_round(now)
+        departures = rejoins = 0
+        if self.churn is not None:
+            departures, rejoins = self.churn.step(now)
         for oracle in self.oracles:
             oracle.on_round(now)
         rosters = []
@@ -528,13 +537,13 @@ class MultipathSystem:
             algorithm.sweep(roster)
         self._last_overlaps = self._repair_overlaps()
         self._repair_starvation()
-        self._measure(now)
+        self._measure(now, departures, rejoins)
         if self._first_converged is None and self.all_converged():
             self._first_converged = now
 
-    def _measure(self, now: int) -> None:
+    def _measure(self, now: int, departures: int, rejoins: int) -> None:
         for collector in self.collectors:
-            collector.record(now)
+            collector.record(now, departures=departures, rejoins=rejoins)
         online = self.overlays[0].online_consumers
         delivered = 0
         for node in online:
@@ -621,6 +630,8 @@ class MultipathSystem:
                     self.collectors[path],
                     self.algorithms[path],
                     f"disjoint-delay/{path}",
+                    departures=self.churn.total_departures if self.churn else 0,
+                    rejoins=self.churn.total_rejoins if self.churn else 0,
                 )
                 for path in range(self.paths)
             ),

@@ -94,7 +94,7 @@ def execute_item(
     try:
         workload = _workload_for(item, memo)
         # with_() re-validates, so an item no config could describe
-        # (say paths > 1 with churn) fails here instead of running.
+        # (say paths > 1 with asynchrony) fails here instead of running.
         config = item.config.with_(seed=item.seed)
         if collect_health and config.health is None and config.paths == 1:
             config = config.with_(health=HealthConfig())

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import List
+from typing import List, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.node import Node
-from repro.core.tree import Overlay
+from repro.faults.injector import Members
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,58 +49,52 @@ class ChurnConfig:
         return self.leave_probability / total
 
 
-@dataclasses.dataclass
-class ChurnEvents:
-    """What happened during one churn step."""
-
-    left: List[Node]
-    rejoined: List[Node]
-    orphaned: List[Node]
-
-
 class ChurnProcess:
-    """Applies the two-state churn chain to an overlay, one step per round."""
+    """Applies the two-state churn chain to a run's
+    :class:`~repro.faults.injector.Members`, one step per round: a
+    churned peer leaves and rejoins every overlay it is in at once."""
 
     def __init__(
-        self, overlay: Overlay, config: ChurnConfig, rng: random.Random
+        self, members: Members, config: ChurnConfig, rng: random.Random
     ) -> None:
-        self.overlay = overlay
+        self.members = members
         self.config = config
         self.rng = rng
         self.total_departures = 0
         self.total_rejoins = 0
+        # A member's node in the first overlay speaks for it (Members
+        # moves it in every overlay at once), so a step reads one flag
+        # per member.  The chain runs over the starting population.
+        lead = members.tables[0]
+        self._lead: List[Node] = [lead[name] for name in members.names]
 
-    def step(self, now: int) -> ChurnEvents:
-        """Run one churn step; returns the nodes affected this round.
+    def step(self, now: int) -> Tuple[int, int]:
+        """Run one churn step; returns ``(departures, rejoins)``.
 
         The source never churns (§2.1.2 — the feed server is a fixed,
         if resource-constrained, piece of infrastructure).
         """
-        events = ChurnEvents(left=[], rejoined=[], orphaned=[])
         if now < self.config.start_round:
-            return events
-        # Decide on an explicit snapshot copy so a peer cannot leave and
-        # rejoin (or vice versa) within the same step, and so the
-        # go_offline/go_online roster mutations below cannot skip or
-        # double-visit anyone.  (`Overlay.consumers` happens to return a
-        # copy today, but this loop's correctness must not hinge on that
-        # implementation detail — pinned by tests/test_churn.py.)
-        consumers = list(self.overlay.consumers)
-        overlay = self.overlay
+            return 0, 0
+        # ``_lead`` is a snapshot no membership change touches: nobody
+        # flips twice in one step or is skipped (tests/test_churn.py).
+        members = self.members
+        probe = members.overlays[0].probe
         draw = self.rng.random
         leave_probability = self.config.leave_probability
         rejoin_probability = self.config.rejoin_probability
-        for node in consumers:
+        departures = rejoins = 0
+        for node in self._lead:
             if node.online:
                 if draw() < leave_probability:
-                    orphans = overlay.go_offline(node)
-                    events.orphaned.extend(orphans)
-                    events.left.append(node)
-                    self.total_departures += 1
-                    overlay.probe.churn_leave(node.node_id, len(orphans))
+                    orphans = len(node.children)
+                    members.take_down(node.name, graceful=True, reason="churn")
+                    departures += 1
+                    probe.churn_leave(node.node_id, orphans)
             elif draw() < rejoin_probability:
-                overlay.go_online(node)
-                events.rejoined.append(node)
-                self.total_rejoins += 1
-                overlay.probe.churn_rejoin(node.node_id)
-        return events
+                members.bring_up(node.name)
+                rejoins += 1
+                probe.churn_rejoin(node.node_id)
+        self.total_departures += departures
+        self.total_rejoins += rejoins
+        return departures, rejoins

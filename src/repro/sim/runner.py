@@ -132,7 +132,8 @@ class SimulationConfig:
         :class:`repro.multipath.delivery.MultipathSystem`, which splits
         each consumer's fanout budget across the paths and enforces
         upstream disjointness at attach time (dispatched by
-        :func:`repro.spec.execute`; no ``churn`` or ``asynchrony``).
+        :func:`repro.spec.execute`; churn moves a peer on every path at
+        once; no ``asynchrony``).
     time_model:
         ``"rounds"`` (default, the paper's synchronous clock —
         bit-identical to pre-continuous behavior) or
@@ -193,10 +194,10 @@ class SimulationConfig:
             )
         if self.paths < 1:
             raise ConfigurationError("paths must be >= 1")
-        if self.paths > 1 and (self.churn, self.asynchrony) != (None, None):
+        if self.paths > 1 and self.asynchrony is not None:
             raise ConfigurationError(
-                "churn and asynchrony are single-overlay models; paths > 1 "
-                "takes its membership dynamics from a fault plan"
+                "asynchrony is a single-overlay model; paths > 1 runs "
+                "without it"
             )
         from repro.sim.timemodel import parse_time_model
 
@@ -328,19 +329,21 @@ class Simulation:
         self.algorithm: ConstructionAlgorithm = algorithm_cls(
             self.overlay, self.oracle, config.protocol
         )
-        # Fault plan: the injector applies the specs from its own RNG
-        # stream, and gates the algorithm's oracle so outage / stale-view
-        # / partition windows degrade its answers.  With no plan there is
+        # Churn and the fault plan move peers through one Members view.
+        # The injector applies the plan from its own RNG stream, and
+        # gates the algorithm's oracle so outage / stale-view /
+        # partition windows degrade its answers.  With no plan there is
         # no injector and no wrapper — and with a NullFaultPlan neither
         # ever draws, so both setups are bit-identical to each other.
         # Post-construction wiring keeps the 3-argument construction
         # idiom working for every registered algorithm variant.
+        members = None
+        if config.churn is not None or config.faults is not None:
+            members = Members.of_overlay(self.overlay)
         self.injector: Optional[FaultInjector] = None
         if config.faults is not None:
             self.injector = FaultInjector(
-                Members.of_overlay(self.overlay),
-                config.faults,
-                self.streams.get("faults"),
+                members, config.faults, self.streams.get("faults")
             )
             self.metrics.track(self.injector.fault_rounds)
             self.oracle = self.injector.gate(
@@ -348,7 +351,7 @@ class Simulation:
             )
         self.algorithm.backoff_rng = self.streams.get("backoff")
         self.churn = (
-            ChurnProcess(self.overlay, config.churn, self.streams.get("churn"))
+            ChurnProcess(members, config.churn, self.streams.get("churn"))
             if config.churn is not None
             else None
         )
@@ -392,8 +395,7 @@ class Simulation:
         departures = rejoins = 0
         if self.churn is not None:
             with self.timings.measure("churn"):
-                events = self.churn.step(self.now)
-                departures, rejoins = len(events.left), len(events.rejoined)
+                departures, rejoins = self.churn.step(self.now)
         with self.timings.measure("oracle"):
             self.oracle.on_round(self.now)
         self._act_phase()

@@ -303,6 +303,7 @@ def execute(
             algorithm=config.algorithm,
             faults=config.faults,
             probe=probe if probe is not None else config.probe,
+            churn=config.churn,
         )
         system.run(
             max_rounds=config.max_rounds,

@@ -47,11 +47,12 @@ class TestBuild:
     def test_an_invalid_run_is_a_usage_error(self, command, capsys):
         """A flag combination no run satisfies prints ``error: ...`` and
         exits 2, like serve-soak and latency, instead of a traceback."""
-        assert main([command, "--size", "30", "--paths", "2", "--churn"]) == 2
+        flags = ["--paths", "2", "--time-model", "continuous:geo-3region"]
+        assert main([command, "--size", "30"] + flags) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: churn and asynchrony are single-overlay models; paths > 1 "
-            "takes its membership dynamics from a fault plan\n"
+            "error: the continuous time model is single-overlay; "
+            "--paths > 1 runs on the rounds clock\n"
         )
         assert captured.out == ""
 

@@ -42,7 +42,7 @@ from repro.locality.geo import (
     get_profile,
     profile_names,
 )
-from repro.sim.churn import ChurnConfig, ChurnEvents
+from repro.sim.churn import ChurnConfig
 from repro.sim.continuous import ContinuousSimulation
 from repro.sim.runner import SimulationConfig, make_simulation, run_simulation
 from repro.sim.timemodel import TimeModel, parse_time_model
@@ -420,13 +420,11 @@ class _Bounce:
         self.overlay, self.node, self.when = overlay, node, when
 
     def step(self, now):
-        events = ChurnEvents(left=[], rejoined=[], orphaned=[])
-        if now == self.when:
-            events.orphaned = self.overlay.go_offline(self.node, graceful=False)
-            self.overlay.go_online(self.node)
-            events.left.append(self.node)
-            events.rejoined.append(self.node)
-        return events
+        if now != self.when:
+            return 0, 0
+        self.overlay.go_offline(self.node, graceful=False)
+        self.overlay.go_online(self.node)
+        return 1, 1
 
 
 def _record_actions(engine):

@@ -274,9 +274,9 @@ class TestDynamicMembership:
         assert set(created) == {"news"}
         assert system.subscriptions["late"] == ["news"]
         assert system.total_fanout["late"] == 3
-        assert system.online_in("late", "news")
+        assert system.members(["news"]).is_online("late")
         assert "late" in system.subscriber_names("news")
-        assert not system.online_in("late", "sports")
+        assert not system.members(["sports"]).is_online("late")
 
     def test_join_rejects_duplicates_and_junk(self):
         from repro.core.constraints import NodeSpec
@@ -295,14 +295,15 @@ class TestDynamicMembership:
         name = next(
             n for n in system.consumers if "news" in system.subscriptions[n]
         )
-        assert system.leave_feed(name, "news")
-        assert not system.online_in(name, "news")
+        news = system.members(["news"])
+        assert news.take_down(name)
+        assert not news.is_online(name)
         assert name in system.subscriber_names("news")  # still subscribed
         assert name not in system.subscriber_names("news", online_only=True)
-        assert not system.leave_feed(name, "news")  # already offline: no-op
-        assert system.rejoin_feed(name, "news")
-        assert system.online_in(name, "news")
-        assert not system.rejoin_feed(name, "news")  # already online: no-op
+        assert not news.take_down(name)  # already offline: no-op
+        assert news.bring_up(name)
+        assert news.is_online(name)
+        assert not news.bring_up(name)  # already online: no-op
 
     def test_leave_feed_keeps_other_participations(self):
         system = self.converged()
@@ -312,12 +313,13 @@ class TestDynamicMembership:
             if len(system.subscriptions[n]) >= 2
         )
         feeds = system.subscriptions[name]
-        system.leave_feed(name, feeds[0])
+        system.members(feeds[:1]).take_down(name)
         for other in feeds[1:]:
-            assert system.online_in(name, other)
+            assert system.members([other]).is_online(name)
 
     def test_membership_ops_on_unknown_names_are_noops(self):
         system = small_system()
-        assert not system.leave_feed("ghost", "news")
-        assert not system.rejoin_feed("ghost", "news")
-        assert not system.online_in("ghost", "news")
+        news = system.members(["news"])
+        assert not news.take_down("ghost")
+        assert not news.bring_up("ghost")
+        assert not news.is_online("ghost")

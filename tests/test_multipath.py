@@ -20,7 +20,9 @@ from repro.multipath import (
     delivery_under_failures,
 )
 from repro.par import ProcessPoolSweepExecutor, SerialExecutor, repeat_items
+from repro.sim.churn import ChurnConfig
 from repro.sim.runner import SimulationConfig, SimulationResult
+from repro.spec import RunSpec, run
 from repro.workloads import make as make_workload
 
 RESULT_FIELDS = [
@@ -271,6 +273,50 @@ class TestFaultComposition:
         system.run_round()
         assert system.all_converged()
         assert calls == []
+
+
+class TestChurnComposition:
+    """One churn chain over the twin view: a churned peer leaves and
+    rejoins every path at once, and every path stays a valid overlay."""
+
+    CRASH = "crash@40:0.2:rejoin=10"
+
+    def churned_system(self, **kwargs):
+        return MultipathSystem(
+            make_workload("Rand", size=40, seed=3),
+            paths=2,
+            seed=3,
+            churn=ChurnConfig(),
+            **kwargs,
+        )
+
+    def test_paths_stay_whole_and_in_lockstep_every_round(self):
+        system = self.churned_system(faults=parse_fault_plan(self.CRASH))
+        for _ in range(120):
+            system.run_round()
+            for overlay in system.overlays:
+                overlay.check_integrity()
+            for name, node in system._nodes[0].items():
+                assert node.online == system._nodes[1][name].online, name
+        assert system.churn.total_departures > 0
+        assert system.churn.total_rejoins > 0
+        assert system.injector.crashes > 0
+
+    def test_departures_count_members_not_participations(self):
+        system = self.churned_system()
+        system.run(max_rounds=120, stop_at_convergence=False)
+        result = system.result()
+        departures = system.churn.total_departures
+        assert departures > 0
+        assert [r.departures for r in result.per_path] == [departures] * 2
+        assert result.summary().departures == departures
+        assert result.summary().rejoins == system.churn.total_rejoins
+
+    def test_spec_runs_churned_paths(self):
+        spec = RunSpec.parse("size=40;workload-seed=3;churn=1;paths=2;rounds=60")
+        result = run(spec, 3)
+        assert result.paths == 2
+        assert result.per_path[0].departures > 0
 
 
 class TestDeterminism:

@@ -243,8 +243,9 @@ class TestSampleDrawForDraw:
             # stale known-partner names both occur.
             for name in shaker.sample(system.consumers, 4):
                 for feed in system.subscriptions[name]:
-                    if not system.leave_feed(name, feed):
-                        system.rejoin_feed(name, feed)
+                    members = system.members([feed])
+                    if not members.take_down(name):
+                        members.bring_up(name)
             for feed, (indexed, rng, bias_rng) in twins.items():
                 overlay = system.overlays[feed]
                 for enquirer in [overlay.source] + overlay.consumers:

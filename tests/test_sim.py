@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.core.tree import Overlay
+from repro.faults.injector import Members
+from repro.obs.probe import RecordingProbe
 from repro.sim.asynchrony import AsynchronyConfig, AsynchronyModel
 from repro.sim.churn import ChurnConfig, ChurnProcess
 from repro.sim.engine import EventScheduler
@@ -43,6 +45,12 @@ class TestChurn:
             overlay.add_consumer(spec(3, 2), name=f"n{i}")
         return overlay
 
+    @staticmethod
+    def _process(overlay, config, seed=1):
+        return ChurnProcess(
+            Members.of_overlay(overlay), config, random.Random(seed)
+        )
+
     def test_default_probabilities_match_paper(self):
         config = ChurnConfig()
         assert config.leave_probability == 0.01
@@ -60,47 +68,52 @@ class TestChurn:
 
     def test_no_churn_before_start_round(self):
         overlay = self._overlay()
-        process = ChurnProcess(
-            overlay, ChurnConfig(1.0, 0.0, start_round=10), random.Random(1)
-        )
-        events = process.step(now=5)
-        assert not events.left
+        process = self._process(overlay, ChurnConfig(1.0, 0.0, start_round=10))
+        assert process.step(now=5) == (0, 0)
         assert all(n.online for n in overlay.consumers)
 
     def test_certain_departure(self):
         overlay = self._overlay(5)
-        process = ChurnProcess(overlay, ChurnConfig(1.0, 0.0), random.Random(1))
-        events = process.step(now=1)
-        assert len(events.left) == 5
+        process = self._process(overlay, ChurnConfig(1.0, 0.0))
+        assert process.step(now=1) == (5, 0)
         assert not overlay.online_consumers
 
     def test_certain_rejoin(self):
         overlay = self._overlay(5)
         for node in overlay.consumers:
             overlay.go_offline(node)
-        process = ChurnProcess(overlay, ChurnConfig(0.0, 1.0), random.Random(1))
-        events = process.step(now=1)
-        assert len(events.rejoined) == 5
+        process = self._process(overlay, ChurnConfig(0.0, 1.0))
+        assert process.step(now=1) == (0, 5)
+        assert len(overlay.online_consumers) == 5
 
     def test_departure_orphans_recorded(self):
         overlay = self._overlay(3)
+        overlay.probe = RecordingProbe()
         a, b = overlay.node(1), overlay.node(2)
         overlay.attach(a, overlay.source)
         overlay.attach(b, a)
-        process = ChurnProcess(overlay, ChurnConfig(1.0, 0.0), random.Random(1))
-        events = process.step(now=1)
-        assert b in events.orphaned or not b.online
+        process = self._process(overlay, ChurnConfig(1.0, 0.0))
+        process.step(now=1)
+        orphans = {e.node: e.orphans for e in overlay.probe.events_of("churn-leave")}
+        assert orphans[a.node_id] == 1  # b, before it left in turn
+        assert b.parent is None and not b.online
 
     def test_no_same_round_flapping(self):
         """A peer never leaves and rejoins within one step (snapshot rule)."""
         overlay = self._overlay(30)
-        process = ChurnProcess(overlay, ChurnConfig(1.0, 1.0), random.Random(1))
-        events = process.step(now=1)
-        assert set(events.left).isdisjoint(events.rejoined)
+        for node in overlay.consumers[::3]:
+            overlay.go_offline(node)
+        overlay.probe = RecordingProbe()
+        process = self._process(overlay, ChurnConfig(1.0, 1.0))
+        assert process.step(now=1) == (20, 10)
+        left = {e.node for e in overlay.probe.events_of("churn-leave")}
+        rejoined = {e.node for e in overlay.probe.events_of("churn-rejoin")}
+        assert (len(left), len(rejoined)) == (20, 10)
+        assert left.isdisjoint(rejoined)
 
     def test_statistics_accumulate(self):
         overlay = self._overlay(10)
-        process = ChurnProcess(overlay, ChurnConfig(0.5, 0.5), random.Random(1))
+        process = self._process(overlay, ChurnConfig(0.5, 0.5))
         for now in range(1, 50):
             process.step(now)
         assert process.total_departures > 0

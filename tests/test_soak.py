@@ -349,7 +349,7 @@ def test_crash_nodes_indexes_shared_population():
     system = soak.system
     for index, name in enumerate(system.consumers):
         for feed in system.subscriptions[name]:
-            assert system.online_in(name, feed) == (index >= 2)
+            assert system.members([feed]).is_online(name) == (index >= 2)
 
 
 class TestServeSoakCLI:

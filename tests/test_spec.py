@@ -1,7 +1,7 @@
 """``repro.spec``: the text form round-trips for any valid spec, a
 malformed one names its field, and one spec gives one outcome through
 ``repro build --paths 2``, the sweep worker and ``run()``; ``paths > 1``
-with churn or asynchrony is refused, ``ms`` windows resolve per run
+with asynchrony is refused, ``ms`` windows resolve per run
 kind, and the stop rule follows the fault plan."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.locality.geo import get_profile
 from repro.oracles.base import oracle_names
 from repro.par import SweepItem, execute_item
 from repro.sim.asynchrony import AsynchronyConfig
-from repro.sim.churn import ChurnConfig
 from repro.sim.runner import SimulationConfig
 from repro.spec import STOP_RULES, RunSpec, run
 from repro.workloads import family_names
@@ -63,7 +62,7 @@ SOAK = {
 @st.composite
 def specs(draw) -> RunSpec:
     """A valid spec of either kind: combinations the engine configs
-    refuse (paths > 1 with churn, a timeline past the soak's end, ...)
+    refuse (paths > 1 with asynchrony, a timeline past the soak's end, ...)
     are drawn again."""
     table = draw(st.sampled_from((CONSTRUCTION, SOAK)))
     names = draw(st.sets(st.sampled_from(sorted(table))))
@@ -106,7 +105,7 @@ class TestTextForm:
 
     def test_engine_configs_validate_the_run(self):
         with pytest.raises(ConfigurationError, match="single-overlay"):
-            RunSpec.parse("churn=1;paths=2")
+            RunSpec.parse("asynchrony=1:4;paths=2")
         with pytest.raises(ConfigurationError, match="warmup"):
             RunSpec.parse("feeds=news;warmup=50;rounds=40")
 
@@ -136,16 +135,17 @@ class TestRun:
         ]
 
     @pytest.mark.parametrize(
-        "setting", [{"churn": ChurnConfig()}, {"asynchrony": AsynchronyConfig()}]
+        "setting",
+        [{"time_model": GEO}, {"asynchrony": AsynchronyConfig()}],
     )
     def test_multipath_config_refuses_single_overlay_models(self, setting):
         with pytest.raises(ConfigurationError, match="single-overlay"):
             SimulationConfig(paths=2, **setting)
 
-    def test_worker_refuses_a_multipath_item_with_churn(self):
+    def test_worker_refuses_a_multipath_item_with_asynchrony(self):
         config = RunSpec(paths=2, rounds=40).config(0)
         # As an item pickled before the check existed would carry it.
-        object.__setattr__(config, "churn", ChurnConfig())
+        object.__setattr__(config, "asynchrony", AsynchronyConfig())
         outcome = execute_item(
             SweepItem(family="Rand", config=config, population=20, seed=0), memo={}
         )

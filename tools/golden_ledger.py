@@ -19,9 +19,12 @@ static and under churn plus faults, asynchrony under churn, a static
 greedy build stopped at convergence (the paper grid's path), three
 multi-feed service soaks (one on the continuous clock, the one row
 whose feed delivery runs on a per-edge hop-delay model; one under
-leave, partition, stale-view and oracle-outage windows) and two faulted
+leave, partition, stale-view and oracle-outage windows), two faulted
 two-path multipath builds (a crash; the same four window and leave
-faults, each window timed to land while peers still query the oracle).  Three rows stay code: a reuse-biased
+faults, each window timed to land while peers still query the oracle)
+and two churned two-path builds (churn alone; churn plus a crash), where
+a churned peer leaves and rejoins both paths at once.  Three rows stay
+code: a reuse-biased
 multi-feed system driven by ``run()`` and by ``run_sequential()``, and
 a corrupted overlay's self-stabilization (each with its sorted final
 parent maps).
@@ -119,6 +122,11 @@ RUNS: List[Tuple[str, int, str]] = [
     ("multipath/2-paths+leave+partition+stale", 5,
      "size=30;workload-seed=5;faults=leave@30:0.2:rejoin=10, partition@31:20:2, "
      "stale-view@40:10:3, oracle-outage@42:5;paths=2;rounds=200"),
+    ("multipath/2-paths+churn", 5,
+     "size=40;workload-seed=5;churn=1;paths=2;rounds=200;stop=budget"),
+    ("multipath/2-paths+churn+crash", 5,
+     "size=40;workload-seed=5;churn=1;faults=crash@40:0.2:rejoin=10;paths=2;"
+     "rounds=200;stop=budget"),
     ("soak/leave+partition+stale", 11, SOAK36.format(
         "faults=leave@25:0.2:rejoin=8, partition@26:10:2, stale-view@31:8:3, "
         "oracle-outage@40:4;timeline=flash@30:news:x4:ramp=2")),
