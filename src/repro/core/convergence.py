@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Tuple
 
-from repro.core.node import Node
+from repro.core.node import SOURCE_ID, Node
 from repro.core.tree import Overlay
 
 
@@ -71,12 +71,12 @@ def _forest_scan(overlay: Overlay) -> Tuple[int, int, int, int, Dict[int, int]]:
     parentless = rooted = satisfied = slack_sum = 0
     histogram: Dict[int, int] = {}
     store = overlay.store
-    rooted_column, delay_column = store.rooted, store.delay
+    root_column, delay_column = store.root, store.delay
     for node in overlay._online:
         if node.parent is None:
             parentless += 1
         node_id = node.node_id
-        if not rooted_column[node_id]:
+        if root_column[node_id] != SOURCE_ID:
             continue
         delay = delay_column[node_id]
         rooted += 1

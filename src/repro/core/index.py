@@ -1,7 +1,7 @@
 """Incrementally maintained chain-metadata index.
 
-The chain metadata of §2.1.3 — ``Root(i)``, the depth below that root and
-hence ``DelayAt(i)`` — is a pure function of the parent links, and every
+The chain metadata of §2.1.3 — ``Root(i)`` and ``DelayAt(i)`` — is a
+pure function of the parent links, and every
 layer of this reproduction reads it constantly: the oracles filter each
 sampled candidate by delay, :func:`repro.core.convergence.measure` scores
 every node every round, and the maintenance rules consult it on every
@@ -12,22 +12,22 @@ exact *incrementally* by the structural mutators of
 
 ``on_attach(child, parent)``
     ``child`` was a fragment root; its subtree now hangs below
-    ``parent``, so it takes ``parent``'s root and ``child`` sits at
-    ``depth(parent) + 1``.  ``attach`` calls it once; ``splice`` (a node
+    ``parent``, so it takes ``parent``'s root and ``child`` sits one hop
+    below it, at ``DelayAt(parent) + 1``.  ``attach`` calls it once; ``splice`` (a node
     slipped in above a parented child) calls it for the incoming node
     and then for the child, whose subtree moves once, one hop deeper.
 ``on_detach(child)``
-    ``child`` becomes a fragment root at depth 0.  ``detach`` calls it
+    ``child`` becomes a fragment root, at potential delay 1.  ``detach`` calls it
     once; ``go_offline`` detaches the leaver *after* taking its children
     off it, so the leaver moves alone and each orphan subtree moves once.
-    A rejoining node (``go_online``) is already the fragment-root
-    identity ``(itself, 0)`` and moves nothing.
+    A rejoining node (``go_online``) is already its own fragment root
+    and moves nothing.
 
 Both hooks are one :meth:`ChainIndex._shift_subtree`: the subtree below
 the moved node, walked level by level.  The piggy-backed metadata of
-§2.1.3 is the same for every node of one level — one root, one depth,
-one delay, all offsets from the moved node — so each level costs one
-set of column writes per node and a handful of per-level constants.
+§2.1.3 is the same for every node of one level — one root and one
+delay, offsets from the moved node — so each level costs two column
+writes per node and a handful of per-level constants.
 
 The same shift keeps the **delay roster** current: a list of Python
 ints used as bitsets over node ids, bit ``i`` of ``roster[d]`` set iff
@@ -66,9 +66,12 @@ Invariants (cross-checked by :meth:`ChainIndex.verify`, which
 in-tree as ``Overlay.walk_*``):
 
 * for every node, its ``root`` column cell is the parentless top of its
-  chain and its ``depth`` cell its hop count to that root;
+  chain and its ``delay`` cell its ``DelayAt``: the hop count to that
+  root, plus one unless the root is the source;
 * a parentless node (including every offline node and the source) is its
-  own root at depth 0;
+  own root, at delay 1 (the source at delay 0);
+* rootedness and depth are derived, never stored: a node is rooted iff
+  ``root == SOURCE_ID``, and its depth is ``delay - 1 + rooted``;
 * once built, the delay roster equals a from-scratch scan of the
   ``delay`` column and the liveness flags;
 * the quality counters equal :func:`repro.core.convergence._forest_scan`,
@@ -128,20 +131,19 @@ def kth_set_bit(mask: int, k: int) -> int:
 
 
 class ChainIndex:
-    """Per-node ``(fragment_root, depth)`` cache with subtree invalidation.
+    """Per-node ``(Root, DelayAt)`` cache with subtree invalidation.
 
     Owned by one :class:`~repro.core.tree.Overlay`; the overlay calls the
     ``on_*`` hooks from its checked mutators *after* the parent/child
-    links are updated.  The per-node facts live in the ``root`` /
-    ``depth`` / ``rooted`` / ``delay`` columns of the overlay's
-    :class:`~repro.core.store.ColumnarState`.  ``root`` and ``depth``
-    are the primary facts; ``rooted`` and ``delay`` are derived but
-    stored too, because the oracle filters read them millions of times
-    per run.  ``DelayAt`` is ``depth`` for nodes whose root is the
+    links are updated.  The per-node facts live in the ``root`` and
+    ``delay`` columns of the overlay's
+    :class:`~repro.core.store.ColumnarState`, the two the readers ask
+    for: the oracle filters read ``delay`` millions of times per run.
+    ``DelayAt`` is the depth below the root for nodes whose root is the
     source and ``depth + 1`` (the potential delay of §2.1.3) otherwise;
-    the source itself is its own root at depth 0.  All four are written
-    in the same subtree shift, so they can never disagree (and
-    :meth:`verify` checks they do not).
+    the source itself is its own root at delay 0.  Rootedness
+    (``root == SOURCE_ID``) and depth (``delay - 1 + rooted``) follow
+    from the two, so a moved node costs two column writes.
 
     Besides the per-node columns the index serves the *delay roster*
     (:meth:`delay_roster`): online consumers bucketed by ``DelayAt`` as
@@ -156,8 +158,9 @@ class ChainIndex:
         #: Delay-bucketed bitsets of the online consumers, or ``None``
         #: until :meth:`delay_roster` is first read.
         self._roster: Optional[List[int]] = None
-        #: Watch sets handed out by :meth:`watch`, one per consumer.
-        self._watchers: List[Set[int]] = []
+        #: Watch sets handed out by :meth:`watch`, one per consumer; while
+        #: there is none the overlay skips :meth:`mark`.
+        self.watchers: List[Set[int]] = []
         #: The bound ``settled`` predicate (:meth:`bind`), its level form.
         self.settled_rule: Optional[Callable] = None
         self._level: Optional[Callable] = None
@@ -180,16 +183,15 @@ class ChainIndex:
         continuous engine's wake-on-violation) asks for its own set and
         drains and clears it at its own pace; the ids are the ones the
         index traversal visits anyway, so watching does not change the
-        asymptotics, and with no watcher a shift pays an empty loop per
-        level.
+        asymptotics, and with no watcher a shift skips the notification.
         """
         watcher: Set[int] = set()
-        self._watchers.append(watcher)
+        self.watchers.append(watcher)
         return watcher
 
     def _notify(self, node_ids) -> None:
         """Add ``node_ids`` to every watch set."""
-        for watcher in self._watchers:
+        for watcher in self.watchers:
             watcher.update(node_ids)
 
     def rebuild(self) -> None:
@@ -209,12 +211,8 @@ class ChainIndex:
         for node in overlay:
             i = node.node_id
             root = overlay.walk_fragment_root(node)
-            depth = overlay.walk_depth(node)
-            rooted = root.is_source
             store.root[i] = root.node_id
-            store.depth[i] = depth
-            store.rooted[i] = 1 if rooted else 0
-            store.delay[i] = depth if rooted else depth + 1
+            store.delay[i] = overlay.walk_depth(node) + (not root.is_source)
         self._notify([node.node_id for node in overlay])
         if self._roster is not None:
             self._roster = self._scan_roster()
@@ -239,19 +237,17 @@ class ChainIndex:
         overlay = self._overlay
         if self._level is None or not self.parented:
             return  # no rule, or no parented node to give a cell
-        root, depth = self._store.root, self._store.depth
+        root, delay = self._store.root, self._store.delay
         for top in overlay.source.children + overlay.fragments()[1:]:
-            self._shift_subtree(top, root[top.node_id], depth[top.node_id])
+            self._shift_subtree(top, root[top.node_id], delay[top.node_id])
 
     def register(self, node: Node) -> None:
-        """Index a newly added node: its own root at depth 0."""
+        """Index a newly added node: its own root, at delay 1 (the
+        source at 0)."""
         store = self._store
         i = node.node_id
-        rooted = i == SOURCE_ID
         store.root[i] = i
-        store.depth[i] = 0
-        store.rooted[i] = 1 if rooted else 0
-        store.delay[i] = 0 if rooted else 1
+        store.delay[i] = 0 if node.is_source else 1
         self._sync_roster(node)
         self._notify((i,))
 
@@ -267,19 +263,20 @@ class ChainIndex:
     def on_attach(self, child: Node, parent: Node) -> int:
         """``child`` (a fragment root) was attached under ``parent``;
         returns the number of nodes moved."""
-        store = self._store
-        if not store.depth[child.node_id]:
+        root = self._store.root
+        c = child.node_id
+        if root[c] == c:
             # It headed a fragment; ``splice``'s second attach moves a
             # child that was parented all along.
             self.parented += 1
         p = parent.node_id
-        return self._shift_subtree(child, store.root[p], store.depth[p] + 1)
+        return self._shift_subtree(child, root[p], self._store.delay[p] + 1)
 
     def on_detach(self, child: Node) -> int:
         """``child`` was severed from its parent and heads its own
         fragment; returns the number of nodes moved."""
         self.parented -= 1
-        return self._shift_subtree(child, child.node_id, 0)
+        return self._shift_subtree(child, child.node_id, 1)
 
     def touch(self, node: Node) -> None:
         """Record a liveness-only mutation of ``node``
@@ -298,15 +295,15 @@ class ChainIndex:
         (fanout-slack shifts on a parent)."""
         self._notify((node.node_id,))
 
-    def _shift_subtree(self, top: Node, root_id: int, depth: int) -> int:
+    def _shift_subtree(self, top: Node, root_id: int, delay: int) -> int:
         """Re-root ``top``'s subtree at ``root_id`` with ``top`` at
-        ``depth``; returns the number of nodes moved.
+        ``DelayAt`` ``delay``; returns the number of nodes moved.
 
         The subtree is walked level by level.  Every node of one level
-        gets the same ``root`` / ``rooted`` / ``depth`` / ``delay``
-        cells, computed from ``top`` alone, and left the same delay
-        bucket and rootedness (``top``'s old ones, plus the level), so a
-        node's own cells are written, never read.  Each level moves
+        gets the same ``root`` and ``delay`` cells, computed from
+        ``top`` alone, and left the same delay bucket and rootedness
+        (``top``'s old ones, plus the level), so a node's own cells are
+        written, never read: two writes per moved node.  Each level moves
         between roster buckets as one mask, and the bound rule's level
         form writes its unsettled cells.  The walk visits each node once
         — this is the "a mutation pays the size of the moved subtree"
@@ -315,19 +312,16 @@ class ChainIndex:
         """
         store = self._store
         root_col = store.root
-        depth_col = store.depth
-        rooted_col = store.rooted
         delay_col = store.delay
         unsettled = store.unsettled
         roster = self._roster
         histogram = self._histogram
         rule = self._level
-        watchers = self._watchers
+        watchers = self.watchers
         limit = len(self._overlay)
         rooted = 1 if root_id == SOURCE_ID else 0
-        delay = depth + 1 - rooted
         old = delay_col[top.node_id]
-        was_rooted = rooted_col[top.node_id]
+        was_rooted = 1 if root_col[top.node_id] == SOURCE_ID else 0
         scored = rooted or was_rooted
         satisfied = slack = 0
         seen = 0
@@ -346,8 +340,6 @@ class ChainIndex:
             for node in level:
                 i = node.node_id
                 root_col[i] = root_id
-                rooted_col[i] = rooted
-                depth_col[i] = depth
                 delay_col[i] = delay
                 if roster is not None:
                     mask |= 1 << i
@@ -379,7 +371,6 @@ class ChainIndex:
                 for watcher in watchers:
                     watcher.update(ids)
             level = below
-            depth += 1
             delay += 1
             old += 1
         self.rooted += (rooted - was_rooted) * seen
@@ -459,24 +450,14 @@ class ChainIndex:
         for node in overlay:
             i = node.node_id
             root_id = store.root[i]
-            depth = store.depth[i]
-            rooted = bool(store.rooted[i])
             delay = store.delay[i]
             walk_root = overlay.walk_fragment_root(node)
-            walk_depth = overlay.walk_depth(node)
-            if root_id != walk_root.node_id or depth != walk_depth:
+            walk_delay = overlay.walk_depth(node) + (not walk_root.is_source)
+            if root_id != walk_root.node_id or delay != walk_delay:
                 raise TopologyError(
                     f"chain index diverged at {node!r}: cached "
-                    f"(root=id {root_id}, depth={depth}) vs walked "
-                    f"(root={walk_root!r}, depth={walk_depth})"
-                )
-            if rooted != walk_root.is_source or delay != (
-                depth if rooted else depth + 1
-            ):
-                raise TopologyError(
-                    f"chain index diverged at {node!r}: stored derived "
-                    f"fields (rooted={rooted}, delay={delay}) "
-                    f"disagree with (root={walk_root!r}, depth={walk_depth})"
+                    f"(root=id {root_id}, delay={delay}) vs walked "
+                    f"(root={walk_root!r}, delay={walk_delay})"
                 )
         if self._roster is not None and any(
             kept != scanned

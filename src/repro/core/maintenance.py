@@ -46,7 +46,7 @@ Settled nodes
 
 from __future__ import annotations
 
-from repro.core.node import Node
+from repro.core.node import SOURCE_ID, Node
 from repro.core.tree import Overlay
 
 
@@ -56,7 +56,7 @@ def greedy_settled(algorithm, node: Node) -> bool:
     store = algorithm.overlay.store
     node_id = node.node_id
     # A rooted consumer's delay is at least 1, so 0 stands for unrooted.
-    delay = store.delay[node_id] if store.rooted[node_id] else 0
+    delay = store.delay[node_id] if store.root[node_id] == SOURCE_ID else 0
     return delay != node.latency + 1
 
 
@@ -105,7 +105,7 @@ def hybrid_settled(algorithm, node: Node) -> bool:
         return False
     store = algorithm.overlay.store
     node_id = node.node_id
-    delay = store.delay[node_id] if store.rooted[node_id] else 0
+    delay = store.delay[node_id] if store.root[node_id] == SOURCE_ID else 0
     return delay <= node.latency
 
 

@@ -58,19 +58,17 @@ class Node:
     two nodes are the same node only if they are the same Python object,
     and ``node_id`` is unique within one
     :class:`~repro.core.tree.Overlay`.  All node state is plain slots
-    (the fastest attribute read CPython has).  The mutable hot state
-    (``parent``, ``online``) is mirrored into the store's columns by the
-    checked :class:`~repro.core.tree.Overlay` mutators — the only code that
-    assigns either — so the arrays stay the exact scan surface
-    (:meth:`ColumnarState.verify <repro.core.store.ColumnarState.verify>`
-    cross-checks slot against column).  The per-node protocol timers are
-    slots only — strictly node-local scratch the scans never aggregate
-    over.
+    (the fastest attribute read CPython has), and the slots are its only
+    copy: ``parent`` and ``online`` are assigned by the checked
+    :class:`~repro.core.tree.Overlay` mutators alone, and the per-node
+    protocol timers are node-local scratch.  The store's columns hold
+    only the chain metadata, which belongs to the overlay.
     """
 
     __slots__ = (
         "_store",
         "node_id",
+        "is_source",
         "spec",
         "name",
         "latency",
@@ -89,6 +87,8 @@ class Node:
     def __init__(self, store: "ColumnarState", node_id: NodeId, spec: NodeSpec, name: str) -> None:
         self._store = store
         self.node_id = node_id
+        #: Whether this node is the feed source (node 0).
+        self.is_source = node_id == SOURCE_ID
         self.spec = spec
         self.name = name if name else str(node_id)
         #: ``l_i`` and ``f_i``, copied out of :attr:`spec` for the hot reads.
@@ -118,11 +118,6 @@ class Node:
         self.source_retry_timeout = 0
 
     # --- read-only convenience --------------------------------------------
-
-    @property
-    def is_source(self) -> bool:
-        """Whether this node is the feed source (node 0)."""
-        return self.node_id == SOURCE_ID
 
     @property
     def free_fanout(self) -> int:

@@ -1,30 +1,22 @@
 """Dense columnar node-state storage: the N=100k memory layout.
 
-Every hot fact of a node (constraints, links, liveness, chain metadata)
-lives in one ``array``/``bytearray`` column per fact, indexed by a
-*dense* node id, so scans read arrays instead of chasing per-node
-objects.  :class:`~repro.core.node.Node` is the per-id view over these
-columns: it keeps the node API (``parent``, ``children``, ``online``,
-the protocol timers) as slots, so the construction algorithms,
-maintenance rules and oracles read nodes while the scan-heavy readers
-(the oracle roster, the convergence scan, the ``settled`` predicates)
-read the columns.
+The chain metadata of every node lives in one ``array``/``bytearray``
+column per fact, indexed by a *dense* node id, so the scan-heavy
+readers (the oracle roster, the convergence scan, the ``settled``
+predicates) read arrays instead of chasing per-node objects.
+:class:`~repro.core.node.Node` is the per-id view: it keeps the node
+API (``spec``, ``parent``, ``children``, ``online``, the protocol
+timers) as slots, the only copy of those facts.
 
 Columns
 -------
-``latency`` / ``fanout``
-    The immutable ``NodeSpec`` constraints, mirrored into columns so
-    scan-heavy readers (oracle candidate passes, the convergence scan)
-    never touch the spec objects.
-``parent``
-    Parent node id, ``-1`` for parentless — the single structural fact
-    the whole chain model derives from.
-``online``
-    Liveness bit.
-``root`` / ``depth`` / ``rooted`` / ``delay``
-    The §2.1.3 chain metadata, owned and maintained by
-    :class:`repro.core.index.ChainIndex` (uniform subtree shifts at the
-    structural mutators).
+``root`` / ``delay``
+    The §2.1.3 chain metadata ``Root(i)`` and ``DelayAt(i)``, owned and
+    maintained by :class:`repro.core.index.ChainIndex` (uniform subtree
+    shifts at the structural mutators).  The other two chain facts are
+    derived from them: a node is *rooted* iff ``root[i] == SOURCE_ID``
+    (the source is its own root at id 0), and its depth below its root
+    is ``delay[i] - 1 + rooted``.
 ``unsettled``
     ``not settled(node)`` of every parented node, kept by the chain index
     for the bound maintenance rule (:meth:`~repro.core.index.ChainIndex.bind`).
@@ -55,9 +47,6 @@ from repro.core.constraints import NodeSpec
 from repro.core.errors import TopologyError
 from repro.core.node import Node, NodeId
 
-#: Sentinel stored in the ``parent`` column for parentless nodes.
-NO_PARENT = -1
-
 
 class ColumnarState:
     """The column arrays plus the dense id allocator.
@@ -68,16 +57,9 @@ class ColumnarState:
     """
 
     def __init__(self) -> None:
-        make = lambda: array("l")  # noqa: E731 - column constructor
-        self.latency = make()
-        self.fanout = make()
-        self.parent = make()
-        self.online = bytearray()
         # Chain-metadata columns (§2.1.3), owned by ChainIndex.
-        self.root = make()
-        self.depth = make()
-        self.rooted = bytearray()
-        self.delay = make()
+        self.root = array("l")
+        self.delay = array("l")
         self.unsettled = bytearray()
         #: One view object per live id (``None`` = released slot).
         self.nodes: List[Optional[Node]] = []
@@ -103,21 +85,11 @@ class ColumnarState:
         else:
             node_id = len(self.nodes)
             self.nodes.append(None)
-            self.latency.append(0)
-            self.fanout.append(0)
-            self.parent.append(NO_PARENT)
-            self.online.append(0)
             self.root.append(node_id)
-            self.depth.append(0)
-            self.rooted.append(0)
             self.delay.append(0)
             self.unsettled.append(0)
         node = Node(self, node_id, spec, name)
         self.nodes[node_id] = node
-        self.latency[node_id] = spec.latency
-        self.fanout[node_id] = spec.fanout
-        self.parent[node_id] = NO_PARENT
-        self.online[node_id] = 1
         return node
 
     def release(self, node_id: NodeId) -> None:
@@ -130,9 +102,9 @@ class ColumnarState:
         node = self.nodes[node_id]
         if node is None:
             raise TopologyError(f"id {node_id} is already free")
-        if self.online[node_id]:
+        if node.online:
             raise TopologyError(f"cannot release online id {node_id}")
-        if self.parent[node_id] != NO_PARENT or node.children:
+        if node.parent is not None or node.children:
             raise TopologyError(f"cannot release linked id {node_id}")
         self.nodes[node_id] = None
         heapq.heappush(self.free, node_id)
@@ -140,27 +112,13 @@ class ColumnarState:
     # ------------------------------------------------------------------
 
     def verify(self, overlay) -> None:
-        """Cross-check every column against the view-level state.
-
-        The analogue of ``ChainIndex.verify`` for the non-chain
-        columns: constraints, parent links and liveness bits must agree
-        with what the views report.  Chain columns are
-        checked by ``ChainIndex.verify`` (via the reference walks), not
-        here.
-        """
+        """Cross-check the view table and the free list: every member is
+        the view at its id, and no freed id has one.  The chain columns
+        are checked by ``ChainIndex.verify`` (via the reference walks)."""
         for node in overlay:
             i = node.node_id
-            view = self.nodes[i]
-            if view is not node:
+            if self.nodes[i] is not node:
                 raise TopologyError(f"store view table diverged at id {i}")
-            if self.latency[i] != node.spec.latency or self.fanout[i] != node.spec.fanout:
-                raise TopologyError(f"constraint columns diverged at id {i}")
-            parent = node.parent
-            expected = NO_PARENT if parent is None else parent.node_id
-            if self.parent[i] != expected:
-                raise TopologyError(f"parent column diverged at id {i}")
-            if bool(self.online[i]) != node.online:
-                raise TopologyError(f"online column diverged at id {i}")
         for free_id in self.free:
             if self.nodes[free_id] is not None:
                 raise TopologyError(f"freed id {free_id} still has a view")

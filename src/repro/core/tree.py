@@ -49,7 +49,7 @@ from repro.core.errors import (
 )
 from repro.core.index import ChainIndex
 from repro.core.node import SOURCE_ID, Node, NodeId
-from repro.core.store import NO_PARENT, ColumnarState
+from repro.core.store import ColumnarState
 from repro.obs.probe import NULL_PROBE, Probe
 
 _BY_NODE_ID = attrgetter("node_id")
@@ -265,12 +265,13 @@ class Overlay:
         return self.walk_fragment_root(node)
 
     def depth(self, node: Node) -> int:
-        """Number of hops from the node to its fragment root (O(1))."""
+        """Number of hops from the node to its fragment root (O(1)):
+        ``DelayAt - 1``, plus the one hop to the source if rooted."""
         store = self.store
         node_id = node.node_id
         try:
             if store.nodes[node_id] is node:
-                return store.depth[node_id]
+                return store.delay[node_id] - (store.root[node_id] != SOURCE_ID)
         except IndexError:
             pass
         return self.walk_depth(node)
@@ -281,7 +282,7 @@ class Overlay:
         node_id = node.node_id
         try:
             if store.nodes[node_id] is node:
-                return bool(store.rooted[node_id])
+                return store.root[node_id] == SOURCE_ID
         except IndexError:
             pass
         return self.walk_is_rooted(node)
@@ -315,8 +316,8 @@ class Overlay:
         try:
             if store.nodes[node_id] is node:
                 return node_id == SOURCE_ID or (
-                    bool(store.rooted[node_id])
-                    and store.depth[node_id] <= node.latency
+                    store.root[node_id] == SOURCE_ID
+                    and store.delay[node_id] <= node.latency
                 )
         except IndexError:
             pass
@@ -476,12 +477,13 @@ class Overlay:
     def _link(self, child: Node, parent: Node) -> None:
         """Hang the parentless ``child`` below ``parent``, unchecked."""
         child.parent = parent
-        self.store.parent[child.node_id] = parent.node_id
         parent.children.append(child)
-        self.shifted_nodes += self.chain_index.on_attach(child, parent)
+        index = self.chain_index
+        self.shifted_nodes += index.on_attach(child, parent)
         # The subtree shift noted the moved nodes; the parent's fanout
         # slack changed too, which only the watch sets care about.
-        self.chain_index.mark(parent)
+        if index.watchers:
+            index.mark(parent)
         # Any successful attach ends a source-contact backoff episode
         # (no-op unless backoff is enabled and an episode was running).
         child.source_failures = 0
@@ -500,9 +502,10 @@ class Overlay:
             raise TopologyError(f"{child!r} has no parent to leave")
         parent.children.remove(child)
         child.parent = None
-        self.store.parent[child.node_id] = NO_PARENT
-        self.shifted_nodes += self.chain_index.on_detach(child)
-        self.chain_index.mark(parent)  # parent regained fanout slack
+        index = self.chain_index
+        self.shifted_nodes += index.on_detach(child)
+        if index.watchers:
+            index.mark(parent)  # parent regained fanout slack
         self.detach_count += 1
         self.probe.detach(child.node_id, parent.node_id, reason)
         return parent
@@ -577,7 +580,6 @@ class Overlay:
             self.detach(node, reason=reason)
         for child in orphans:
             child.parent = None
-            self.store.parent[child.node_id] = NO_PARENT
             self.shifted_nodes += self.chain_index.on_detach(child)
             child.rounds_without_parent = 0
             # Not counted in detach_count (orphaning is the departing
@@ -587,7 +589,6 @@ class Overlay:
                 child.referral = grandparent
                 self.probe.referral(child.node_id, grandparent.node_id, reason)
         node.online = False
-        self.store.online[node.node_id] = 0
         _remove_sorted(self._online, node)
         if self._liveness_feeds:
             self.notify_liveness((node.node_id,))
@@ -600,7 +601,6 @@ class Overlay:
         if node.online:
             raise OfflineNodeError(f"{node!r} is already online")
         node.online = True
-        self.store.online[node.node_id] = 1
         insort(self._online, node, key=_BY_NODE_ID)
         if self._liveness_feeds:
             self.notify_liveness((node.node_id,))

@@ -39,7 +39,8 @@ recovery metrics — time-to-recover and the per-fault recovery series.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.node import Node
@@ -69,7 +70,7 @@ class Members:
     that overlay.  The names present at construction are the starting
     population: a :class:`~repro.faults.plan.CrashNodes` id is a
     consumer's node id in an overlay built from it, i.e. its 1-based
-    position.
+    position.  A repeated name would hide a consumer, so it is refused.
     """
 
     def __init__(
@@ -78,6 +79,12 @@ class Members:
         names: List[str],
         tables: Sequence[Dict[str, Node]],
     ) -> None:
+        if len(set(names)) < len(names):
+            repeated = next(n for n, count in Counter(names).items() if count > 1)
+            raise ConfigurationError(
+                "churn, fault plans and the paths of a multipath run "
+                f"tell consumers apart by name; {repeated!r} is repeated"
+            )
         self.overlays = list(overlays)
         self.names = names
         self.tables = list(tables)
@@ -88,20 +95,7 @@ class Members:
         """The consumers of one overlay, in id order."""
         consumers = overlay.consumers
         table = {node.name: node for node in consumers}
-        if len(table) != len(consumers):
-            raise ConfigurationError(
-                "churn and fault plans tell consumers apart by name; "
-                "this overlay repeats one"
-            )
         return cls([overlay], [node.name for node in consumers], [table])
-
-    def nodes(self, name: str) -> List[Tuple[Overlay, Node]]:
-        """``(overlay, node)`` for every overlay ``name`` belongs to."""
-        return [
-            (overlay, table[name])
-            for overlay, table in zip(self.overlays, self.tables)
-            if name in table
-        ]
 
     def is_online(self, name: str) -> bool:
         """Whether the member is online in any overlay."""
@@ -121,8 +115,9 @@ class Members:
         detaches (default: ``leave``, or ``crash`` if not graceful)."""
         reason = reason or ("leave" if graceful else "crash")
         left = False
-        for overlay, node in self.nodes(name):
-            if node.online:
+        for overlay, table in zip(self.overlays, self.tables):
+            node = table.get(name)
+            if node is not None and node.online:
                 overlay.go_offline(node, graceful=graceful, reason=reason)
                 left = True
         return left
@@ -131,8 +126,9 @@ class Members:
         """Bring the member back in every overlay it is offline in;
         returns whether it was offline anywhere."""
         revived = False
-        for overlay, node in self.nodes(name):
-            if not node.online:
+        for overlay, table in zip(self.overlays, self.tables):
+            node = table.get(name)
+            if node is not None and not node.online:
                 overlay.go_online(node)
                 revived = True
         return revived

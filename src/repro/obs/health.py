@@ -28,6 +28,7 @@ import dataclasses
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.rings import RingBuffer
+from repro.obs.trace import SOURCE_ID
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,13 +153,14 @@ class HealthRecorder:
         store = self.overlay.store
         i = node.node_id
         online = node.online
-        rooted = online and bool(store.rooted[i])
+        delay = store.delay[i]
+        rooted = online and store.root[i] == SOURCE_ID
         return (
             online,
             online and node.parent is None,
             rooted,
-            rooted and store.depth[i] <= node.latency,
-            store.delay[i],
+            rooted and delay <= node.latency,
+            delay,
             node.free_fanout,
         )
 

@@ -360,7 +360,7 @@ class StalenessAttributor:
         """Charge this round's aging; call once at the end of a round."""
         self.rounds = now
         overlay = self.overlay
-        rooted_column, delay_column = overlay.store.rooted, overlay.store.delay
+        root_column, delay_column = overlay.store.root, overlay.store.delay
         ages = self._ages
         faults = self.faults
         outage = faults is not None and (
@@ -373,7 +373,7 @@ class StalenessAttributor:
             state = ages.get(node_id)
             if state is None:
                 state = ages[node_id] = _Age()
-            if rooted_column[node_id]:
+            if root_column[node_id] == SOURCE_ID:
                 state.depth = state.age = delay_column[node_id]
                 state.reset_stalls()
                 continue

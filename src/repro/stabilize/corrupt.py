@@ -10,10 +10,9 @@ with live edges, chain columns that lie about the structure).
 Two rules keep the corruption *representable*:
 
 * raw link writes keep ``parent`` pointers and ``children`` lists
-  mutually consistent and mirror the store's ``parent`` / ``online``
-  columns, so a corrupted state means "the overlay's
-  invariants are broken", never "the store is out of sync with its own
-  node views";
+  mutually consistent, so a corrupted state means "the overlay's
+  invariants are broken", never "a node's links contradict each
+  other";
 * the source is never corrupted (it is the one fixed point every
   self-stabilizing overlay construction assumes).
 
@@ -28,7 +27,6 @@ import random
 from typing import Dict, Optional, Sequence, Set
 
 from repro.core.node import Node
-from repro.core.store import NO_PARENT
 from repro.core.tree import Overlay
 
 #: All corruption kinds, in application order.  Parent cycles go last so
@@ -54,15 +52,6 @@ def _raw_set_parent(
     child.parent = parent
     if parent is not None and child not in parent.children:
         parent.children.append(child)
-    overlay.store.parent[child.node_id] = (
-        NO_PARENT if parent is None else parent.node_id
-    )
-
-
-def _raw_set_online(overlay: Overlay, node: Node, online: bool) -> None:
-    """Flip liveness without detaching links or updating the roster."""
-    node.online = online
-    overlay.store.online[node.node_id] = 1 if online else 0
 
 
 def _in_subtree(root: Node, target: Node) -> bool:
@@ -121,13 +110,13 @@ def corrupt_overlay(
             store = overlay.store
             for node in victims:
                 i = node.node_id
-                # Lie about everything derivable: claim the node roots
-                # its own fragment at a shifted depth/delay, flip
-                # rootedness.
+                # Lie about both chain cells: claim the node roots its
+                # own fragment at a shifted delay.
                 store.root[i] = i
-                store.depth[i] += rng.randint(1, 4)
+                # A retired depth column's shift: drawn and dropped, so
+                # the rest of the stream stays where seeded runs expect.
+                rng.randint(1, 4)
                 store.delay[i] += rng.randint(1, 5)
-                store.rooted[i] = 0 if store.rooted[i] else 1
             count = len(victims)
         elif kind == "offline-interior":
             interior = [
@@ -135,7 +124,9 @@ def corrupt_overlay(
             ]
             victims = rng.sample(interior, min(budget, len(interior)))
             for node in victims:
-                _raw_set_online(overlay, node, False)
+                # Liveness flips without detaching links or updating
+                # the roster.
+                node.online = False
             count = len(victims)
         elif kind == "parent-cycle":
             pool = [n for n in consumers if n.online]

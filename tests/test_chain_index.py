@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from array import array
 from itertools import zip_longest
 from typing import Dict, Tuple
 
@@ -37,6 +38,7 @@ from repro.core.errors import (
     OfflineNodeError,
     TopologyError,
 )
+from repro.core.index import ChainIndex
 from repro.core.interactions import try_insert_between
 from repro.core.tree import Overlay
 from repro.obs.probe import RecordingProbe
@@ -78,14 +80,12 @@ def assert_index_matches_walk(overlay: Overlay) -> None:
     assert overlay.online_consumers == [n for n in naive_consumers if n.online]
 
 
-def chain_facts(overlay: Overlay) -> Dict[int, Tuple[int, int, int, int, bool]]:
-    """Every node's four chain cells and liveness, by id."""
+def chain_facts(overlay: Overlay) -> Dict[int, Tuple[int, int, bool]]:
+    """Every node's two chain cells and liveness, by id."""
     store = overlay.store
     return {
         n.node_id: (
             store.root[n.node_id],
-            store.depth[n.node_id],
-            store.rooted[n.node_id],
             store.delay[n.node_id],
             n.online,
         )
@@ -325,12 +325,12 @@ class TestSpliceEquivalence:
         return (
             {n.node_id: [c.node_id for c in n.children] for n in overlay},
             overlay.snapshot(),
-            (list(store.root), list(store.depth), bytes(store.rooted), list(store.delay)),
+            (list(store.root), list(store.delay)),
             list(index.delay_roster()),
             (overlay.attach_count, overlay.detach_count),
             [(n.source_failures, n.source_retry_timeout) for n in overlay],
             overlay.probe.events,
-            index._watchers[0],
+            index.watchers[0],
         )
 
     @staticmethod
@@ -433,7 +433,10 @@ class TestIntegrityCrossCheck:
         overlay.attach(a, overlay.source)
         overlay.attach(b, a)
         overlay.check_integrity()
-        overlay.store.depth[b.node_id] = 99
+        # Depth is read off the delay cell, so a lying delay is a lying
+        # depth.
+        overlay.store.delay[b.node_id] = 99
+        assert overlay.depth(b) == 99
         with pytest.raises(TopologyError, match="diverged"):
             overlay.check_integrity()
 
@@ -476,9 +479,13 @@ class TestIntegrityCrossCheck:
         overlay = Overlay(source_fanout=2)
         a = overlay.add_consumer(NodeSpec(latency=3, fanout=2))
         overlay.attach(a, overlay.source)
-        overlay.store.depth[a.node_id] = 42
+        overlay.store.root[a.node_id] = a.node_id
+        overlay.store.delay[a.node_id] = 42
+        with pytest.raises(TopologyError, match="diverged"):
+            overlay.check_integrity()
         overlay.chain_index.rebuild()
         overlay.check_integrity()
+        assert overlay.is_rooted(a) and overlay.delay_at(a) == 1
 
 
 class TestChainColumnCorruption:
@@ -495,15 +502,15 @@ class TestChainColumnCorruption:
         overlay.check_integrity()
         return overlay
 
-    @pytest.mark.parametrize("column", ["root", "depth", "rooted", "delay"])
+    @pytest.mark.parametrize("column", ["root", "delay"])
     def test_a_lying_cell_is_caught_and_healed(self, column):
         overlay = self._overlay()
         b = overlay.node(2)
         cells = getattr(overlay.store, column)
-        # b sits rooted at depth 2: root id 0 + 1 names its parent, and
-        # every other shifted or flipped cell is just as wrong.
+        # b sits rooted at delay 2: root id 0 + 1 names its parent, and
+        # delay 3 is one hop too deep.
         i = b.node_id
-        cells[i] = 1 - cells[i] if column == "rooted" else cells[i] + 1
+        cells[i] += 1
         with pytest.raises(TopologyError, match="diverged"):
             overlay.check_integrity()
         overlay.chain_index.rebuild()
@@ -570,7 +577,7 @@ class TestGoldenSeedGuard:
         assert indexed == walked
 
 
-class _CountingColumn(bytearray):
+class _Counting:
     """A column that counts the cells written into it."""
 
     writes = 0
@@ -578,6 +585,72 @@ class _CountingColumn(bytearray):
     def __setitem__(self, key, value) -> None:
         self.writes += 1
         super().__setitem__(key, value)
+
+
+class _CountingColumn(_Counting, bytearray):
+    pass
+
+
+class _CountingArray(_Counting, array):
+    pass
+
+
+class TestShiftWork:
+    """A moved node costs exactly two column writes, its ``root`` and
+    its ``delay`` cell, on either clock: a chain column mirrored back
+    into the store fails here."""
+
+    @staticmethod
+    def _assert_two_writes_per_moved_node(sim: Simulation, monkeypatch) -> None:
+        store = sim.overlay.store
+        store.root = root = _CountingArray("l", store.root)
+        store.delay = delay = _CountingArray("l", store.delay)
+        shift = ChainIndex._shift_subtree
+        shifts = []
+
+        def counted(index, top, root_id, at):
+            before = root.writes + delay.writes
+            moved = shift(index, top, root_id, at)
+            shifts.append((moved, root.writes + delay.writes - before))
+            return moved
+
+        monkeypatch.setattr(ChainIndex, "_shift_subtree", counted)
+        shifted_before = sim.overlay.shifted_nodes
+        sim.run()
+        assert sim.overlay.shifted_nodes > shifted_before
+        assert all(written == 2 * moved for moved, written in shifts)
+        # Every mutator shift went through the counted walk.
+        assert sum(moved for moved, _ in shifts) == (
+            sim.overlay.shifted_nodes - shifted_before
+        )
+        sim.overlay.check_integrity()
+
+    def test_a_churned_rounds_run(self, monkeypatch):
+        sim = Simulation(
+            make("Rand", size=200, seed=4),
+            SimulationConfig(
+                algorithm="hybrid",
+                oracle="random-delay",
+                seed=4,
+                max_rounds=80,
+                churn=ChurnConfig(),
+                stop_at_convergence=False,
+            ),
+        )
+        self._assert_two_writes_per_moved_node(sim, monkeypatch)
+
+    def test_a_continuous_clock_run(self, monkeypatch):
+        sim = Simulation(
+            make("Rand", size=200, seed=4),
+            SimulationConfig(
+                algorithm="hybrid",
+                oracle="random-delay",
+                seed=4,
+                max_rounds=400,
+                time_model="continuous:geo-3region",
+            ),
+        )
+        self._assert_two_writes_per_moved_node(sim, monkeypatch)
 
 
 class TestRoundWork:

@@ -407,10 +407,10 @@ class TestOneInjector:
         victims = [name for name in members.names if not members.is_online(name)]
         assert len(victims) == round(len(members.names) * 0.3)
         assert run.injector.crashes == len(victims)
+        assert members.overlays == run.overlays
         for name in victims:
-            nodes = members.nodes(name)
-            assert nodes and all(not node.online for _, node in nodes)
-            assert {overlay for overlay, _ in nodes} <= set(run.overlays)
+            nodes = [table[name] for table in members.tables if name in table]
+            assert nodes and all(not node.online for node in nodes)
 
     def test_rejoin_burst_revives_and_counts_members(self, build):
         run, probe = build(MassCrash(round=3, fraction=0.3, rejoin_after=4))

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.constraints import NodeSpec
 from repro.core.errors import ConfigurationError
 from repro.core.tree import Overlay
 from repro.faults import parse_fault_plan
@@ -24,6 +25,7 @@ from repro.sim.churn import ChurnConfig
 from repro.sim.runner import SimulationConfig, SimulationResult
 from repro.spec import RunSpec, run
 from repro.workloads import make as make_workload
+from repro.workloads.base import make_workload as build_workload
 
 RESULT_FIELDS = [
     f.name for f in dataclasses.fields(SimulationResult) if f.compare
@@ -101,6 +103,18 @@ class TestConstruction:
             MultipathSystem(workload, paths=2, algorithm="nope")
         with pytest.raises(ConfigurationError):
             MultipathSystem(workload, paths=2, faults="crash@10:0.2")
+
+    def test_a_repeated_consumer_name_is_refused(self):
+        """Each path's copies of a consumer are found by its name, so a
+        repeated name would leave one consumer per path out of churn,
+        faults and delivery."""
+        workload = build_workload(
+            "dup",
+            2,
+            [("a", NodeSpec(3, 2)), ("a", NodeSpec(3, 2)), ("b", NodeSpec(3, 2))],
+        )
+        with pytest.raises(ConfigurationError, match="'a'"):
+            MultipathSystem(workload, paths=2)
 
     def test_single_path_has_no_repairs(self):
         system = built_system(paths=1, seed=1)

@@ -30,7 +30,6 @@ from repro.core.constraints import NodeSpec
 from repro.core.tree import Overlay
 from repro.dht.hashspace import hash_key
 from repro.oracles.sharded import SHARD_FILTERS, ShardedDirectory, ShardedOracle
-from repro.stabilize.corrupt import _raw_set_online
 from repro.stabilize.harness import sanitize
 
 SIZING = dict(shards=4, reservoir_capacity=18, batch_size=4, rebalance_interval=4)
@@ -235,7 +234,7 @@ class Mutator:
         harness's sanitize pass rebuild the roster from them."""
         overlay, rng = self.overlay, self.rng
         for node in rng.sample(overlay.consumers, 3):
-            _raw_set_online(overlay, node, not node.online)
+            node.online = not node.online
         assert sanitize(overlay).roster_fixes == 1
         self.seen["rewrite"] += 1
 

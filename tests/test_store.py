@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core.constraints import NodeSpec
 from repro.core.errors import OfflineNodeError, TopologyError, UnknownNodeError
-from repro.core.store import NO_PARENT, ColumnarState
+from repro.core.node import SOURCE_ID
+from repro.core.store import ColumnarState
 from repro.core.tree import Overlay
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig
@@ -47,7 +48,8 @@ class TestAllocator:
         assert overlay.source.node_id == 0
         ids = [overlay.add_consumer(SPEC).node_id for _ in range(5)]
         assert ids == [1, 2, 3, 4, 5]
-        assert len(overlay.store.latency) == 6
+        store = overlay.store
+        assert len(store.root) == len(store.delay) == len(store.unsettled) == 6
 
     def test_lowest_freed_id_is_reused_first(self):
         overlay = columnar_overlay()
@@ -58,7 +60,7 @@ class TestAllocator:
         assert overlay.add_consumer(SPEC).node_id == nodes[1].node_id
         assert overlay.add_consumer(SPEC).node_id == nodes[3].node_id
         # The table never grew: freed slots were recycled in place.
-        assert len(overlay.store.latency) == 6
+        assert len(overlay.store.root) == len(overlay.store.delay) == 6
 
     def test_release_guards(self):
         overlay = columnar_overlay()
@@ -66,14 +68,14 @@ class TestAllocator:
         node = overlay.add_consumer(SPEC)
         with pytest.raises(TopologyError):
             store.release(node.node_id)  # still online
-        # Force an offline-but-linked column state (unreachable through
-        # the Overlay API, which always disconnects before removal).
+        # Force an offline-but-linked state (unreachable through the
+        # Overlay API, which always disconnects before removal).
         linked = overlay.add_consumer(SPEC)
-        store.online[linked.node_id] = 0
-        store.parent[linked.node_id] = 0
+        linked.online = False
+        linked.parent = overlay.source
         with pytest.raises(TopologyError):
             store.release(linked.node_id)
-        store.parent[linked.node_id] = NO_PARENT
+        linked.parent = None
         linked.children.append(node)
         with pytest.raises(TopologyError):
             store.release(linked.node_id)
@@ -193,19 +195,18 @@ class TestChildList:
 
 
 class TestColumnVerification:
-    def test_verify_detects_corrupted_parent_column(self):
-        overlay = columnar_overlay()
-        node = overlay.add_consumer(SPEC)
-        overlay.attach(node, overlay.source)
-        overlay.store.parent[node.node_id] = NO_PARENT  # corrupt
-        with pytest.raises(TopologyError):
-            overlay.check_integrity()
+    def test_the_store_holds_only_the_chain_columns(self):
+        """``root``, ``delay`` and ``unsettled`` besides the view table
+        and the free list: node facts live in the node slots only."""
+        assert set(vars(ColumnarState())) == {
+            "root", "delay", "unsettled", "nodes", "free"
+        }
 
-    def test_verify_detects_corrupted_online_column(self):
+    def test_verify_detects_a_diverged_view_table(self):
         overlay = columnar_overlay()
         node = overlay.add_consumer(SPEC)
-        overlay.store.online[node.node_id] = 0  # corrupt
-        with pytest.raises(TopologyError):
+        overlay.store.nodes[node.node_id] = None  # corrupt
+        with pytest.raises(TopologyError, match="view table"):
             overlay.check_integrity()
 
     def test_standalone_state_rejects_bad_release(self):
@@ -236,8 +237,10 @@ class TestPickleRoundTrip:
         overlay = self._built_overlay()
         clone = pickle.loads(pickle.dumps(overlay))
         assert clone.snapshot() == overlay.snapshot()
-        assert bytes(clone.store.online) == bytes(overlay.store.online)
-        assert list(clone.store.parent) == list(overlay.store.parent)
+        assert [n.online for n in clone] == [n.online for n in overlay]
+        assert list(clone.store.root) == list(overlay.store.root)
+        assert list(clone.store.delay) == list(overlay.store.delay)
+        assert bytes(clone.store.unsettled) == bytes(overlay.store.unsettled)
         assert clone.store.free == overlay.store.free
         clone.check_integrity()
 
@@ -249,6 +252,21 @@ class TestPickleRoundTrip:
         assert overlay.snapshot() != clone.snapshot()
         overlay.check_integrity()
         clone.check_integrity()
+
+    def test_is_source_holds_through_id_reuse_and_pickling(self):
+        overlay = columnar_overlay()
+        nodes = [overlay.add_consumer(SPEC) for _ in range(4)]
+        overlay.go_offline(nodes[1])
+        overlay.remove_consumer(nodes[1])
+        reused = overlay.add_consumer(SPEC)
+        assert reused.node_id == nodes[1].node_id
+        clone = pickle.loads(pickle.dumps(overlay))
+        for view in (overlay, clone):
+            assert [n.is_source for n in view] == [
+                n.node_id == SOURCE_ID for n in view
+            ]
+            assert view.source.is_source
+        assert not clone.node(reused.node_id).is_source
 
     def test_views_rebind_to_cloned_store(self):
         overlay = self._built_overlay()
