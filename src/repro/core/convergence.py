@@ -23,9 +23,13 @@ from repro.core.node import SOURCE_ID, Node
 from repro.core.tree import Overlay
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class OverlayQuality:
     """Point-in-time quality measures of an overlay under construction.
+
+    Slotted and not frozen, so the snapshot :func:`measure` makes costs
+    no ``object.__setattr__`` per field; nothing writes to one after it
+    is made.
 
     Attributes
     ----------
@@ -108,13 +112,13 @@ def measure(overlay: Overlay) -> OverlayQuality:
         return last[1]
     online, rooted, satisfied, fragments, max_depth, slack_sum, fanout = fields
     quality = OverlayQuality(
-        online=online,
-        rooted=rooted,
-        satisfied=satisfied,
-        fragments=fragments,
-        max_depth=max_depth,
-        mean_slack=(slack_sum / satisfied) if satisfied else 0.0,
-        used_source_fanout=fanout,
+        online,
+        rooted,
+        satisfied,
+        fragments,
+        max_depth,
+        (slack_sum / satisfied) if satisfied else 0.0,
+        fanout,
     )
     index.last_quality = (fields, quality)
     return quality

@@ -115,14 +115,18 @@ class GreedyConstruction(ConstructionAlgorithm):
         # "Unless node i finds a suitable parent, it is referred to k."
         if not upstream.is_source:
             node.referral = upstream
-            self.probe.referral(node.node_id, upstream.node_id, "interaction")
+            if self.probe.enabled:
+                self.probe.referral(
+                    node.node_id, upstream.node_id, "interaction"
+                )
         elif self.overlay.delay_at(partner) < node.latency:
             # The chain tip is the source itself; queue a direct contact
             # only if joining this chain could ever satisfy the node.
             node.referral = self.overlay.source
-            self.probe.referral(
-                node.node_id, self.overlay.source.node_id, "interaction"
-            )
+            if self.probe.enabled:
+                self.probe.referral(
+                    node.node_id, self.overlay.source.node_id, "interaction"
+                )
 
     # ------------------------------------------------------------------
 

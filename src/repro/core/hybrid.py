@@ -107,9 +107,10 @@ class HybridConstruction(ConstructionAlgorithm):
             return
         # "Refer i to 0 otherwise."
         node.referral = self.overlay.source
-        self.probe.referral(
-            node.node_id, self.overlay.source.node_id, "interaction"
-        )
+        if self.probe.enabled:
+            self.probe.referral(
+                node.node_id, self.overlay.source.node_id, "interaction"
+            )
 
     @staticmethod
     def _prefers_upstream(node: Node, partner: Node) -> bool:
@@ -155,7 +156,10 @@ class HybridConstruction(ConstructionAlgorithm):
         if self.overlay.delay_at(partner) >= node.latency:
             # Too deep for i's constraint: move closer to the source.
             node.referral = upstream
-            self.probe.referral(node.node_id, upstream.node_id, "interaction")
+            if self.probe.enabled:
+                self.probe.referral(
+                    node.node_id, upstream.node_id, "interaction"
+                )
         # Otherwise fall back to the Oracle on the next round.
 
     # ------------------------------------------------------------------

@@ -388,7 +388,10 @@ class ChainIndex:
     def max_delay(self) -> int:
         """Largest ``DelayAt`` of a rooted online consumer (0 if none)."""
         histogram = self._histogram
-        return next((d for d in range(len(histogram) - 1, 0, -1) if histogram[d]), 0)
+        delay = len(histogram) - 1
+        while delay > 0 and not histogram[delay]:
+            delay -= 1
+        return max(delay, 0)
 
     # ------------------------------------------------------------------
     # delay roster

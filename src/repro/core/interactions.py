@@ -69,7 +69,8 @@ def _same_fragment(overlay: Overlay, a: Node, b: Node) -> bool:
 
 def _reject(overlay: Overlay, child: Node, parent: Node, reason: str) -> bool:
     """Emit an :class:`~repro.obs.events.AttachReject` and return False."""
-    overlay.probe.attach_reject(child.node_id, parent.node_id, reason)
+    if overlay.probe.enabled:
+        overlay.probe.attach_reject(child.node_id, parent.node_id, reason)
     return False
 
 
@@ -188,9 +189,10 @@ def try_displace_child(
     victim.rounds_without_parent = 0
     overlay.attach(incoming, parent)
     victim.referral = incoming if incoming.free_fanout > 0 else parent
-    overlay.probe.referral(
-        victim.node_id, victim.referral.node_id, "displacement"
-    )
+    if overlay.probe.enabled:
+        overlay.probe.referral(
+            victim.node_id, victim.referral.node_id, "displacement"
+        )
     return True
 
 
@@ -295,5 +297,8 @@ def try_displace_at_source(
             adopted = True
     if not adopted:
         victim.referral = incoming
-        overlay.probe.referral(victim.node_id, incoming.node_id, "displacement")
+        if overlay.probe.enabled:
+            overlay.probe.referral(
+                victim.node_id, incoming.node_id, "displacement"
+            )
     return True

@@ -81,18 +81,22 @@ def greedy_maintenance(overlay: Overlay, node: Node) -> bool:
     if overlay.delay_at(node) != node.latency + 1:
         return False
     former_parent = node.parent
-    overlay.probe.maintenance_trigger(
-        node.node_id, "greedy", node.latency + 1, node.latency
-    )
+    probe = overlay.probe
+    observed = probe.enabled
+    if observed:
+        probe.maintenance_trigger(
+            node.node_id, "greedy", node.latency + 1, node.latency
+        )
     overlay.detach(node, reason="maintenance")
     node.rounds_without_parent = 0
     # The node knows its upstream chain (§2.1.3): being exactly one hop too
     # deep, its former grandparent is where it needs to sit — start there.
     if former_parent is not None and former_parent.parent is not None:
         node.referral = former_parent.parent
-        overlay.probe.referral(
-            node.node_id, former_parent.parent.node_id, "maintenance"
-        )
+        if observed:
+            probe.referral(
+                node.node_id, former_parent.parent.node_id, "maintenance"
+            )
     return True
 
 
@@ -163,13 +167,17 @@ def hybrid_maintenance(
     ):
         ancestor = ancestor.parent
         ancestor_delay -= 1
-    overlay.probe.maintenance_trigger(node.node_id, "hybrid", delay, node.latency)
+    probe = overlay.probe
+    observed = probe.enabled
+    if observed:
+        probe.maintenance_trigger(node.node_id, "hybrid", delay, node.latency)
     overlay.detach(node, reason="maintenance")
     node.violation_rounds = 0
     node.rounds_without_parent = 0
     if ancestor is not None:
         node.referral = ancestor
-        overlay.probe.referral(node.node_id, ancestor.node_id, "maintenance")
+        if observed:
+            probe.referral(node.node_id, ancestor.node_id, "maintenance")
     return True
 
 
@@ -200,7 +208,10 @@ def eager_maintenance(overlay: Overlay, node: Node) -> bool:
     delay = overlay.delay_at(node)
     if delay <= node.latency:
         return False
-    overlay.probe.maintenance_trigger(node.node_id, "eager", delay, node.latency)
+    if overlay.probe.enabled:
+        overlay.probe.maintenance_trigger(
+            node.node_id, "eager", delay, node.latency
+        )
     overlay.detach(node, reason="maintenance")
     node.rounds_without_parent = 0
     return True

@@ -37,12 +37,9 @@ comparison in the construction code keeps working.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.core.constraints import NodeSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.store import ColumnarState
 
 #: NodeId type alias; the source is always id 0.
 NodeId = int
@@ -66,7 +63,6 @@ class Node:
     """
 
     __slots__ = (
-        "_store",
         "node_id",
         "is_source",
         "spec",
@@ -84,8 +80,7 @@ class Node:
         "source_retry_timeout",
     )
 
-    def __init__(self, store: "ColumnarState", node_id: NodeId, spec: NodeSpec, name: str) -> None:
-        self._store = store
+    def __init__(self, node_id: NodeId, spec: NodeSpec, name: str) -> None:
         self.node_id = node_id
         #: Whether this node is the feed source (node 0).
         self.is_source = node_id == SOURCE_ID

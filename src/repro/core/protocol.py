@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import time
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.interactions import (
@@ -168,7 +168,8 @@ class ConstructionAlgorithm(abc.ABC):
         node.rounds_without_parent += 1
         if node.rounds_without_parent > self._timeout_for(node):
             node.rounds_without_parent = 0
-            self.probe.timeout(node.node_id)
+            if self.probe.enabled:
+                self.probe.timeout(node.node_id)
             self.contact_source(node)
             return
         partner, from_referral = self._next_partner(node)
@@ -185,9 +186,10 @@ class ConstructionAlgorithm(abc.ABC):
             # hardening on, spend the round on one fresh oracle query
             # instead of silently wasting it.
             if from_referral and self.config.requeue_stale_referrals:
-                self.probe.stale_referral(
-                    node.node_id, partner.node_id, "same-fragment"
-                )
+                if self.probe.enabled:
+                    self.probe.stale_referral(
+                        node.node_id, partner.node_id, "same-fragment"
+                    )
                 partner = self.oracle.sample(node)
                 if partner is None or self.overlay.fragment_root(partner) is node:
                     return
@@ -213,7 +215,10 @@ class ConstructionAlgorithm(abc.ABC):
             # Stale referral: the hinted partner has since departed.
             # Observability only — falling back to the oracle is what the
             # protocol always did.
-            self.probe.stale_referral(node.node_id, partner.node_id, "offline")
+            if self.probe.enabled:
+                self.probe.stale_referral(
+                    node.node_id, partner.node_id, "offline"
+                )
         return self.oracle.sample(node), False
 
     # ------------------------------------------------------------------
@@ -236,12 +241,16 @@ class ConstructionAlgorithm(abc.ABC):
         contacts feed the exponential backoff when enabled.
         """
         source = self.overlay.source
+        probe = self.probe
+        observed = probe.enabled
         if not self._source_available():
-            self.probe.source_contact(node.node_id, "outage")
+            if observed:
+                probe.source_contact(node.node_id, "outage")
             self._register_source_failure(node)
             return False
         if try_attach(self.overlay, node, source, self.edge_ok):
-            self.probe.source_contact(node.node_id, "attach")
+            if observed:
+                probe.source_contact(node.node_id, "attach")
             return True
         candidates = [c for c in source.children if c.latency > node.latency]
         if candidates:
@@ -253,9 +262,11 @@ class ConstructionAlgorithm(abc.ABC):
                 self.edge_ok,
                 allow_shed=self._shed_allowed(),
             ):
-                self.probe.source_contact(node.node_id, "displace")
+                if observed:
+                    probe.source_contact(node.node_id, "displace")
                 return True
-        self.probe.source_contact(node.node_id, "reject")
+        if observed:
+            probe.source_contact(node.node_id, "reject")
         self._register_source_failure(node)
         return False
 
@@ -278,9 +289,10 @@ class ConstructionAlgorithm(abc.ABC):
         if self.backoff_rng is not None and self.config.backoff_jitter:
             jitter = self.backoff_rng.randint(0, self.config.backoff_jitter)
         node.source_retry_timeout = base + jitter
-        self.probe.backoff(
-            node.node_id, node.source_failures, node.source_retry_timeout
-        )
+        if self.probe.enabled:
+            self.probe.backoff(
+                node.node_id, node.source_failures, node.source_retry_timeout
+            )
 
     def _shed_allowed(self) -> bool:
         """Whether moves may discard a child of the incoming node to make
@@ -308,7 +320,7 @@ class ConstructionAlgorithm(abc.ABC):
         *next changes*.
 
         Both clocks leave a settled node alone: the round sweeps skip it
-        (:meth:`due`) and the continuous engine lets it sleep until the
+        (:meth:`sweep`) and the continuous engine lets it sleep until the
         chain index reports a change.  An algorithm defines the
         predicate, with the level form that keeps its
         :meth:`unsettled_column`, beside its rule
@@ -327,21 +339,6 @@ class ConstructionAlgorithm(abc.ABC):
             index.bind(rule)
         return self.overlay.store.unsettled
 
-    def due(self, roster: Iterable[Node]) -> Iterator[Node]:
-        """The nodes of ``roster`` with something to do this round, in
-        roster order: the parentless ones (they :meth:`step`) and the
-        parented ones that are not :meth:`settled`, read off the
-        :meth:`unsettled_column`.
-
-        Lazy on purpose: each node is tested as the walk reaches it, on
-        the state the round's earlier actors left behind — one of them
-        may have pushed it into violation.
-        """
-        unsettled = self.unsettled_column()
-        for node in roster:
-            if node.parent is None or unsettled[node.node_id]:
-                yield node
-
     def sweep(
         self,
         roster: Iterable[Node],
@@ -349,12 +346,16 @@ class ConstructionAlgorithm(abc.ABC):
         asynchrony: Optional["AsynchronyModel"] = None,
     ) -> Tuple[float, int, float, int]:
         """One round of the local rule over ``roster``, in roster order:
-        every :meth:`due` node that is still online runs :meth:`maintain`
-        if parented, else takes one construction :meth:`step`.
+        every node with something to do that is still online runs
+        :meth:`maintain` if parented, else takes one construction
+        :meth:`step`.  A parented node has something to do unless it is
+        :meth:`settled`, read off the :meth:`unsettled_column`.
 
-        The one dispatch every round loop shares.  With an
-        ``asynchrony`` model, a busy parentless node sits the round out
-        and a stepping one is occupied for its drawn duration;
+        The one dispatch every round loop shares.  Each node is tested
+        as the walk reaches it, on the state the round's earlier actors
+        left behind — one of them may have pushed it into violation.
+        With an ``asynchrony`` model, a busy parentless node sits the
+        round out and a stepping one is occupied for its drawn duration;
         maintenance is local and never waits.  Returns
         ``(step_seconds, step_calls, maintain_seconds, maintain_calls)``
         from one clock-read pair per call.
@@ -363,20 +364,23 @@ class ConstructionAlgorithm(abc.ABC):
         # on the instance (a timing wrapper) is the one called.
         maintain = self.maintain
         step = self.step
+        unsettled = self.unsettled_column()
         perf_counter = time.perf_counter
         maintain_seconds = step_seconds = 0.0
         maintain_calls = step_calls = 0
-        for node in self.due(roster):
-            if not node.online:
-                # Load-bearing: a node crashed by a fault plan after the
-                # roster was drawn must not act this round (pinned by
-                # tests/test_faults.py).
-                continue
+        for node in roster:
+            # ``online`` is load-bearing: a node crashed by a fault plan
+            # after the roster was drawn must not act this round (pinned
+            # by tests/test_faults.py).
             if node.parent is not None:
+                if not unsettled[node.node_id] or not node.online:
+                    continue
                 t0 = perf_counter()
                 maintain(node)
                 maintain_seconds += perf_counter() - t0
                 maintain_calls += 1
+                continue
+            if not node.online:
                 continue
             if asynchrony is not None and not asynchrony.is_free(node, now):
                 continue

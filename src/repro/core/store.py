@@ -88,7 +88,7 @@ class ColumnarState:
             self.root.append(node_id)
             self.delay.append(0)
             self.unsettled.append(0)
-        node = Node(self, node_id, spec, name)
+        node = Node(node_id, spec, name)
         self.nodes[node_id] = node
         return node
 

@@ -453,7 +453,8 @@ class Overlay:
             )
         self._link(child, parent)
         self.attach_count += 1
-        self.probe.attach(child.node_id, parent.node_id)
+        if self.probe.enabled:
+            self.probe.attach(child.node_id, parent.node_id)
 
     def _check_link(self, child: Node, parent: Node) -> None:
         """Raise unless ``child <- parent`` is a legal new edge, fanout
@@ -507,7 +508,8 @@ class Overlay:
         if index.watchers:
             index.mark(parent)  # parent regained fanout slack
         self.detach_count += 1
-        self.probe.detach(child.node_id, parent.node_id, reason)
+        if self.probe.enabled:
+            self.probe.detach(child.node_id, parent.node_id, reason)
         return parent
 
     def splice(self, incoming: Node, child: Node, reason: str) -> None:
@@ -539,9 +541,10 @@ class Overlay:
         self.detach_count += 1
         self.attach_count += 2
         probe = self.probe
-        probe.detach(child.node_id, parent.node_id, reason)
-        probe.attach(incoming.node_id, parent.node_id)
-        probe.attach(child.node_id, incoming.node_id)
+        if probe.enabled:
+            probe.detach(child.node_id, parent.node_id, reason)
+            probe.attach(incoming.node_id, parent.node_id)
+            probe.attach(child.node_id, incoming.node_id)
 
     # ------------------------------------------------------------------
     # churn transitions
@@ -578,16 +581,20 @@ class Overlay:
         node.children.clear()
         if grandparent is not None:
             self.detach(node, reason=reason)
+        probe = self.probe
+        observed = probe.enabled
         for child in orphans:
             child.parent = None
             self.shifted_nodes += self.chain_index.on_detach(child)
             child.rounds_without_parent = 0
             # Not counted in detach_count (orphaning is the departing
             # node's doing, not a reconfiguration) but still observable.
-            self.probe.detach(child.node_id, node.node_id, f"{reason}-orphan")
+            if observed:
+                probe.detach(child.node_id, node.node_id, f"{reason}-orphan")
             if graceful and grandparent is not None and grandparent.online:
                 child.referral = grandparent
-                self.probe.referral(child.node_id, grandparent.node_id, reason)
+                if observed:
+                    probe.referral(child.node_id, grandparent.node_id, reason)
         node.online = False
         _remove_sorted(self._online, node)
         if self._liveness_feeds:

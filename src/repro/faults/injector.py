@@ -201,7 +201,9 @@ class FaultInjector:
         self.injected += 1
         self.fault_rounds.append(now)
         # The run's probe, shared through its overlays.
-        self.members.overlays[0].probe.fault_injected(fault, affected)
+        probe = self.members.overlays[0].probe
+        if probe.enabled:
+            probe.fault_injected(fault, affected)
 
     def _apply(self, spec: FaultSpec, now: int) -> None:
         members = self.members

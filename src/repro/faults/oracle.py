@@ -134,14 +134,16 @@ class FaultGatedOracle:
 
     def _miss(self, enquirer: Node) -> None:
         self.inner.misses += 1
-        self.probe.oracle_miss(enquirer.node_id, self.name)
+        if self.probe.enabled:
+            self.probe.oracle_miss(enquirer.node_id, self.name)
         return None
 
     def _answer(self, enquirer: Node, node: Node, response_size: int) -> Node:
         self.inner.hits += 1
-        self.probe.oracle_query(
-            enquirer.node_id, self.name, response_size, node.node_id
-        )
+        if self.probe.enabled:
+            self.probe.oracle_query(
+                enquirer.node_id, self.name, response_size, node.node_id
+            )
         return node
 
     def _filter_mode(self) -> str:

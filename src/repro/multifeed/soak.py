@@ -438,7 +438,8 @@ class ServiceSoak:
                 self._pending_joins.setdefault(now + offset, []).extend(batch)
         if act.feed == self.config.hot_feed and not self.hot_recovery.disruptions:
             self.hot_recovery.disruptions.append(now)
-        self.probe.soak_phase("flash-crowd", act.feed, newcomers)
+        if self.probe.enabled:
+            self.probe.soak_phase("flash-crowd", act.feed, newcomers)
 
     def _admit_joiners(self, batches: List[Tuple[str, int]]) -> None:
         low, high = self.config.total_fanout_range
@@ -467,9 +468,12 @@ class ServiceSoak:
         for name in leavers:
             if feed.take_down(name, graceful=act.graceful):
                 self.exodus_departures += 1
-        self.probe.soak_phase(
-            "exodus" if act.graceful else "exodus-crash", act.feed, len(leavers)
-        )
+        if self.probe.enabled:
+            self.probe.soak_phase(
+                "exodus" if act.graceful else "exodus-crash",
+                act.feed,
+                len(leavers),
+            )
 
     def _rejoin(self, now: int, act: Rejoin) -> None:
         revived = 0
@@ -477,7 +481,8 @@ class ServiceSoak:
         for name in self.system.subscriber_names(act.feed):
             if feed.bring_up(name):
                 revived += 1
-        self.probe.soak_phase("rejoin", act.feed, revived)
+        if self.probe.enabled:
+            self.probe.soak_phase("rejoin", act.feed, revived)
 
     # ------------------------------------------------------------------
     # the round loop
@@ -485,11 +490,14 @@ class ServiceSoak:
 
     def run(self) -> SoakSummary:
         config = self.config
+        probe = self.probe
+        observed = probe.enabled
         for _ in range(config.rounds):
             self.system.now += 1
             now = self.system.now
-            started = time.perf_counter()
-            self.probe.begin_round(now)
+            if observed:
+                started = time.perf_counter()
+                probe.begin_round(now)
             self._apply_timeline(now)
             if self.injector is not None:
                 fired = len(self.injector.fault_rounds)
@@ -502,7 +510,8 @@ class ServiceSoak:
             if now > config.warmup_rounds:
                 self._disseminate(now)
             self._sample(now)
-            self.probe.end_round(now, time.perf_counter() - started)
+            if observed:
+                probe.end_round(now, time.perf_counter() - started)
         return self.result()
 
     def _disseminate(self, now: int) -> None:

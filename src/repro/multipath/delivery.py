@@ -451,9 +451,10 @@ class MultipathSystem:
                         continue
                     node = self._nodes[q][name]
                     self.overlays[q].detach(node, reason="overlap")
-                    self.probe.multipath_overlap(
-                        node.node_id, p, q, len(shared)
-                    )
+                    if self.probe.enabled:
+                        self.probe.multipath_overlap(
+                            node.node_id, p, q, len(shared)
+                        )
                     chains[q] = frozenset()
                     self.overlap_repairs += 1
                     repaired += 1
@@ -505,9 +506,10 @@ class MultipathSystem:
                     twin = self._nodes[other][node.name]
                     if twin.online and twin.parent is not None:
                         self.overlays[other].detach(twin, reason="unblock")
-                        self.probe.multipath_overlap(
-                            twin.node_id, path, other, 0
-                        )
+                        if self.probe.enabled:
+                            self.probe.multipath_overlap(
+                                twin.node_id, path, other, 0
+                            )
                         repaired += 1
                 counts[key] = 0
                 self.unblock_repairs += 1
@@ -520,7 +522,8 @@ class MultipathSystem:
     def run_round(self) -> None:
         self.now += 1
         now = self.now
-        self.probe.begin_round(now)
+        if self.probe.enabled:
+            self.probe.begin_round(now)
         departures = rejoins = 0
         if self.churn is not None:
             departures, rejoins = self.churn.step(now)

@@ -79,10 +79,13 @@ class Network:
             sent_at=self.scheduler.now,
         )
         self.sent += 1
-        self.probe.message_send(sender, recipient, kind)
+        observed = self.probe.enabled
+        if observed:
+            self.probe.message_send(sender, recipient, kind)
         if self.loss_probability > 0.0 and self.rng.random() < self.loss_probability:
             self.dropped_loss += 1
-            self.probe.message_drop(sender, recipient, kind, "loss")
+            if observed:
+                self.probe.message_drop(sender, recipient, kind, "loss")
             return message
         delay = self.latency_model.latency(sender, recipient)
         self.scheduler.schedule(delay, self._deliver, message)
@@ -92,9 +95,10 @@ class Network:
         endpoint = self._endpoints.get(message.recipient)
         if endpoint is None:
             self.dropped_unroutable += 1
-            self.probe.message_drop(
-                message.sender, message.recipient, message.kind, "unroutable"
-            )
+            if self.probe.enabled:
+                self.probe.message_drop(
+                    message.sender, message.recipient, message.kind, "unroutable"
+                )
             return
         self.delivered += 1
         endpoint.handle_message(message)

@@ -1,13 +1,13 @@
 """Probes: the run-observability tap of the protocol stack.
 
 Emission points throughout the stack call the hook methods below
-(``probe.attach(...)``, ``probe.oracle_miss(...)``, ...).  The default
-:class:`NullProbe` implements every hook as a no-op, so an
-uninstrumented run pays one attribute lookup and call per event and
-nothing else — no event objects are constructed, no RNG is touched, no
-simulation outcome can change.  A :class:`RecordingProbe` turns the same
-hooks into typed :mod:`repro.obs.events` plus live aggregates in a
-:class:`~repro.obs.counters.MetricsRegistry`.
+(``probe.attach(...)``, ``probe.oracle_miss(...)``, ...), each behind a
+check of :attr:`Probe.enabled`.  The default :class:`NullProbe` is
+disabled, so an uninstrumented run pays one attribute read per event
+and calls no hook at all — no event objects are constructed, no RNG is
+touched, no simulation outcome can change.  A :class:`RecordingProbe`
+turns the same hooks into typed :mod:`repro.obs.events` plus live
+aggregates in a :class:`~repro.obs.counters.MetricsRegistry`.
 
 Probes receive node *ids*, not node objects, so they stay decoupled
 from :mod:`repro.core` (no import cycle, traces are plain data).
@@ -52,13 +52,14 @@ from repro.obs.events import (
 class Probe:
     """The probe interface: one hook per protocol event, all no-ops here.
 
-    Subclass and override the hooks you care about; check
-    :attr:`enabled` at an emission site only when *computing the hook's
-    arguments* would itself cost something.
+    Subclass and override the hooks you care about.  Every emission
+    site calls a hook only when :attr:`enabled` is true (round loops
+    read it once per round or per run), so a disabled probe receives no
+    calls at all.
     """
 
-    #: Whether this probe records anything (lets hot emission sites skip
-    #: argument computation entirely when observation is off).
+    #: Whether this probe records anything; when false, no emission site
+    #: calls a hook or computes its arguments.
     enabled: bool = True
 
     # --- round framing ----------------------------------------------------
@@ -161,7 +162,7 @@ class Probe:
 
 
 class NullProbe(Probe):
-    """The zero-cost default: inherits every no-op hook, flags disabled."""
+    """The zero-cost default: disabled, so no emission site calls it."""
 
     enabled = False
 

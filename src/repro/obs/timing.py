@@ -20,7 +20,6 @@ unequal.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Sequence
 
 #: Canonical phase order for reports (unknown phases sort after these).
@@ -34,24 +33,6 @@ PHASE_ORDER: Sequence[str] = (
 )
 
 
-class _PhaseSpan:
-    """Context manager timing one span of a phase (reusable pattern:
-    ``with timings.measure("churn"): ...``)."""
-
-    __slots__ = ("_timings", "_phase", "_start")
-
-    def __init__(self, timings: "PhaseTimings", phase: str) -> None:
-        self._timings = timings
-        self._phase = phase
-
-    def __enter__(self) -> "_PhaseSpan":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._timings.add(self._phase, time.perf_counter() - self._start)
-
-
 class PhaseTimings:
     """Accumulated wall-clock seconds and call counts per phase."""
 
@@ -60,14 +41,14 @@ class PhaseTimings:
         self.calls: Dict[str, int] = {}
 
     def add(self, phase: str, seconds: float, calls: int = 1) -> None:
-        """Record ``calls`` spans of ``phase`` totalling ``seconds``
-        (explicit form for hot loops, which sum a round's spans locally)."""
+        """Record ``calls`` spans of ``phase`` totalling ``seconds``.
+
+        The round loops read the clock once at each phase boundary and
+        pass the difference here; a sweep sums its step and maintain
+        spans locally and adds each total once.
+        """
         self.seconds[phase] = self.seconds.get(phase, 0.0) + seconds
         self.calls[phase] = self.calls.get(phase, 0) + calls
-
-    def measure(self, phase: str) -> _PhaseSpan:
-        """Context manager recording the wrapped block's duration."""
-        return _PhaseSpan(self, phase)
 
     @property
     def total_seconds(self) -> float:

@@ -82,15 +82,18 @@ class Oracle(abc.ABC):
         """
         candidates = self._candidates(enquirer)
         count = candidates.bit_count()
+        probe = self.overlay.probe
         if not count:
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
         partner = self._draw(candidates, count)
-        self.probe.oracle_query(
-            enquirer.node_id, self.name, count, partner.node_id
-        )
+        if probe.enabled:
+            probe.oracle_query(
+                enquirer.node_id, self.name, count, partner.node_id
+            )
         return partner
 
     def _candidates(self, enquirer: Node) -> int:

@@ -72,18 +72,22 @@ class RandomWalkOracle(Oracle):
 
     def sample(self, enquirer: Node) -> Optional[Node]:
         landed = self.gossip.sample(enquirer.node_id)
+        probe = self.overlay.probe
         if landed is None:
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         node = self.overlay.node(landed)
         if not node.online or node is enquirer:
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
         # A walk lands on a single node: the "answer" has size one.
-        self.probe.oracle_query(enquirer.node_id, self.name, 1, node.node_id)
+        if probe.enabled:
+            probe.oracle_query(enquirer.node_id, self.name, 1, node.node_id)
         return node
 
     def _admits(self, enquirer: Node, candidate: Node) -> bool:
@@ -175,21 +179,25 @@ class DhtDirectoryOracle(Oracle):
         candidates = [
             r for r in records if self._record_passes(enquirer, r)
         ]
+        probe = self.overlay.probe
         if not candidates:
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         record = self.rng.choice(candidates)
         node = self.overlay.node(record.node_id)
         if not node.online:
             self.stale_hits += 1
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
-        self.probe.oracle_query(
-            enquirer.node_id, self.name, len(candidates), node.node_id
-        )
+        if probe.enabled:
+            probe.oracle_query(
+                enquirer.node_id, self.name, len(candidates), node.node_id
+            )
         return node
 
     def admits(self, enquirer: Node, candidate: Node) -> bool:

@@ -417,19 +417,22 @@ class ShardedOracle(Oracle):
             enquirer.latency if self._delay_filter else NO_BOUND,
             self._fanout_floor,
         )
+        probe = self.overlay.probe
         if record is None:
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         node = self.overlay._nodes.get(record.node_id)
         if node is None or not node.online:
             self.stale_hits += 1
             self.misses += 1
-            self.probe.oracle_miss(enquirer.node_id, self.name)
+            if probe.enabled:
+                probe.oracle_miss(enquirer.node_id, self.name)
             return None
         self.hits += 1
-        if self.probe.enabled:
-            self.probe.oracle_query(
+        if probe.enabled:
+            probe.oracle_query(
                 enquirer.node_id,
                 self.name,
                 len(

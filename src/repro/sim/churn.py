@@ -80,6 +80,7 @@ class ChurnProcess:
         # flips twice in one step or is skipped (tests/test_churn.py).
         members = self.members
         probe = members.overlays[0].probe
+        observed = probe.enabled
         draw = self.rng.random
         leave_probability = self.config.leave_probability
         rejoin_probability = self.config.rejoin_probability
@@ -90,11 +91,13 @@ class ChurnProcess:
                     orphans = len(node.children)
                     members.take_down(node.name, graceful=True, reason="churn")
                     departures += 1
-                    probe.churn_leave(node.node_id, orphans)
+                    if observed:
+                        probe.churn_leave(node.node_id, orphans)
             elif draw() < rejoin_probability:
                 members.bring_up(node.name)
                 rejoins += 1
-                probe.churn_rejoin(node.node_id)
+                if observed:
+                    probe.churn_rejoin(node.node_id)
         self.total_departures += departures
         self.total_rejoins += rejoins
         return departures, rejoins

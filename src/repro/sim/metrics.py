@@ -10,9 +10,14 @@ from repro.core.tree import Overlay
 from repro.obs.probe import Probe
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(slots=True)
 class RoundRecord:
-    """State of the overlay at the end of one simulation round."""
+    """State of the overlay at the end of one simulation round.
+
+    One is made every round, so it is a plain slotted record rather than
+    a frozen one (whose ``__init__`` pays an ``object.__setattr__`` per
+    field); nothing writes to it after :meth:`MetricsCollector.record`.
+    """
 
     round: int
     quality: OverlayQuality
@@ -45,8 +50,8 @@ class RecoveryTracker:
     ) -> None:
         self.disruptions = disruptions
         #: Emits one :class:`~repro.obs.events.Recovery` per disruption
-        #: as it recovers (``None``: emit nothing).
-        self.probe = probe
+        #: as it recovers (``None`` or a disabled probe: emit nothing).
+        self.probe = probe if probe is not None and probe.enabled else None
         #: The recovery round of each recovered disruption, in order.
         self.recovered: List[int] = []
 
@@ -105,13 +110,14 @@ class MetricsCollector:
         quality counters in O(1); the runner's convergence check reads
         this record.
         """
+        overlay = self.overlay
         record = RoundRecord(
-            round=now,
-            quality=measure(self.overlay),
-            cumulative_attaches=self.overlay.attach_count,
-            cumulative_detaches=self.overlay.detach_count,
-            departures=departures,
-            rejoins=rejoins,
+            now,
+            measure(overlay),
+            overlay.attach_count,
+            overlay.detach_count,
+            departures,
+            rejoins,
         )
         self.records.append(record)
         if self.recovery is not None:

@@ -385,31 +385,41 @@ class Simulation:
 
         Each round decomposes into the phases ``churn`` / ``oracle`` /
         the act phase (:meth:`_act_phase`) / ``measure``,
-        wall-clock-timed into :attr:`timings`; the installed probe sees
-        every protocol event in between.  Neither timing nor probing
+        wall-clock-timed into :attr:`timings` from one clock read at
+        each phase boundary; an enabled probe sees the round's framing
+        and every protocol event in between.  Neither timing nor probing
         consumes RNG.
         """
         self.now += 1
-        round_start = time.perf_counter()
-        self.probe.begin_round(self.now)
+        now = self.now
+        probe = self.probe
+        observed = probe.enabled
+        if observed:
+            probe.begin_round(now)
+        add = self.timings.add
+        clock = time.perf_counter
+        round_start = mark = clock()
         departures = rejoins = 0
         if self.churn is not None:
-            with self.timings.measure("churn"):
-                departures, rejoins = self.churn.step(self.now)
-        with self.timings.measure("oracle"):
-            self.oracle.on_round(self.now)
+            departures, rejoins = self.churn.step(now)
+            churned = clock()
+            add("churn", churned - mark)
+            mark = churned
+        self.oracle.on_round(now)
+        add("oracle", clock() - mark)
         self._act_phase()
-        with self.timings.measure("measure"):
-            self.metrics.record(self.now, departures=departures, rejoins=rejoins)
-            if self.trace is not None:
-                self.trace.capture(self.now)
-            if self.health is not None:
-                self.health.capture(
-                    self.now, departures=departures, rejoins=rejoins
-                )
-            if self.attributor is not None:
-                self.attributor.observe_round(self.now)
-        self.probe.end_round(self.now, time.perf_counter() - round_start)
+        mark = clock()
+        self.metrics.record(now, departures=departures, rejoins=rejoins)
+        if self.trace is not None:
+            self.trace.capture(now)
+        if self.health is not None:
+            self.health.capture(now, departures=departures, rejoins=rejoins)
+        if self.attributor is not None:
+            self.attributor.observe_round(now)
+        round_end = clock()
+        add("measure", round_end - mark)
+        if observed:
+            probe.end_round(now, round_end - round_start)
 
     def _act_phase(self) -> None:
         """Every online consumer acts once, in a fresh random order
@@ -432,8 +442,9 @@ class Simulation:
         """The ``faults`` phase: fire the plan's injections for this
         round (nothing without a plan)."""
         if self.injector is not None:
-            with self.timings.measure("faults"):
-                self.injector.inject(self.now)
+            start = time.perf_counter()
+            self.injector.inject(self.now)
+            self.timings.add("faults", time.perf_counter() - start)
 
     def run(self) -> SimulationResult:
         """Run to convergence or to the round budget; return the result.

@@ -7,6 +7,7 @@ a run must not change it.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.obs import (
     NullProbe,
     OracleMiss,
     OracleQuery,
+    Probe,
     RecordingProbe,
     Recovery,
     Referral,
@@ -43,6 +45,9 @@ from repro.obs import (
     read_trace,
     write_trace,
 )
+from repro.faults import parse_fault_plan
+from repro.multifeed.soak import ServiceSoak, SoakConfig, parse_timeline
+from repro.multipath.delivery import MultipathSystem
 from repro.obs.counters import Histogram
 from repro.obs.export import counter_rows, event_count_rows, phase_timing_rows
 from repro.obs.timing import PhaseTimings
@@ -50,7 +55,12 @@ from repro.network.latency import ConstantLatency
 from repro.network.transport import Network
 from repro.sim.churn import ChurnConfig
 from repro.sim.engine import EventScheduler
-from repro.sim.runner import Simulation, SimulationConfig, run_simulation
+from repro.sim.runner import (
+    Simulation,
+    SimulationConfig,
+    make_simulation,
+    run_simulation,
+)
 from repro.workloads import make
 
 SAMPLE_EVENTS = [
@@ -338,13 +348,103 @@ class TestProbeDoesNotPerturb:
         assert not simulation.probe.enabled
 
 
+class CountingProbe(NullProbe):
+    """A :class:`NullProbe` that counts every hook call it receives, by
+    hook name; ``enabled`` says whether it asks to be called."""
+
+    def __init__(self, enabled: bool) -> None:
+        self.enabled = enabled
+        self.calls: Counter = Counter()
+
+
+def _counting_hook(name):
+    def hook(self, *args, **kwargs):
+        self.calls[name] += 1
+
+    return hook
+
+
+for _name, _hook in vars(Probe).items():
+    if callable(_hook) and not _name.startswith("_"):
+        setattr(CountingProbe, _name, _counting_hook(_name))
+
+
+FAULTS = "crash@8:0.2:rejoin=4,source-outage@12:2,stale-view@16:3:2"
+
+
+def _rounds_run(probe):
+    config = SimulationConfig(
+        seed=4,
+        max_rounds=30,
+        churn=ChurnConfig(),
+        faults=parse_fault_plan(FAULTS),
+        probe=probe,
+    )
+    Simulation(make("Rand", size=30, seed=4), config).run()
+
+
+def _continuous_run(probe):
+    config = SimulationConfig(
+        seed=4,
+        max_rounds=30,
+        churn=ChurnConfig(),
+        faults=parse_fault_plan(FAULTS),
+        time_model="continuous:geo-3region",
+    )
+    make_simulation(make("Rand", size=30, seed=4), config, probe=probe).run()
+
+
+def _multipath_run(probe):
+    MultipathSystem(
+        make("Rand", size=24, seed=4),
+        paths=2,
+        seed=4,
+        faults=parse_fault_plan(FAULTS),
+        churn=ChurnConfig(),
+        probe=probe,
+    ).run(max_rounds=30)
+
+
+def _soak_run(probe):
+    config = SoakConfig(
+        consumer_count=24,
+        seed=4,
+        rounds=40,
+        warmup_rounds=10,
+        timeline=parse_timeline(
+            "flash@15:news:x2:ramp=2,exodus@22:sports:0.4,rejoin@28:sports"
+        ),
+        faults=parse_fault_plan(FAULTS),
+    )
+    ServiceSoak(config, probe).run()
+
+
+class TestDisabledProbeIsNeverCalled:
+    """Every emission site checks :attr:`Probe.enabled`, so a run with
+    observation off makes no hook call in any round loop; the same
+    counter, enabled, shows the runs do emit."""
+
+    RUNS = [_rounds_run, _continuous_run, _multipath_run, _soak_run]
+
+    @pytest.mark.parametrize("run", RUNS, ids=lambda run: run.__name__[1:])
+    def test_no_hook_call_with_obs_off(self, run):
+        probe = CountingProbe(enabled=False)
+        run(probe)
+        assert probe.calls == Counter()
+
+    @pytest.mark.parametrize("run", RUNS, ids=lambda run: run.__name__[1:])
+    def test_the_same_run_emits_with_obs_on(self, run):
+        probe = CountingProbe(enabled=True)
+        run(probe)
+        assert probe.calls["attach"] > 0
+
+
 class TestPhaseTimings:
     def test_phases_accumulate(self):
         timings = PhaseTimings()
         timings.add("step", 0.5)
         timings.add("step", 0.25)
-        with timings.measure("churn"):
-            pass
+        timings.add("churn", 0.0)
         assert timings.calls == {"step": 2, "churn": 1}
         assert timings.seconds["step"] == pytest.approx(0.75)
         assert timings.total_seconds >= 0.75
@@ -358,6 +458,39 @@ class TestPhaseTimings:
         for stats in result.phase_timings.values():
             assert stats["seconds"] >= 0.0
             assert stats["calls"] >= 1
+
+    def test_each_phase_is_timed_once_per_round(self):
+        """A churned, faulted run of R rounds times ``churn``,
+        ``oracle``, ``faults`` and ``measure`` R times each, and ``step``
+        and ``maintain`` once per call of the rule."""
+        rounds = 30
+        simulation = Simulation(
+            make("Rand", size=30, seed=3),
+            SimulationConfig(
+                seed=3,
+                max_rounds=rounds,
+                churn=ChurnConfig(),
+                faults=parse_fault_plan("crash@10:0.2:rejoin=5"),
+                stop_at_convergence=False,
+            ),
+        )
+        counted = {"step": 0, "maintain": 0}
+        for rule in counted:
+            inner = getattr(simulation.algorithm, rule)
+
+            def wrapper(node, inner=inner, rule=rule):
+                counted[rule] += 1
+                return inner(node)
+
+            setattr(simulation.algorithm, rule, wrapper)
+        simulation.run()
+        assert simulation.now == rounds
+        calls = simulation.timings.calls
+        for phase in ("churn", "oracle", "faults", "measure"):
+            assert calls[phase] == rounds, phase
+        assert counted["step"] and counted["maintain"]
+        assert calls["step"] == counted["step"]
+        assert calls["maintain"] == counted["maintain"]
 
     def test_phase_timings_exempt_from_equality(self):
         a = run_simulation(make("Rand", size=15, seed=2), SimulationConfig(seed=2))

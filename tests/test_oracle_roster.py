@@ -28,6 +28,7 @@ from repro.core.index import kth_set_bit
 from repro.core.tree import Overlay
 from repro.multifeed import MultiFeedSystem
 from repro.multifeed.reuse import ReuseDelayOracle
+from repro.obs.probe import Probe
 from repro.oracles.base import make_oracle
 from repro.sim.churn import ChurnConfig
 from repro.sim.runner import Simulation, SimulationConfig
@@ -200,7 +201,7 @@ class TestSampleDrawForDraw:
         ) is only
 
     def test_probe_sees_the_candidate_count(self):
-        class Recorder:
+        class Recorder(Probe):
             def __init__(self):
                 self.queries = []
 

@@ -3,7 +3,8 @@
 ``ConstructionAlgorithm.settled(node)`` promises that ``maintain(node)``
 would return ``False`` and write no state, now and until the node's
 chain next changes.  Both clocks lean on it: the round sweeps visit only
-``due()`` nodes and the continuous engine lets settled nodes sleep.
+nodes that are parentless or unsettled, and the continuous engine lets
+settled nodes sleep.
 Four guarantees:
 
 1. **Soundness** — on random mutation sequences, for every registered
@@ -241,6 +242,28 @@ class TestSettledIsSound:
 # ----------------------------------------------------------------------
 
 
+def sweep_visits(algorithm, roster, on_step=None):
+    """The ``(rule, node)`` calls one :meth:`sweep` over ``roster``
+    makes, through recording ``step``/``maintain`` replaced on the
+    instance (as a timing wrapper would be).  The recorders act on
+    nothing themselves; ``on_step(node)`` lets a stepping node act."""
+    visits = []
+
+    def step(node):
+        visits.append(("step", node))
+        if on_step is not None:
+            on_step(node)
+
+    def maintain(node):
+        visits.append(("maintain", node))
+        return False
+
+    algorithm.step = step
+    algorithm.maintain = maintain
+    algorithm.sweep(roster)
+    return visits
+
+
 class TestPredicateIsTiedToTheRule:
     def test_swapping_maintain_alone_resets_settled(self):
         class Swapped(HybridConstruction):
@@ -287,15 +310,16 @@ class TestPredicateIsTiedToTheRule:
             n for n in sim.overlay.online_consumers if n.parent is not None
         ]
         assert parented
-        assert list(sim.algorithm.due(parented)) == parented
-
+        assert sweep_visits(sim.algorithm, parented) == [
+            ("maintain", node) for node in parented
+        ]
 
     def test_a_swapped_rule_is_never_settled_at_run_time(self):
         """The fallback holds where it is used, not only on the class:
         the predicate is a plain class attribute — no algorithm binds a
         reader on the instance, which would shadow the reset — so an
         instance of a subclass that swaps ``maintain`` alone reports
-        every node unsettled and ``due`` hands back the whole roster."""
+        every node unsettled and ``sweep`` visits the whole roster."""
 
         class Swapped(GreedyConstruction):
             name = "swapped-at-run-time"
@@ -318,11 +342,13 @@ class TestPredicateIsTiedToTheRule:
         assert "settled" not in vars(shipped)
         assert all(shipped.settled(node) for node in nodes)
         assert not any(swapped.settled(node) for node in overlay)
-        assert list(swapped.due(nodes)) == nodes
-        assert list(shipped.due(nodes)) == [nodes[2], nodes[4], nodes[5]]
+        assert [node for _, node in sweep_visits(swapped, nodes)] == nodes
+        assert sweep_visits(shipped, nodes) == [
+            ("step", nodes[2]), ("step", nodes[4]), ("step", nodes[5])
+        ]
 
 
-class TestDueReadsLiveState:
+class TestSweepReadsLiveState:
     def test_an_earlier_actor_can_unsettle_a_later_node(self):
         overlay = Overlay(source_fanout=1)
         first = overlay.add_consumer(NodeSpec(latency=1, fanout=1))
@@ -332,11 +358,16 @@ class TestDueReadsLiveState:
             overlay, make_oracle("random", overlay, random.Random(0))
         )
         assert algorithm.settled(second)
-        walk = algorithm.due([first, second])
-        assert next(walk) is first  # parentless: it steps
-        overlay.attach(first, overlay.source)  # ... and roots the chain
-        assert next(walk) is second  # DelayAt 2 > l 1, seen at visit time
-        assert list(algorithm.due([second, first])) == [second]
+
+        def root_the_chain(node):
+            overlay.attach(node, overlay.source)
+
+        # ``first`` is parentless, so it steps and roots the chain; then
+        # ``second`` is at DelayAt 2 > l 1, seen at visit time.
+        assert sweep_visits(algorithm, [first, second], root_the_chain) == [
+            ("step", first), ("maintain", second)
+        ]
+        assert sweep_visits(algorithm, [second, first]) == [("maintain", second)]
 
 
 # ----------------------------------------------------------------------

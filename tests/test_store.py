@@ -272,5 +272,8 @@ class TestPickleRoundTrip:
         overlay = self._built_overlay()
         clone = pickle.loads(pickle.dumps(overlay))
         for node in clone:
-            assert node._store is clone.store
             assert clone.store.nodes[node.node_id] is node
+            # A clone column written is what the clone reads for the node.
+            clone.store.delay[node.node_id] = 1000 + node.node_id
+            assert clone.delay_at(node) == 1000 + node.node_id
+        assert 1000 not in list(overlay.store.delay)
